@@ -6,12 +6,11 @@ of the equivalent vector system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .systems import CoefficientSet, TensorStateSystem
-from .tensors import ShapeError, Tensor, unfold
+from .systems import CoefficientSet, TensorStateSystem, UnfoldedSystem
+from .tensors import ShapeError, Tensor
 
 __all__ = [
     "UnfoldedSystem",
@@ -29,24 +28,6 @@ __all__ = [
 TIME_INVARIANT_REQUIRED = "analysis requires time-invariant system"
 
 
-class UnfoldedSystem(NamedTuple):
-    """Matrices of the equivalent vector system; absent parts are None."""
-
-    a: np.ndarray
-    b: np.ndarray | None
-    c: np.ndarray | None
-    d: np.ndarray | None
-
-
-def _unfold_coefficients(coeffs: CoefficientSet, r: int) -> UnfoldedSystem:
-    return UnfoldedSystem(
-        unfold(coeffs.A, r),
-        None if coeffs.B is None else unfold(coeffs.B, r),
-        None if coeffs.C is None else unfold(coeffs.C, len(coeffs.C.shape) - r),
-        None if coeffs.D is None else unfold(coeffs.D, len(coeffs.D.shape) - len(coeffs.B.shape) + r),
-    )
-
-
 def unfold_system(system) -> UnfoldedSystem:
     """(M_A, M_B, M_C, M_D) of a time-invariant system, grouping state modes.
 
@@ -55,7 +36,7 @@ def unfold_system(system) -> UnfoldedSystem:
     """
     if not system.is_time_invariant:
         raise ValueError(TIME_INVARIANT_REQUIRED)
-    return _unfold_coefficients(system.coefficients_at(0), system.state_order)
+    return system.unfolded[0]
 
 
 def vector_twin(system) -> TensorStateSystem:
@@ -64,21 +45,10 @@ def vector_twin(system) -> TensorStateSystem:
     Every segment's coefficients are replaced by their unfolded matrices;
     simulating the twin on vec'd signals reproduces the tensor trajectory.
     """
-    r = system.state_order
-    segments = []
-    for start, coeffs in system.schedule:
-        m = _unfold_coefficients(coeffs, r)
-        segments.append(
-            (
-                start,
-                CoefficientSet(
-                    A=Tensor.from_array(m.a),
-                    B=None if m.b is None else Tensor.from_array(m.b),
-                    C=None if m.c is None else Tensor.from_array(m.c),
-                    D=None if m.d is None else Tensor.from_array(m.d),
-                ),
-            )
-        )
+    segments = [
+        (start, CoefficientSet(*matrices))
+        for start, matrices in zip(system.schedule.starts, system.unfolded)
+    ]
     return TensorStateSystem(
         system.time_kind,
         (system.state_dim,),

@@ -17,7 +17,7 @@ import numpy as np
 from .multirate import MultirateSystem, constant_function, index_function
 from .simulate import InputSignal, Trajectory
 from .systems import CoefficientSet, TensorStateSystem, build_system
-from .tensors import ShapeError, Tensor, vec
+from .tensors import ShapeError, Tensor
 
 __all__ = [
     "ParseError",
@@ -77,7 +77,14 @@ def _check_keys(obj, where, required, optional=()):
 def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # JSON literals past the double range parse as inf or as ints too large for float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: number out of the finite double range")
+    return number
 
 
 def _parse_shape(value, where):
@@ -299,7 +306,10 @@ def _parse_multirate(obj, path) -> MultirateFile:
         if b is None:
             raise ParseError(f"{path}.input: input given but no B")
         input_func, input_spec = _process_function(obj["input"], count, f"{path}.input")
-    system = MultirateSystem(a, clocks, boundary, B=b, input=input_func)
+    try:
+        system = MultirateSystem(a, clocks, boundary, B=b, input=input_func)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return MultirateFile(system=system, boundary_spec=boundary_spec, input_spec=input_spec)
 
 
@@ -394,16 +404,14 @@ def _columns(prefix, shape):
 def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
     """CSV text: column t, then the vec'd state entries in row-major column
     order, then (with emit_output) the vec'd output entries."""
-    first = trajectory[0]
-    header = ["t"] + _columns("x", first.state.shape)
+    header = ["t"] + _columns("x", trajectory.state_shape)
+    rows = trajectory.state_matrix()
     if emit_output:
-        header += _columns("y", first.output.shape)
+        header += _columns("y", trajectory.output_shape)
+        rows = np.hstack([rows, trajectory.output_matrix()])
     lines = [",".join(header)]
-    for sample in trajectory:
-        row = [_fmt(sample.when)] + [_fmt(v) for v in vec(sample.state)]
-        if emit_output:
-            row += [_fmt(v) for v in vec(sample.output)]
-        lines.append(",".join(row))
+    for when, row in zip(trajectory.times.tolist(), rows.tolist()):
+        lines.append(",".join([_fmt(when)] + [_fmt(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

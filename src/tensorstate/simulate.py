@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ShapeError, Tensor, contract_last, devec, unfold, vec
+from .tensors import ShapeError, Tensor, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
     "NumericOverflowError",
@@ -52,9 +52,7 @@ class InputSignal:
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        if not isinstance(value, Tensor):
-            value = Tensor.from_array(value)
-        return cls("constant", value=value)
+        return cls("constant", value=_as_tensor(value))
 
     @classmethod
     def table(cls, samples) -> "InputSignal":
@@ -68,22 +66,15 @@ class InputSignal:
                 when, value = entry
             except (TypeError, ValueError):
                 raise ValueError("input table entries must be (when, value) pairs")
-            if not isinstance(value, Tensor):
-                value = Tensor.from_array(value)
             breaks.append(float(when))
-            values.append(value)
+            values.append(_as_tensor(value))
         if breaks[0] != 0:
             raise ValueError(f"input table must start at 0, got first key {breaks[0]}")
         for a, b in zip(breaks, breaks[1:]):
-            if b <= a:
+            if not b > a:  # also rejects NaN
                 raise ValueError(f"input table keys must be strictly increasing ({a} then {b})")
-        shape = values[0].shape
         for when, value in zip(breaks, values):
-            if value.shape != shape:
-                raise ShapeError(
-                    f"input table values must share one shape; key {when} has "
-                    f"{list(value.shape)}, expected {list(shape)}"
-                )
+            _coerce(value, values[0].shape, f"input table value at key {when}")
         return cls("table", breaks=tuple(breaks), values=tuple(values))
 
     @property
@@ -114,11 +105,7 @@ class InputSignal:
             if idx < 0:
                 raise ValueError(f"input table starts at {self._breaks[0]}, sampled at {when}")
             value = self._values[idx]
-        if value.shape != tuple(shape):
-            raise ShapeError(
-                f"input sample has shape {list(value.shape)}, expected {list(shape)}"
-            )
-        return value
+        return _coerce(value, tuple(shape), "input sample")
 
 
 @dataclass(frozen=True)
@@ -128,81 +115,98 @@ class TrajectorySample:
     output: Tensor
 
 
+def _frozen(values, shape) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).reshape(shape)  # a view: the caller's flags stay
+    arr.flags.writeable = False
+    return arr
+
+
 class Trajectory:
-    """Ordered (when, state, output) samples from one simulation run."""
+    """Ordered (when, state, output) samples from one simulation run.
 
-    __slots__ = ("_samples",)
+    Stored as read-only arrays: `times` of shape (N,), and the vec'd states
+    and outputs as rows of (N, q) and (N, s) matrices. Samples and tensors
+    are built on demand as views of those rows.
+    """
 
-    def __init__(self, samples):
-        samples = tuple(samples)
-        if not samples:
+    __slots__ = ("_times", "_states", "_outputs", "state_shape", "output_shape")
+
+    def __init__(self, times, states, outputs, state_shape, output_shape):
+        self.state_shape = _normalize_shape(state_shape)
+        self.output_shape = _normalize_shape(output_shape)
+        self._times = _frozen(times, -1)
+        n = self._times.size
+        if n == 0:
             raise ValueError("trajectory needs at least one sample")
-        for a, b in zip(samples, samples[1:]):
-            if not b.when > a.when:
-                raise ValueError(f"trajectory whens must increase ({a.when} then {b.when})")
-        self._samples = samples
+        self._states = _frozen(states, (n, math.prod(self.state_shape)))
+        self._outputs = _frozen(outputs, (n, math.prod(self.output_shape)))
+        bad = np.flatnonzero(~(self._times[1:] > self._times[:-1]))
+        if bad.size:
+            a, b = self._times[bad[0]:bad[0] + 2]
+            raise ValueError(f"trajectory whens must increase ({a} then {b})")
 
     @property
     def samples(self) -> tuple:
-        return self._samples
+        return tuple(self)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.when for s in self._samples], dtype=float)
+        return self._times
 
     @property
     def states(self) -> list:
-        return [s.state for s in self._samples]
+        return [s.state for s in self]
 
     @property
     def outputs(self) -> list:
-        return [s.output for s in self._samples]
+        return [s.output for s in self]
 
     @property
     def final_state(self) -> Tensor:
-        return self._samples[-1].state
+        return self[-1].state
 
     def state_matrix(self) -> np.ndarray:
-        """Row-major vec of every state, stacked row per sample."""
-        return np.stack([vec(s.state) for s in self._samples])
+        """Row-major vec of every state, stacked row per sample (read-only)."""
+        return self._states
 
     def output_matrix(self) -> np.ndarray:
-        return np.stack([vec(s.output) for s in self._samples])
+        return self._outputs
 
     def __len__(self):
-        return len(self._samples)
+        return self._times.size
 
     def __iter__(self):
-        return iter(self._samples)
+        return (self[k] for k in range(len(self)))
 
     def __getitem__(self, index):
-        return self._samples[index]
-
-
-def _coerce_state(system, state) -> Tensor:
-    if not isinstance(state, Tensor):
-        state = Tensor.from_array(state)
-    if state.shape != system.state_shape:
-        raise ShapeError(
-            f"state has shape {list(state.shape)}, expected {list(system.state_shape)}"
+        if isinstance(index, slice):
+            return self.samples[index]
+        return TrajectorySample(
+            float(self._times[index]),
+            Tensor._wrap(self._states[index].reshape(self.state_shape)),
+            Tensor._wrap(self._outputs[index].reshape(self.output_shape)),
         )
-    return state
 
 
-def _coerce_input(system, u) -> Tensor | None:
+def _coerce(value, shape, what) -> Tensor:
+    value = _as_tensor(value)
+    if value.shape != shape:
+        raise ShapeError(f"{what} has shape {list(value.shape)}, expected {list(shape)}")
+    return value
+
+
+def _state_vec(system, state) -> np.ndarray:
+    return vec(_coerce(state, system.state_shape, "state"))
+
+
+def _input_vec(system, u) -> np.ndarray | None:
     if not system.has_input:
         if u is not None:
             raise ValueError("system declares no input; got an input tensor")
         return None
     if u is None:
         raise ValueError("system declares an input; pass u")
-    if not isinstance(u, Tensor):
-        u = Tensor.from_array(u)
-    if u.shape != system.input_shape:
-        raise ShapeError(
-            f"input has shape {list(u.shape)}, expected {list(system.input_shape)}"
-        )
-    return u
+    return vec(_coerce(u, system.input_shape, "input"))
 
 
 def _as_signal(system, u) -> InputSignal | None:
@@ -218,10 +222,25 @@ def _as_signal(system, u) -> InputSignal | None:
     return u
 
 
-def _output(coeffs, state: Tensor, u: Tensor | None) -> Tensor:
-    out = contract_last(coeffs.C, state) if coeffs.C is not None else state
-    if coeffs.D is not None and u is not None:
-        out = out + contract_last(coeffs.D, u)
+def _input_at(system, signal, when) -> np.ndarray | None:
+    return None if signal is None else vec(signal.sample(when, system.input_shape))
+
+
+def _advance(m, v, u) -> np.ndarray:
+    """M_A·v + M_B·u: the next state of a discrete step, the derivative of a
+    continuous one. The input term is added whenever the system has one,
+    even when it is zero, so signed zeros come out the same on every route."""
+    nxt = m.a @ v
+    if u is not None:
+        nxt = nxt + m.b @ u
+    return nxt
+
+
+def _output(m, v, u) -> np.ndarray:
+    """M_C·v + M_D·u, where an absent C passes the state through."""
+    out = v if m.c is None else m.c @ v
+    if m.d is not None and u is not None:
+        out = out + m.d @ u
     return out
 
 
@@ -237,13 +256,11 @@ def step_discrete(system, state, u=None, n=0):
     an absent C meaning the output is the state and an absent D no feedthrough.
     """
     _require_kind(system, "discrete", "step_discrete")
-    state = _coerce_state(system, state)
-    u = _coerce_input(system, u)
-    coeffs = system.coefficients_at(n)
-    nxt = contract_last(coeffs.A, state)
-    if u is not None:
-        nxt = nxt + contract_last(coeffs.B, u)
-    return nxt, _output(coeffs, state, u)
+    v = _state_vec(system, state)
+    u = _input_vec(system, u)
+    m = system.unfolded_at(n)
+    nxt = Tensor._wrap(_advance(m, v, u).reshape(system.state_shape))
+    return nxt, Tensor._wrap(_output(m, v, u).reshape(system.output_shape))
 
 
 def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
@@ -258,21 +275,22 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     signal = _as_signal(system, u)
-    state = _coerce_state(system, x0)
-    samples = []
+    v = _state_vec(system, x0)
+    states = np.empty((steps + 1, system.state_dim))
+    outputs = np.empty((steps + 1, system.output_dim))
     for n in range(steps + 1):
-        u_n = signal.sample(n, system.input_shape) if signal is not None else None
-        coeffs = system.coefficients_at(n)
-        samples.append(TrajectorySample(n, state, _output(coeffs, state, u_n)))
+        u_n = _input_at(system, signal, n)
+        m = system.unfolded_at(n)
+        states[n] = v
+        outputs[n] = _output(m, v, u_n)
         if n == steps:
             break
-        nxt = contract_last(coeffs.A, state)
-        if u_n is not None:
-            nxt = nxt + contract_last(coeffs.B, u_n)
-        if not np.isfinite(nxt.array).all():
+        v = _advance(m, v, u_n)
+        if not np.isfinite(v).all():
             raise NumericOverflowError(f"state became non-finite at step {n + 1}")
-        state = nxt
-    return Trajectory(samples)
+    return Trajectory(
+        np.arange(steps + 1), states, outputs, system.state_shape, system.output_shape
+    )
 
 
 def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
@@ -288,16 +306,12 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     signal = _as_signal(system, u)
-    x0 = _coerce_state(system, x0)
-    r = system.state_order
-    coeffs = system.coefficients_at(0)
-    m_a = unfold(coeffs.A, r)
-    acc = np.linalg.matrix_power(m_a, n) @ vec(x0)
+    m = system.unfolded[0]
+    acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
     if signal is not None:
-        m_b = unfold(coeffs.B, r)
         for k in range(n):
-            u_k = vec(signal.sample(k, system.input_shape))
-            acc = acc + np.linalg.matrix_power(m_a, n - 1 - k) @ (m_b @ u_k)
+            u_k = _input_at(system, signal, k)
+            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ u_k)
     return devec(acc, system.state_shape)
 
 
@@ -332,26 +346,6 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     return result
 
 
-def _unfolded_schedule(system):
-    """Per segment: (start, coeffs, M_A, M_B or None)."""
-    r = system.state_order
-    out = []
-    for start, coeffs in system.schedule:
-        m_b = unfold(coeffs.B, r) if coeffs.B is not None else None
-        out.append((start, coeffs, unfold(coeffs.A, r), m_b))
-    return out
-
-
-def _segment_at(segments, when):
-    chosen = segments[0]
-    for seg in segments:
-        if seg[0] <= when:
-            chosen = seg
-        else:
-            break
-    return chosen
-
-
 def _time_grid(t_end, h):
     n_full = int(math.floor(t_end / h + 1e-9))
     times = [k * h for k in range(n_full + 1)]
@@ -384,35 +378,26 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     signal = _as_signal(system, u)
-    x0 = _coerce_state(system, x0)
-    segments = _unfolded_schedule(system)
+    v = _state_vec(system, x0)
     dim = system.state_dim
-    shape = system.state_shape
-
-    def u_vec(when):
-        return vec(signal.sample(when, system.input_shape))
 
     def field(when, v):
-        _, _, m_a, m_b = _segment_at(segments, when)
-        dv = m_a @ v
-        if m_b is not None:
-            dv = dv + m_b @ u_vec(when)
-        return dv
+        return _advance(system.unfolded_at(when), v, _input_at(system, signal, when))
 
     def advance_exact(v, a, b):
-        cuts = [seg[0] for seg in segments if a < seg[0] < b]
+        cuts = [start for start in system.schedule.starts if a < start < b]
         if signal is not None:
             cuts.extend(p for p in signal.breakpoints if a < p < b)
         edges = [a] + sorted(set(cuts)) + [b]
         for p, q in zip(edges, edges[1:]):
-            _, _, m_a, m_b = _segment_at(segments, p)
+            m = system.unfolded_at(p)
             dt = q - p
-            if m_b is None:
-                v = matrix_exponential(m_a, dt) @ v
+            if m.b is None:
+                v = matrix_exponential(m.a, dt) @ v
             else:
                 aug = np.zeros((dim + 1, dim + 1))
-                aug[:dim, :dim] = m_a
-                aug[:dim, dim] = m_b @ u_vec(p)
+                aug[:dim, :dim] = m.a
+                aug[:dim, dim] = m.b @ _input_at(system, signal, p)
                 big = matrix_exponential(aug, dt)
                 v = big[:dim, :dim] @ v + big[:dim, dim]
         return v
@@ -427,16 +412,14 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
 
     advance = advance_exact if method == "exact" else advance_rk4
     times = _time_grid(t_end, h)
-    v = x0.array.reshape(dim).astype(float)
-    samples = []
+    states = np.empty((len(times), dim))
+    outputs = np.empty((len(times), system.output_dim))
     for i, t in enumerate(times):
-        state = devec(v, shape)
-        coeffs = _segment_at(segments, t)[1]
-        u_t = signal.sample(t, system.input_shape) if signal is not None else None
-        samples.append(TrajectorySample(t, state, _output(coeffs, state, u_t)))
+        states[i] = v
+        outputs[i] = _output(system.unfolded_at(t), v, _input_at(system, signal, t))
         if i + 1 == len(times):
             break
         v = advance(v, t, times[i + 1])
         if not np.isfinite(v).all():
             raise NumericOverflowError(f"state became non-finite at t={times[i + 1]:.17g}")
-    return Trajectory(samples)
+    return Trajectory(times, states, outputs, system.state_shape, system.output_shape)

@@ -5,16 +5,19 @@ system type used by the simulators and by analysis.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .tensors import ShapeError, Tensor, _normalize_shape
+from .tensors import ShapeError, Tensor, _normalize_shape, unfold
 
 __all__ = [
     "CoefficientSet",
     "CoefficientSchedule",
+    "UnfoldedSystem",
     "TensorStateSystem",
     "build_system",
     "lift_matrix_state",
@@ -45,6 +48,15 @@ class CoefficientSet:
                 object.__setattr__(self, name, Tensor.from_array(value))
 
 
+class UnfoldedSystem(NamedTuple):
+    """Matrices of the equivalent vector system; absent parts are None."""
+
+    a: np.ndarray
+    b: np.ndarray | None
+    c: np.ndarray | None
+    d: np.ndarray | None
+
+
 class CoefficientSchedule:
     """Piecewise-constant assignment of coefficient sets to step/time intervals.
 
@@ -52,7 +64,7 @@ class CoefficientSchedule:
     force at `when` is the one of the last segment whose start is <= when.
     """
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_segments", "_starts")
 
     def __init__(self, segments):
         if isinstance(segments, CoefficientSet):
@@ -72,30 +84,33 @@ class CoefficientSchedule:
         if cleaned[0][0] != 0:
             raise ValueError(f"first schedule segment must start at 0, got {cleaned[0][0]}")
         for (s0, _), (s1, _) in zip(cleaned, cleaned[1:]):
-            if s1 <= s0:
+            if not s1 > s0:  # also rejects NaN, which bisect cannot order
                 raise ValueError(f"schedule starts must be strictly increasing ({s0} then {s1})")
         self._segments = tuple(cleaned)
+        self._starts = tuple(start for start, _ in cleaned)
 
     @property
     def segments(self) -> tuple:
         return self._segments
 
     @property
+    def starts(self) -> tuple:
+        return self._starts
+
+    @property
     def is_time_invariant(self) -> bool:
         return len(self._segments) == 1
 
-    def at(self, when) -> CoefficientSet:
-        """Coefficient set of the last segment with start <= when (when >= 0)."""
+    def index(self, when) -> int:
+        """Position of the last segment with start <= when (when >= 0)."""
         when = float(when)
         if when < 0:
             raise ValueError(f"schedule lookup requires when >= 0, got {when}")
-        coeffs = self._segments[0][1]
-        for start, candidate in self._segments:
-            if start <= when:
-                coeffs = candidate
-            else:
-                break
-        return coeffs
+        return bisect.bisect_right(self._starts, when) - 1
+
+    def at(self, when) -> CoefficientSet:
+        """Coefficient set of the last segment with start <= when (when >= 0)."""
+        return self._segments[self.index(when)][1]
 
     def __len__(self):
         return len(self._segments)
@@ -113,10 +128,11 @@ class TensorStateSystem:
 
     Construction checks every coefficient set in the schedule against the
     declared shapes, so downstream code can index coefficients without
-    re-checking.
+    re-checking, and unfolds each segment once into `unfolded`, the
+    matrices the simulators and analysis work on.
     """
 
-    __slots__ = ("time_kind", "state_shape", "input_shape", "output_shape", "schedule")
+    __slots__ = ("time_kind", "state_shape", "input_shape", "output_shape", "schedule", "unfolded")
 
     def __init__(self, time_kind, state_shape, schedule, input_shape=None, output_shape=None):
         if time_kind not in TIME_KINDS:
@@ -129,8 +145,8 @@ class TensorStateSystem:
         if not isinstance(schedule, CoefficientSchedule):
             schedule = CoefficientSchedule(schedule)
         if time_kind == "discrete":
-            for start, _ in schedule:
-                if start != int(start):
+            for start in schedule.starts:
+                if not start.is_integer():
                     raise ValueError(
                         f"discrete schedules need integer step starts, got {start}"
                     )
@@ -141,6 +157,18 @@ class TensorStateSystem:
         self.input_shape = input_shape
         self.output_shape = output_shape
         self.schedule = schedule
+        # rows group the state modes for A/B and the output modes for C/D;
+        # reshape views of the read-only coefficients, nothing is copied
+        r, s = len(state_shape), len(output_shape)
+        self.unfolded = tuple(
+            UnfoldedSystem(
+                unfold(coeffs.A, r),
+                None if coeffs.B is None else unfold(coeffs.B, r),
+                None if coeffs.C is None else unfold(coeffs.C, s),
+                None if coeffs.D is None else unfold(coeffs.D, s),
+            )
+            for _, coeffs in schedule
+        )
 
     @property
     def has_input(self) -> bool:
@@ -169,6 +197,10 @@ class TensorStateSystem:
     def coefficients_at(self, when) -> CoefficientSet:
         """Coefficients in force at step index / time stamp `when`."""
         return self.schedule.at(when)
+
+    def unfolded_at(self, when) -> UnfoldedSystem:
+        """Unfolded matrices of the segment in force at `when`."""
+        return self.unfolded[self.schedule.index(when)]
 
     def __repr__(self):
         return (

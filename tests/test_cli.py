@@ -268,6 +268,28 @@ class TestBadInvocations:
     def test_no_command(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["inf", "-inf", "huge-int"]
+    )
+    def test_overflowing_start_names_field(self, tmp_path, capsys, literal):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(identity_doc()).replace('"start": 0', f'"start": {literal}'))
+        code = main(["simulate", "--system", str(path), "--out", str(tmp_path / "o.csv"),
+                     "--steps", "1"])
+        assert code == 1
+        assert "schedule[0].start" in capsys.readouterr().err
+
+    def test_overflowing_boundary_names_field(self, tmp_path, capsys):
+        doc = {"kind": "multirate", "A": [[1, 1], [0, 1]], "clocks": [2, 3],
+               "boundary": {"kind": "constant", "value": 0}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc).replace('"value": 0', '"value": 1e400'))
+        out = tmp_path / "o.csv"
+        code = main(["multirate", "--system", str(path), "--out", str(out), "--horizon", "2"])
+        assert code == 1
+        assert "boundary.value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_method_choice(self, tmp_path):
         code = main(
             ["simulate", "--system", str(SAMPLES / "continuous_decay.json"),

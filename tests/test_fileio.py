@@ -209,6 +209,25 @@ class TestParseMultirate:
         with pytest.raises(ParseError, match="duplicate"):
             parse_system_file(write_doc(tmp_path / "m.json", doc))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("A", [[1, 1]], "square"),
+            ("clocks", [2, 1], "larger than one"),
+            ("B", [[1]], "B must be"),
+        ],
+    )
+    def test_validation_errors_name_the_file(self, tmp_path, field, value, message):
+        doc = self.multirate_doc()
+        doc["boundary"] = {"kind": "index"}
+        doc["input"] = {"kind": "index"}
+        doc["B"] = [[1, 0], [0, 1]]
+        doc[field] = value
+        path = write_doc(tmp_path / "m.json", doc)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_system_file(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_per_process_count_mismatch(self, tmp_path):
         doc = self.multirate_doc()
         doc["boundary"] = [{"kind": "index"}]

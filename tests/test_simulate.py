@@ -9,6 +9,7 @@ from tensorstate import (
     NumericOverflowError,
     ShapeError,
     Tensor,
+    Trajectory,
     build_system,
     devec,
     make_tensor,
@@ -69,6 +70,8 @@ class TestInputSignal:
             InputSignal.table([(1, [1.0])])
         with pytest.raises(ValueError):
             InputSignal.table([(0, [1.0]), (0, [2.0])])
+        with pytest.raises(ValueError):
+            InputSignal.table([(0, [1.0]), (float("nan"), [2.0])])
         with pytest.raises(ShapeError):
             InputSignal.table([(0, [1.0]), (1, [2.0, 3.0])])
 
@@ -150,6 +153,18 @@ class TestSimulateDiscrete:
         assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert traj.final_state == traj[3].state
         assert traj.state_matrix().shape == (4, 2)
+        assert not traj.state_matrix().flags.writeable
+        assert not traj.output_matrix().flags.writeable
+
+    def test_trajectory_from_arrays(self):
+        states = np.arange(8.0).reshape(2, 4)
+        traj = Trajectory([0.0, 0.5], states, [[1.0], [2.0]], (2, 2), (1,))
+        assert traj[1].when == 0.5
+        assert traj[1].state.tolist() == [[4.0, 5.0], [6.0, 7.0]]
+        assert [s.output.item() for s in traj] == [1.0, 2.0]
+        assert states.flags.writeable
+        with pytest.raises(ValueError, match="whens must increase"):
+            Trajectory([0.0, 0.0], states, [[1.0], [2.0]], (2, 2), (1,))
 
     def test_zero_steps(self):
         system = r1_system(np.eye(2))
@@ -193,6 +208,54 @@ class TestSimulateDiscrete:
         tc = simulate_discrete(system, x0, steps, u=InputSignal.table(combined))
         mixed = alpha * t1.state_matrix() + beta * t2.state_matrix()
         assert np.max(np.abs(tc.state_matrix() - mixed)) < 1e-10
+
+
+def test_discrete_matches_tensordot_reference_loop():
+    """64 segments, order-2 state, table input, C and D: the unfolded kernel
+    and bisect lookup give the same bits as a linear segment scan over
+    np.tensordot, both through simulate_discrete and step by step."""
+    rng = np.random.default_rng(64)
+    shape, in_shape, out_shape = (2, 3), (2,), (2, 2)
+    starts = list(range(0, 640, 10))
+    sets = [
+        CoefficientSet(
+            A=Tensor.from_array(0.3 * rng.normal(size=shape + shape)),
+            B=Tensor.from_array(rng.normal(size=shape + in_shape)),
+            C=Tensor.from_array(rng.normal(size=out_shape + shape)),
+            D=Tensor.from_array(rng.normal(size=out_shape + in_shape)),
+        )
+        for _ in starts
+    ]
+    system = build_system(
+        "discrete", shape, list(zip(starts, sets)), input_shape=in_shape, output_shape=out_shape
+    )
+    inputs = [rng.normal(size=in_shape) for _ in range(100)]
+    signal = InputSignal.table([(7 * k, value) for k, value in enumerate(inputs)])
+    x0 = Tensor.from_array(rng.normal(size=shape))
+    steps = 660
+    traj = simulate_discrete(system, x0, steps, u=signal)
+
+    x = x0.array
+    ref_states, ref_outputs = [], []
+    for n in range(steps + 1):
+        coeffs = sets[0]
+        for start, candidate in zip(starts, sets):
+            if start <= n:
+                coeffs = candidate
+        u = inputs[n // 7]
+        ref_states.append(x.reshape(-1))
+        y = np.tensordot(coeffs.C.array, x, 2) + np.tensordot(coeffs.D.array, u, 1)
+        ref_outputs.append(y.reshape(-1))
+        x = np.tensordot(coeffs.A.array, x, 2) + np.tensordot(coeffs.B.array, u, 1)
+    assert np.array_equal(traj.state_matrix(), np.array(ref_states))
+    assert np.array_equal(traj.output_matrix(), np.array(ref_outputs))
+
+    state = x0
+    for n in range(steps + 1):
+        nxt, y = step_discrete(system, state, inputs[n // 7], n)
+        assert np.array_equal(vec(state), traj.state_matrix()[n])
+        assert np.array_equal(vec(y), traj.output_matrix()[n])
+        state = nxt
 
 
 class TestClosedForm:

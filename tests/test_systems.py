@@ -96,6 +96,8 @@ class TestSchedule:
         coeffs = CoefficientSet(A=Tensor.identity([2]))
         with pytest.raises(ValueError):
             CoefficientSchedule([(0, coeffs), (5, coeffs), (5, coeffs)])
+        with pytest.raises(ValueError):
+            CoefficientSchedule([(0, coeffs), (float("nan"), coeffs)])
 
     def test_lookup_boundaries(self):
         early = CoefficientSet(A=Tensor.identity([2]))
@@ -105,6 +107,10 @@ class TestSchedule:
         assert system.coefficients_at(10) is late
         assert system.coefficients_at(17) is late
         assert not system.is_time_invariant
+        schedule = CoefficientSchedule([(0, early), (2.5, late)])
+        assert schedule.at(2.4999) is early
+        assert schedule.at(2.5) is late
+        assert schedule.at(1e12) is late
 
     def test_single_segment_lookup(self):
         system = build_system("discrete", (2,), classical_pair(), input_shape=(1,))
