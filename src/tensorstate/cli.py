@@ -118,7 +118,12 @@ def _cmd_simulate(args) -> int:
             method=args.method or "rk4",
         )
     _write_text(args.out, trajectory_csv(trajectory, emit_output=args.emit_output))
-    norm = float(np.linalg.norm(vec(trajectory.final_state)))
+    final = vec(trajectory.final_state)
+    with np.errstate(over="ignore"):  # the squared sum overflows for entries past about 1e154
+        norm = float(np.linalg.norm(final))
+    if np.isinf(norm):
+        peak = float(np.abs(final).max())
+        norm = peak * float(np.linalg.norm(final / peak))
     print(f"steps={len(trajectory) - 1} terminal_norm={format(norm, '.17g')}")
     return 0
 

@@ -5,12 +5,12 @@ path for piecewise-constant coefficients and inputs).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .systems import Piecewise
 from .tensors import ShapeError, Tensor, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
@@ -27,24 +27,22 @@ __all__ = [
 
 
 class NumericOverflowError(ArithmeticError):
-    """State left the finite range during simulation."""
+    """State or output left the finite range during simulation."""
 
 
 class InputSignal:
     """Forcing signal: zero, constant, or a breakpoint table.
 
-    Tables hold (when, value) pairs with strictly increasing keys starting at
-    0; sampling uses the value of the last breakpoint at or before the query
-    (zero-order hold), held beyond the final breakpoint.
+    A table is a Piecewise step function of tensors: keys strictly increase
+    from 0 and sampling holds the value of the last key at or before the
+    query (zero-order hold), also beyond the final key.
     """
 
-    __slots__ = ("kind", "_value", "_breaks", "_values")
+    __slots__ = ("kind", "_value")
 
-    def __init__(self, kind, value=None, breaks=None, values=None):
+    def __init__(self, kind, value=None):
         self.kind = kind
         self._value = value
-        self._breaks = breaks
-        self._values = values
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -52,35 +50,19 @@ class InputSignal:
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls("constant", value=_as_tensor(value))
+        return cls("constant", _as_tensor(value))
 
     @classmethod
     def table(cls, samples) -> "InputSignal":
-        entries = list(samples)
-        if not entries:
-            raise ValueError("input table must contain at least one sample")
-        breaks = []
-        values = []
-        for entry in entries:
-            try:
-                when, value = entry
-            except (TypeError, ValueError):
-                raise ValueError("input table entries must be (when, value) pairs")
-            breaks.append(float(when))
-            values.append(_as_tensor(value))
-        if breaks[0] != 0:
-            raise ValueError(f"input table must start at 0, got first key {breaks[0]}")
-        for a, b in zip(breaks, breaks[1:]):
-            if not b > a:  # also rejects NaN
-                raise ValueError(f"input table keys must be strictly increasing ({a} then {b})")
-        for when, value in zip(breaks, values):
-            _coerce(value, values[0].shape, f"input table value at key {when}")
-        return cls("table", breaks=tuple(breaks), values=tuple(values))
+        table = Piecewise(samples, "input table")
+        shape = _as_tensor(table.values[0]).shape
+        values = [_coerce(value, shape, f"input table value at key {when}") for when, value in table]
+        return cls("table", Piecewise(zip(table.keys, values), "input table"))
 
     @property
     def breakpoints(self) -> tuple:
         """Keys where a table signal may jump; empty for zero/constant."""
-        return self._breaks if self.kind == "table" else ()
+        return self._value.keys if self.kind == "table" else ()
 
     @property
     def constant_value(self) -> Tensor | None:
@@ -89,22 +71,13 @@ class InputSignal:
     @property
     def table_samples(self) -> tuple:
         """(when, value) pairs of a table signal; empty otherwise."""
-        if self.kind != "table":
-            return ()
-        return tuple(zip(self._breaks, self._values))
+        return tuple(self._value) if self.kind == "table" else ()
 
     def sample(self, when, shape) -> Tensor:
         """Value at `when` as a tensor of the given shape."""
         if self.kind == "zero":
             return Tensor.zeros(shape)
-        if self.kind == "constant":
-            value = self._value
-        else:
-            when = float(when)
-            idx = bisect.bisect_right(self._breaks, when) - 1
-            if idx < 0:
-                raise ValueError(f"input table starts at {self._breaks[0]}, sampled at {when}")
-            value = self._values[idx]
+        value = self._value if self.kind == "constant" else self._value.at(when)
         return _coerce(value, tuple(shape), "input sample")
 
 
@@ -222,26 +195,60 @@ def _as_signal(system, u) -> InputSignal | None:
     return u
 
 
-def _input_at(system, signal, when) -> np.ndarray | None:
-    return None if signal is None else vec(signal.sample(when, system.input_shape))
+def _timeline(system, signal) -> Piecewise:
+    """Coefficients and input of one run as one step function, keyed by the
+    schedule starts and the input breakpoints together. Each piece holds the
+    unfolded matrices and the vec'd input (None without an input) in force
+    until the next key, so both are sampled once per piece."""
+    keys = sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints))
+    pieces = [
+        (system.unfolded_at(k), None if signal is None else vec(signal.sample(k, system.input_shape)))
+        for k in keys
+    ]
+    return Piecewise(zip(keys, pieces), "timeline")
 
 
-def _advance(m, v, u) -> np.ndarray:
-    """M_A·v + M_B·u: the next state of a discrete step, the derivative of a
-    continuous one. The input term is added whenever the system has one,
-    even when it is zero, so signed zeros come out the same on every route."""
+def _advance(piece, v) -> np.ndarray:
+    """M_A·v + M_B·u for a piece (m, u): the next state of a discrete step,
+    the derivative of a continuous one. The input term is added whenever the
+    system has one, even when it is zero, so signed zeros come out the same
+    on every route."""
+    m, u = piece
     nxt = m.a @ v
     if u is not None:
         nxt = nxt + m.b @ u
     return nxt
 
 
-def _output(m, v, u) -> np.ndarray:
-    """M_C·v + M_D·u, where an absent C passes the state through."""
+def _output(piece, v) -> np.ndarray:
+    """M_C·v + M_D·u for a piece (m, u), where an absent C passes the state through."""
+    m, u = piece
     out = v if m.c is None else m.c @ v
     if m.d is not None and u is not None:
         out = out + m.d @ u
     return out
+
+
+def _sweep(system, timeline, v, times, step, where) -> Trajectory:
+    """Sample state and output at each of `times`, moving the state between
+    neighbouring samples with step(piece, v, a, b), where piece is the
+    timeline's value at a. `where` formats a sample time for the error
+    raised when the state or an output leaves the finite range."""
+    states = np.empty((len(times), system.state_dim))
+    outputs = np.empty((len(times), system.output_dim))
+    for i, t in enumerate(times):
+        piece = timeline.at(t)
+        states[i] = v
+        outputs[i] = _output(piece, v)
+        if i + 1 == len(times):
+            break
+        v = step(piece, v, t, times[i + 1])
+        if not np.isfinite(v).all():
+            raise NumericOverflowError(f"state became non-finite at {where.format(times[i + 1])}")
+    if not np.isfinite(outputs).all():
+        first = np.flatnonzero(~np.isfinite(outputs).all(axis=1))[0]
+        raise NumericOverflowError(f"output became non-finite at {where.format(times[first])}")
+    return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
 
 
 def _require_kind(system, kind, what):
@@ -258,38 +265,26 @@ def step_discrete(system, state, u=None, n=0):
     _require_kind(system, "discrete", "step_discrete")
     v = _state_vec(system, state)
     u = _input_vec(system, u)
-    m = system.unfolded_at(n)
-    nxt = Tensor._wrap(_advance(m, v, u).reshape(system.state_shape))
-    return nxt, Tensor._wrap(_output(m, v, u).reshape(system.output_shape))
+    piece = (system.unfolded_at(n), u)
+    nxt = Tensor._wrap(_advance(piece, v).reshape(system.state_shape))
+    return nxt, Tensor._wrap(_output(piece, v).reshape(system.output_shape))
 
 
 def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
     """Iterate the update map, returning samples at n = 0..steps.
 
     `u` is an InputSignal sampled at integer steps; None means zero input.
-    Raises NumericOverflowError naming the step if the state leaves the
-    finite range.
+    Raises NumericOverflowError naming the step if the state or an output
+    leaves the finite range.
     """
     _require_kind(system, "discrete", "simulate_discrete")
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    signal = _as_signal(system, u)
-    v = _state_vec(system, x0)
-    states = np.empty((steps + 1, system.state_dim))
-    outputs = np.empty((steps + 1, system.output_dim))
-    for n in range(steps + 1):
-        u_n = _input_at(system, signal, n)
-        m = system.unfolded_at(n)
-        states[n] = v
-        outputs[n] = _output(m, v, u_n)
-        if n == steps:
-            break
-        v = _advance(m, v, u_n)
-        if not np.isfinite(v).all():
-            raise NumericOverflowError(f"state became non-finite at step {n + 1}")
-    return Trajectory(
-        np.arange(steps + 1), states, outputs, system.state_shape, system.output_shape
+    timeline = _timeline(system, _as_signal(system, u))
+    return _sweep(
+        system, timeline, _state_vec(system, x0), range(steps + 1),
+        lambda piece, v, n, _: _advance(piece, v), "step {}",
     )
 
 
@@ -305,12 +300,12 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    signal = _as_signal(system, u)
+    timeline = _timeline(system, _as_signal(system, u))
     m = system.unfolded[0]
     acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
-    if signal is not None:
+    if system.has_input:
         for k in range(n):
-            u_k = _input_at(system, signal, k)
+            _, u_k = timeline.at(k)
             acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ u_k)
     return devec(acc, system.state_shape)
 
@@ -377,49 +372,32 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"h must be positive and finite, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
-    signal = _as_signal(system, u)
+    timeline = _timeline(system, _as_signal(system, u))
     v = _state_vec(system, x0)
     dim = system.state_dim
 
-    def field(when, v):
-        return _advance(system.unfolded_at(when), v, _input_at(system, signal, when))
-
-    def advance_exact(v, a, b):
-        cuts = [start for start in system.schedule.starts if a < start < b]
-        if signal is not None:
-            cuts.extend(p for p in signal.breakpoints if a < p < b)
-        edges = [a] + sorted(set(cuts)) + [b]
-        for p, q in zip(edges, edges[1:]):
-            m = system.unfolded_at(p)
-            dt = q - p
-            if m.b is None:
-                v = matrix_exponential(m.a, dt) @ v
+    def advance_exact(piece, v, a, b):
+        edges = (a, *timeline.inside(a, b), b)
+        for p, r in zip(edges, edges[1:]):
+            m, u = timeline.at(p)
+            if u is None:
+                v = matrix_exponential(m.a, r - p) @ v
             else:
                 aug = np.zeros((dim + 1, dim + 1))
                 aug[:dim, :dim] = m.a
-                aug[:dim, dim] = m.b @ _input_at(system, signal, p)
-                big = matrix_exponential(aug, dt)
+                aug[:dim, dim] = m.b @ u
+                big = matrix_exponential(aug, r - p)
                 v = big[:dim, :dim] @ v + big[:dim, dim]
         return v
 
-    def advance_rk4(v, a, b):
+    def advance_rk4(piece, v, a, b):
         dt = b - a
-        k1 = field(a, v)
-        k2 = field(a + dt / 2, v + (dt / 2) * k1)
-        k3 = field(a + dt / 2, v + (dt / 2) * k2)
-        k4 = field(b, v + dt * k3)
+        mid = timeline.at(a + dt / 2)
+        k1 = _advance(piece, v)
+        k2 = _advance(mid, v + (dt / 2) * k1)
+        k3 = _advance(mid, v + (dt / 2) * k2)
+        k4 = _advance(timeline.at(b), v + dt * k3)
         return v + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    advance = advance_exact if method == "exact" else advance_rk4
-    times = _time_grid(t_end, h)
-    states = np.empty((len(times), dim))
-    outputs = np.empty((len(times), system.output_dim))
-    for i, t in enumerate(times):
-        states[i] = v
-        outputs[i] = _output(system.unfolded_at(t), v, _input_at(system, signal, t))
-        if i + 1 == len(times):
-            break
-        v = advance(v, t, times[i + 1])
-        if not np.isfinite(v).all():
-            raise NumericOverflowError(f"state became non-finite at t={times[i + 1]:.17g}")
-    return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
+    step = advance_exact if method == "exact" else advance_rk4
+    return _sweep(system, timeline, v, _time_grid(t_end, h), step, "t={:.17g}")

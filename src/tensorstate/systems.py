@@ -17,6 +17,7 @@ from .tensors import ShapeError, Tensor, _normalize_shape, unfold
 __all__ = [
     "CoefficientSet",
     "CoefficientSchedule",
+    "Piecewise",
     "UnfoldedSystem",
     "TensorStateSystem",
     "build_system",
@@ -57,66 +58,82 @@ class UnfoldedSystem(NamedTuple):
     d: np.ndarray | None
 
 
-class CoefficientSchedule:
-    """Piecewise-constant assignment of coefficient sets to step/time intervals.
-
-    Segment starts must be strictly increasing with the first at 0; the set in
-    force at `when` is the one of the last segment whose start is <= when.
+class Piecewise:
+    """Right-continuous step function of a step index or time, built from
+    (key, value) pairs with keys strictly increasing from 0: the value at
+    `when` is the one of the last key <= when. Schedules, input tables and
+    the simulators' timelines are all of this kind; `what` names the one at
+    hand in error messages.
     """
 
-    __slots__ = ("_segments", "_starts")
+    __slots__ = ("keys", "values", "_what")
+
+    def __init__(self, pairs, what):
+        keys, values = [], []
+        for entry in pairs:
+            try:
+                key, value = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"{what} entries must be (key, value) pairs") from None
+            keys.append(float(key))
+            values.append(value)
+        if not keys:
+            raise ValueError(f"{what} must contain at least one entry")
+        if keys[0] != 0:
+            raise ValueError(f"{what} must start at 0, got first key {keys[0]}")
+        for a, b in zip(keys, keys[1:]):
+            if not b > a:  # also rejects NaN, which bisect cannot order
+                raise ValueError(f"{what} keys must be strictly increasing ({a} then {b})")
+        self.keys = tuple(keys)
+        self.values = tuple(values)
+        self._what = what
+
+    def index(self, when) -> int:
+        """Position of the last key <= when (when >= 0)."""
+        when = float(when)
+        if not when >= 0:  # NaN too, which bisect would place after every key
+            raise ValueError(f"{self._what} lookup requires when >= 0, got {when}")
+        return bisect.bisect_right(self.keys, when) - 1
+
+    def at(self, when):
+        """Value of the last key <= when (when >= 0)."""
+        return self.values[self.index(when)]
+
+    def inside(self, a, b) -> tuple:
+        """Keys strictly between a and b, where the value may change."""
+        return self.keys[bisect.bisect_right(self.keys, a):bisect.bisect_left(self.keys, b)]
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return zip(self.keys, self.values)
+
+
+class CoefficientSchedule(Piecewise):
+    """Piecewise-constant assignment of coefficient sets to step/time intervals:
+    a step function from segment starts to CoefficientSets."""
+
+    __slots__ = ()
 
     def __init__(self, segments):
         if isinstance(segments, CoefficientSet):
             segments = [(0, segments)]
-        segments = list(segments)
-        if not segments:
-            raise ValueError("schedule must contain at least one segment")
-        cleaned = []
-        for entry in segments:
-            try:
-                start, coeffs = entry
-            except (TypeError, ValueError):
-                raise ValueError("schedule segments must be (start, CoefficientSet) pairs")
-            if not isinstance(coeffs, CoefficientSet):
-                raise ValueError("schedule segments must carry a CoefficientSet")
-            cleaned.append((float(start), coeffs))
-        if cleaned[0][0] != 0:
-            raise ValueError(f"first schedule segment must start at 0, got {cleaned[0][0]}")
-        for (s0, _), (s1, _) in zip(cleaned, cleaned[1:]):
-            if not s1 > s0:  # also rejects NaN, which bisect cannot order
-                raise ValueError(f"schedule starts must be strictly increasing ({s0} then {s1})")
-        self._segments = tuple(cleaned)
-        self._starts = tuple(start for start, _ in cleaned)
+        super().__init__(segments, "schedule")
+        if not all(isinstance(coeffs, CoefficientSet) for coeffs in self.values):
+            raise ValueError("schedule segments must carry a CoefficientSet")
 
     @property
     def segments(self) -> tuple:
-        return self._segments
+        return tuple(self)
 
     @property
     def starts(self) -> tuple:
-        return self._starts
+        return self.keys
 
     @property
     def is_time_invariant(self) -> bool:
-        return len(self._segments) == 1
-
-    def index(self, when) -> int:
-        """Position of the last segment with start <= when (when >= 0)."""
-        when = float(when)
-        if when < 0:
-            raise ValueError(f"schedule lookup requires when >= 0, got {when}")
-        return bisect.bisect_right(self._starts, when) - 1
-
-    def at(self, when) -> CoefficientSet:
-        """Coefficient set of the last segment with start <= when (when >= 0)."""
-        return self._segments[self.index(when)][1]
-
-    def __len__(self):
-        return len(self._segments)
-
-    def __iter__(self):
-        return iter(self._segments)
+        return len(self) == 1
 
 
 def _shape_or_none(value):

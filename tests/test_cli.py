@@ -143,6 +143,36 @@ class TestSimulate:
         assert "error:" in err
         assert "step 1" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_output_overflow_exit_2(self, tmp_path, capsys):
+        """A finite state whose output C·x overflows is a numeric error too."""
+        doc = {
+            "time": "discrete",
+            "state_shape": [1],
+            "output_shape": [1],
+            "schedule": [{"start": 0, "A": tensor_doc([1, 1], [1]), "C": tensor_doc([1, 1], [10])}],
+            "x0": tensor_doc([1], [1e308]),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        argv = ["simulate", "--system", system, "--out", str(tmp_path / "o.csv"),
+                "--steps", "2", "--emit-output"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: output became non-finite at step 0" in captured.err
+        assert captured.out == ""
+
+    def test_terminal_norm_of_huge_finite_state(self, tmp_path, capsys):
+        doc = {
+            "time": "discrete",
+            "state_shape": [1],
+            "schedule": [{"start": 0, "A": tensor_doc([1, 1], [1])}],
+            "x0": tensor_doc([1], [1e308]),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        assert main(["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "2"]) == 0
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert float(fields["terminal_norm"]) == 1e308
+
     def test_multirate_file_rejected(self, tmp_path, capsys):
         code = main(
             ["simulate", "--system", str(SAMPLES / "multirate_clocks.json"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensorstate import (
+    CoefficientSchedule,
     CoefficientSet,
     InputSignal,
     NumericOverflowError,
@@ -74,6 +75,23 @@ class TestInputSignal:
             InputSignal.table([(0, [1.0]), (float("nan"), [2.0])])
         with pytest.raises(ShapeError):
             InputSignal.table([(0, [1.0]), (1, [2.0, 3.0])])
+
+    @pytest.mark.parametrize("when", [-1, float("nan")])
+    @pytest.mark.parametrize(
+        "lookup, name",
+        [
+            (lambda when: CoefficientSchedule(CoefficientSet(A=Tensor.identity([1]))).at(when),
+             "schedule"),
+            (lambda when: InputSignal.table([(0, [1.0]), (2, [3.0])]).sample(when, (1,)),
+             "input table"),
+        ],
+        ids=["schedule", "input_table"],
+    )
+    def test_bad_lookup_names_the_step_function(self, lookup, name, when):
+        """Schedules and input tables share one step-function lookup, which
+        rejects negative and NaN queries."""
+        with pytest.raises(ValueError, match=f"^{name} lookup requires when >= 0, got {float(when)}$"):
+            lookup(when)
 
 
 class TestStepDiscrete:
@@ -348,6 +366,18 @@ class TestMatrixExponential:
         with pytest.raises(ShapeError):
             matrix_exponential(np.zeros((2, 3)))
 
+    def test_scipy_expm_oracle(self):
+        """Random 8x8 matrices with infinity norms up to 30 against scipy's
+        Pade-based expm, relative error in the infinity norm."""
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(1978)
+        for _ in range(50):
+            m = rng.normal(size=(8, 8))
+            m *= rng.uniform(0.01, 30.0) / np.linalg.norm(m, np.inf)
+            expected = linalg.expm(m)
+            err = np.linalg.norm(matrix_exponential(m) - expected, np.inf)
+            assert err <= 1e-11 * np.linalg.norm(expected, np.inf)
+
 
 class TestSimulateContinuous:
     def test_scalar_decay_exact(self):
@@ -448,6 +478,84 @@ class TestSimulateContinuous:
             with pytest.raises(NumericOverflowError) as err:
                 simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.1, method="exact")
         assert "t=" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_output_overflow(self):
+        system = build_system(
+            "continuous", (1,),
+            CoefficientSet(A=make_tensor([1, 1], [0.0]), C=make_tensor([1, 1], [10.0])),
+        )
+        with pytest.raises(NumericOverflowError, match="^output became non-finite at t=0$"):
+            simulate_continuous(system, make_tensor([1], [1e308]), 1.0, h=0.5, method="exact")
+
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_schedule_and_table_merged(self, method):
+        """Schedule start 0.35 equals an input breakpoint, breakpoint 0.52
+        falls strictly inside the grid interval (0.5, 0.6) and 7.0 lies past
+        t_end; states and outputs match a reference loop that looks up
+        coefficients and input by a linear scan at every point it needs."""
+        linalg = pytest.importorskip("scipy.linalg") if method == "exact" else None
+        rng = np.random.default_rng(35)
+        starts = [0.0, 0.35]
+        mats = [
+            {name: rng.normal(size=shape) * 0.5
+             for name, shape in (("A", (3, 3)), ("B", (3, 2)), ("C", (2, 3)), ("D", (2, 2)))}
+            for _ in starts
+        ]
+        breaks = [0.0, 0.35, 0.52, 7.0]
+        inputs = [rng.normal(size=2) for _ in breaks]
+        system = build_system(
+            "continuous", (3,),
+            [(start, CoefficientSet(**{k: Tensor.from_array(v) for k, v in m.items()}))
+             for start, m in zip(starts, mats)],
+            input_shape=(2,), output_shape=(2,),
+        )
+        x0 = rng.normal(size=3)
+        traj = simulate_continuous(
+            system, Tensor.from_array(x0), 1.0, h=0.1,
+            u=InputSignal.table(list(zip(breaks, inputs))), method=method,
+        )
+
+        def coefficients(t):
+            return [m for start, m in zip(starts, mats) if start <= t][-1]
+
+        def held(t):
+            return [u for when, u in zip(breaks, inputs) if when <= t][-1]
+
+        def field(t, v):
+            m = coefficients(t)
+            return m["A"] @ v + m["B"] @ held(t)
+
+        def exact_step(v, a, b):
+            edges = [a] + sorted(p for p in set(starts + breaks) if a < p < b) + [b]
+            for p, r in zip(edges, edges[1:]):
+                m = coefficients(p)
+                aug = np.zeros((4, 4))
+                aug[:3, :3] = m["A"]
+                aug[:3, 3] = m["B"] @ held(p)
+                big = linalg.expm(aug * (r - p))
+                v = big[:3, :3] @ v + big[:3, 3]
+            return v
+
+        def rk4_step(v, a, b):
+            dt = b - a
+            k1 = field(a, v)
+            k2 = field(a + dt / 2, v + dt / 2 * k1)
+            k3 = field(a + dt / 2, v + dt / 2 * k2)
+            k4 = field(b, v + dt * k3)
+            return v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        step = exact_step if method == "exact" else rk4_step
+        assert traj.times.tolist() == pytest.approx([k / 10 for k in range(11)])
+        v, states, outputs = x0, [], []
+        for a, b in zip(traj.times, [*traj.times[1:], None]):
+            m = coefficients(a)
+            states.append(v)
+            outputs.append(m["C"] @ v + m["D"] @ held(a))
+            if b is not None:
+                v = step(v, a, b)
+        assert np.allclose(traj.state_matrix(), states, rtol=1e-12, atol=1e-14)
+        assert np.allclose(traj.output_matrix(), outputs, rtol=1e-12, atol=1e-14)
 
     def test_wrong_time_kind(self):
         system = r1_system(np.eye(2))
