@@ -119,9 +119,9 @@ def _cmd_simulate(args) -> int:
         )
     _write_text(args.out, trajectory_csv(trajectory, emit_output=args.emit_output))
     final = vec(trajectory.final_state)
-    with np.errstate(over="ignore"):  # the squared sum overflows for entries past about 1e154
+    with np.errstate(over="ignore"):  # squares overflow past about 1e154, underflow below 1e-154
         norm = float(np.linalg.norm(final))
-    if np.isinf(norm):
+    if norm in (0.0, np.inf) and final.any():
         peak = float(np.abs(final).max())
         norm = peak * float(np.linalg.norm(final / peak))
     print(f"steps={len(trajectory) - 1} terminal_norm={format(norm, '.17g')}")

@@ -153,7 +153,7 @@ class Trajectory:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self.samples[index]
+            return tuple(self[k] for k in range(len(self))[index])
         return TrajectorySample(
             float(self._times[index]),
             Tensor._wrap(self._states[index].reshape(self.state_shape)),
@@ -341,6 +341,27 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     return result
 
 
+def _zoh_pair(m, dt):
+    """(Φ, Γ) of unfolded matrices m over a step dt: Φ = exp(M_A·dt) and
+    Γ = ∫_0^dt exp(M_A·s) ds·M_B, both blocks of the exponential of
+    [[M_A, M_B], [0, 0]]·dt (Van Loan 1978); Γ is None without input."""
+    if m.b is None:
+        return matrix_exponential(m.a, dt), None
+    q, p = m.b.shape
+    aug = np.zeros((q + p, q + p))
+    aug[:q, :q] = m.a
+    aug[:q, q:] = m.b
+    big = matrix_exponential(aug, dt)
+    return big[:q, :q], big[:q, q:]
+
+
+def _apply_zoh(pair, piece, v) -> np.ndarray:
+    """Φ·v + Γ·u for a ZOH pair and a piece (m, u)."""
+    phi, gamma = pair
+    u = piece[1]
+    return phi @ v if u is None else phi @ v + gamma @ u
+
+
 def _time_grid(t_end, h):
     n_full = int(math.floor(t_end / h + 1e-9))
     times = [k * h for k in range(n_full + 1)]
@@ -356,10 +377,15 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
 
     The final step is truncated to land exactly on t_end; h defaults to
     t_end/1000. method="rk4" runs classical Runge-Kutta on the unfolded
-    vector field; method="exact" advances each interval of constant
-    coefficients and input with the augmented-matrix exponential
-    exp([[M_A, M_B·vec(u)], [0, 0]]·dt) applied to (v; 1), splitting at
-    schedule starts and input breakpoints.
+    vector field. method="exact" advances each interval of constant
+    coefficients and input by the zero-order-hold pair v <- Φ·v + Γ·vec(u),
+    with Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B read off one
+    exponential of [[M_A, M_B], [0, 0]]·dt (of M_A·dt alone without input),
+    splitting intervals at schedule starts and input breakpoints. The pair
+    does not depend on the held input, so a run computes it once per
+    (segment, dt) of whole grid intervals and reuses it; the pieces of a cut
+    interval are computed on their own and not kept, so the memo holds at
+    most segments × distinct step lengths pairs, whatever the input table.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -374,20 +400,20 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     timeline = _timeline(system, _as_signal(system, u))
     v = _state_vec(system, x0)
-    dim = system.state_dim
+    memo = {}
 
     def advance_exact(piece, v, a, b):
-        edges = (a, *timeline.inside(a, b), b)
+        cuts = timeline.inside(a, b)
+        if not cuts:
+            key = (id(piece[0]), b - a)  # the segment's matrices live on the system
+            pair = memo.get(key)
+            if pair is None:
+                pair = memo[key] = _zoh_pair(piece[0], b - a)
+            return _apply_zoh(pair, piece, v)
+        edges = (a, *cuts, b)
         for p, r in zip(edges, edges[1:]):
-            m, u = timeline.at(p)
-            if u is None:
-                v = matrix_exponential(m.a, r - p) @ v
-            else:
-                aug = np.zeros((dim + 1, dim + 1))
-                aug[:dim, :dim] = m.a
-                aug[:dim, dim] = m.b @ u
-                big = matrix_exponential(aug, r - p)
-                v = big[:dim, :dim] @ v + big[:dim, dim]
+            piece = timeline.at(p)
+            v = _apply_zoh(_zoh_pair(piece[0], r - p), piece, v)
         return v
 
     def advance_rk4(piece, v, a, b):

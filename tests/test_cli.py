@@ -173,6 +173,22 @@ class TestSimulate:
         fields = dict(item.split("=") for item in capsys.readouterr().out.split())
         assert float(fields["terminal_norm"]) == 1e308
 
+    @pytest.mark.parametrize("x0, expected", [([1e-200], 1e-200), ([3e-170, 4e-170], 5e-170)])
+    def test_terminal_norm_of_tiny_nonzero_state(self, tmp_path, capsys, x0, expected):
+        """Squares of entries below about 1e-154 underflow to 0, so the
+        plain 2-norm of such a state reads 0."""
+        q = len(x0)
+        doc = {
+            "time": "discrete",
+            "state_shape": [q],
+            "schedule": [{"start": 0, "A": tensor_doc([q, q], np.eye(q).ravel().tolist())}],
+            "x0": tensor_doc([q], x0),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        assert main(["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "2"]) == 0
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert float(fields["terminal_norm"]) == pytest.approx(expected, rel=1e-15, abs=0)
+
     def test_multirate_file_rejected(self, tmp_path, capsys):
         code = main(
             ["simulate", "--system", str(SAMPLES / "multirate_clocks.json"),

@@ -184,6 +184,13 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError, match="whens must increase"):
             Trajectory([0.0, 0.0], states, [[1.0], [2.0]], (2, 2), (1,))
 
+    def test_slice_builds_the_sliced_samples(self):
+        system = r1_system(0.5 * np.eye(2))
+        traj = simulate_discrete(system, make_tensor([2], [1, 1]), 6)
+        assert traj[2:5] == traj.samples[2:5]
+        assert traj[::-3] == traj.samples[::-3]
+        assert traj[9:] == ()
+
     def test_zero_steps(self):
         system = r1_system(np.eye(2))
         traj = simulate_discrete(system, make_tensor([2], [1, 2]), 0)
@@ -561,6 +568,125 @@ class TestSimulateContinuous:
         system = r1_system(np.eye(2))
         with pytest.raises(ValueError):
             simulate_continuous(system, make_tensor([2], [1, 2]), 1.0)
+
+
+def zoh_case(kind):
+    """Three segments (one starting off the grid), q=4, t_end=3, h=0.01. With
+    kind "table", p=2 and a 150-entry input table with keys j*0.02, which
+    land on grid points, six of them moved 2**-8 off the grid. The move is
+    exact in floats, so four cuts in segment 0 leave pieces of equal length.
+    "zero" drives the same input with a zero signal, "none" has no input.
+    Returns the system, x0, the signal and the raw matrices and keys."""
+    rng = np.random.default_rng(83)
+    starts = [0.0, 1.0, 2.005]
+    a_mats = [rng.normal(size=(4, 4)) * 0.5 for _ in starts]
+    b_mats = [rng.normal(size=(4, 2)) for _ in starts]
+    breaks = [j * 0.02 + (2.0**-8 if j in (26, 28, 30, 42, 79, 116) else 0.0) for j in range(150)]
+    inputs = [rng.uniform(-1.0, 1.0, 2) for _ in breaks]
+    x0 = rng.normal(size=4)
+    if kind == "none":
+        b_mats, breaks, inputs = [None] * len(starts), [0.0], [None]
+        signal, input_shape = None, None
+    elif kind == "zero":
+        breaks, inputs = [0.0], [np.zeros(2)]
+        signal, input_shape = InputSignal.zero(), (2,)
+    else:
+        signal, input_shape = InputSignal.table(list(zip(breaks, inputs))), (2,)
+    system = build_system(
+        "continuous", (4,),
+        [(start, CoefficientSet(A=a, B=b)) for start, a, b in zip(starts, a_mats, b_mats)],
+        input_shape=input_shape,
+    )
+    return system, x0, signal, (starts, a_mats, b_mats, breaks, inputs)
+
+
+def last_at_or_before(keys, t):
+    return max(i for i, key in enumerate(keys) if key <= t)
+
+
+def exact_zoh_run(system, x0, signal):
+    return simulate_continuous(system, Tensor.from_array(x0), 3.0, h=0.01, u=signal, method="exact")
+
+
+def zoh_reference(times, x0, raw, step):
+    """States on `times` from v <- Φ·v + w, where step(A, B, u, dt) gives
+    (Φ, w), w None without input. It is called on every interval and on
+    every piece of an interval cut at a segment start or an input breakpoint."""
+    starts, a_mats, b_mats, breaks, inputs = raw
+    keys = sorted(set(starts) | set(breaks))
+    v, states = x0, [x0]
+    for a, b in zip(times, times[1:]):
+        edges = [a] + [k for k in keys if a < k < b] + [b]
+        for p, r in zip(edges, edges[1:]):
+            seg = last_at_or_before(starts, p)
+            u = inputs[last_at_or_before(breaks, p)]
+            phi, w = step(a_mats[seg], b_mats[seg], u, r - p)
+            v = phi @ v if w is None else phi @ v + w
+        states.append(v)
+    return np.array(states)
+
+
+class TestExactZohMemo:
+    def test_one_exponential_per_segment_and_step_length(self, monkeypatch):
+        """Whole grid intervals cost one matrix_exponential per distinct
+        (segment, step length); each piece of a cut interval costs one, also
+        when an earlier piece had the same segment and length."""
+        calls = []
+
+        def counting(m, t=1.0):
+            calls.append(t)
+            return matrix_exponential(m, t)
+
+        monkeypatch.setattr("tensorstate.simulate.matrix_exponential", counting)
+        system, x0, signal, (starts, _, _, breaks, _) = zoh_case("table")
+        times = exact_zoh_run(system, x0, signal).times.tolist()
+        keys = sorted(set(starts) | set(breaks))
+        whole, pieces = set(), []
+        for a, b in zip(times, times[1:]):
+            edges = [a] + [k for k in keys if a < k < b] + [b]
+            lengths = [(last_at_or_before(starts, p), r - p) for p, r in zip(edges, edges[1:])]
+            if len(lengths) == 1:
+                whole.update(lengths)
+            else:
+                pieces += lengths
+        assert len(times) == 301
+        assert len(pieces) == 14 and len(set(pieces)) < len(pieces)
+        assert len(calls) == len(whole) + len(pieces)
+        assert len(calls) < 30
+
+    def test_memo_changes_no_bit(self):
+        system, x0, signal, raw = zoh_case("table")
+
+        def step(a_mat, b_mat, u, dt):
+            q, p = b_mat.shape
+            aug = np.zeros((q + p, q + p))
+            aug[:q, :q] = a_mat
+            aug[:q, q:] = b_mat
+            big = matrix_exponential(aug, dt)
+            return big[:q, :q], big[:q, q:] @ u
+
+        traj = exact_zoh_run(system, x0, signal)
+        assert np.array_equal(traj.state_matrix(), zoh_reference(traj.times, x0, raw, step))
+
+    @pytest.mark.parametrize("kind", ["table", "zero", "none"])
+    def test_scipy_held_input_oracle(self, kind):
+        """Against scipy's expm of the held-input matrix [[M_A, M_B·u], [0, 0]]."""
+        linalg = pytest.importorskip("scipy.linalg")
+        system, x0, signal, raw = zoh_case(kind)
+
+        def step(a_mat, b_mat, u, dt):
+            if b_mat is None:
+                return linalg.expm(a_mat * dt), None
+            aug = np.zeros((5, 5))
+            aug[:4, :4] = a_mat
+            aug[:4, 4] = b_mat @ u
+            big = linalg.expm(aug * dt)
+            return big[:4, :4], big[:4, 4]
+
+        traj = exact_zoh_run(system, x0, signal)
+        oracle = zoh_reference(traj.times, x0, raw, step)
+        # the states are of order 1; atol covers components passing near 0
+        np.testing.assert_allclose(traj.state_matrix(), oracle, rtol=1e-12, atol=1e-14)
 
 
 class TestTensorVectorEquivalence:
