@@ -87,6 +87,24 @@ def _number(value, where) -> float:
     return number
 
 
+def _numbers(data, where) -> np.ndarray:
+    """A JSON number list as float64, every entry a finite double.
+
+    A list of plain ints and floats (bool excluded) converts in one numpy
+    call; any other entry, or one past the double range, sends the whole
+    list through _number so the error names the field as it always has.
+    """
+    if set(map(type, data)) <= {float, int}:
+        try:
+            values = np.array(data, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return np.array([_number(v, where) for v in data], dtype=float)
+
+
 def _parse_shape(value, where):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty list of mode sizes")
@@ -110,7 +128,7 @@ def _parse_tensor(obj, where) -> Tensor:
             f"{where}: data length {len(data)} does not match shape {list(shape)} "
             f"(expected {expected})"
         )
-    values = [_number(v, f"{where}.data") for v in data]
+    values = _numbers(data, f"{where}.data")
     try:
         return Tensor(shape, values)
     except ValueError as exc:
@@ -401,18 +419,23 @@ def _columns(prefix, shape):
     return [f"{prefix}_" + "_".join(str(i) for i in idx) for idx in np.ndindex(*shape)]
 
 
+def _csv(header_lines, table) -> str:
+    """CSV text: the header lines, then one line per row of `table` (a
+    non-empty list of equal-length lists of numbers), every number with 17
+    significant digits."""
+    template = ",".join(["%.17g"] * len(table[0]))
+    return "\n".join([*header_lines, *(template % tuple(row) for row in table)]) + "\n"
+
+
 def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
     """CSV text: column t, then the vec'd state entries in row-major column
     order, then (with emit_output) the vec'd output entries."""
     header = ["t"] + _columns("x", trajectory.state_shape)
-    rows = trajectory.state_matrix()
+    columns = [trajectory.times[:, None], trajectory.state_matrix()]
     if emit_output:
         header += _columns("y", trajectory.output_shape)
-        rows = np.hstack([rows, trajectory.output_matrix()])
-    lines = [",".join(header)]
-    for when, row in zip(trajectory.times.tolist(), rows.tolist()):
-        lines.append(",".join([_fmt(when)] + [_fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
+        columns.append(trajectory.output_matrix())
+    return _csv([",".join(header)], np.hstack(columns).tolist())
 
 
 def multirate_csv(values, clock) -> str:
@@ -421,10 +444,8 @@ def multirate_csv(values, clock) -> str:
     values = np.asarray(values, dtype=float)
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
-    lines = [header, columns]
-    for k, row in enumerate(values):
-        lines.append(",".join([_fmt(k * clock.d)] + [_fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    table = [[k * clock.d, *row] for k, row in enumerate(values.tolist())]
+    return _csv([header, columns], table)
 
 
 def render_report(report) -> str:

@@ -21,6 +21,7 @@ __all__ = [
     "MultirateSystem",
     "eval_state",
     "trajectory_on_grid",
+    "MAX_GRID_CELLS",
     "constant_function",
     "index_function",
     "table_function",
@@ -149,22 +150,87 @@ def eval_state(system, i, n, cache=None) -> float:
     return _eval(system, i, n, cache)
 
 
+# Output cells, (horizon+1) x (M+1) with the tick column, that one grid sweep
+# may fill: each (horizon+1) x M float array then stays under 80 MB and the
+# CSV text under about 250 MB.
+MAX_GRID_CELLS = 10_000_000
+
+
+def _operands(system, reads_grid):
+    """Boundary and input values of ticks 0..K, looked up in tick order.
+
+    reads_grid[k, j] marks where tick k reads grid tick k/c_j of process j.
+    Returns (operand, held): operand[k, j] is boundary(j, k*f_j) where
+    reads_grid[k, j] is false and unset where it is true; held[k, j] is
+    input(j, k*f_j) for k >= 1 (held is None without input). Each value is
+    looked up once, tick by tick, boundaries before inputs, so the first
+    missing value raised is the one the recursion of eval_state meets first.
+    """
+    ticks, m = reads_grid.shape
+    factors = system.clock.factors
+    boundary = system.boundary
+    inputs = system.input
+    boundaries = []
+    input_values = []
+    for k, row in enumerate(reads_grid.tolist()):
+        for j in range(m):
+            if not row[j]:
+                boundaries.append(_lookup(boundary, j + 1, k * factors[j], "boundary"))
+        if inputs is not None and k > 0:
+            for j in range(m):
+                input_values.append(_lookup(inputs, j + 1, k * factors[j], "input"))
+    operand = np.empty((ticks, m))
+    operand[~reads_grid] = boundaries
+    held = None
+    if inputs is not None:
+        held = np.zeros((ticks, m))
+        held[1:] = np.reshape(input_values, (ticks - 1, m))
+    return operand, held
+
+
 def trajectory_on_grid(system, horizon) -> np.ndarray:
     """States at the global ticks n = k*d for k = 0..horizon.
 
-    Returns an array of shape (horizon+1, M); one memo cache is shared
-    across the whole sweep.
+    Returns an array of shape (horizon+1, M), filled bottom-up. Tick k >= 1
+    reads process j at index k*f_j: grid tick k/c_j when c_j divides k,
+    boundary data otherwise. Since every c_j >= 2, the ticks in
+    [2^l, 2^(l+1)) read only earlier blocks, so each block is one vectorized
+    step that sums the terms in the order eval_state does and gives the same
+    doubles. A horizon whose output would exceed MAX_GRID_CELLS is refused
+    before anything is looked up or allocated.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    cache = {}
-    d = system.clock.d
     m = system.process_count
+    cells = (horizon + 1) * (m + 1)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"horizon {horizon} needs {cells} output cells ((horizon+1) x (M+1)), "
+            f"more than the limit of {MAX_GRID_CELLS}"
+        )
+    # a clock past the horizon divides no tick 1..horizon, and neither does horizon+1
+    clocks = [min(c, horizon + 1) for c in system.clocks]
+    ticks = np.arange(horizon + 1)
+    reads_grid = ticks[:, None] % np.array(clocks) == 0
+    reads_grid[0] = False
+    operand, held = _operands(system, reads_grid)
     rows = np.empty((horizon + 1, m))
-    for k in range(horizon + 1):
-        for i in range(1, m + 1):
-            rows[k, i - 1] = _eval(system, i, k * d, cache)
+    rows[0] = operand[0]
+    lo = 1
+    while lo <= horizon:
+        hi = min(2 * lo, horizon + 1)
+        for j, c in enumerate(clocks):
+            k = ticks[lo:hi][reads_grid[lo:hi, j]]
+            operand[k, j] = rows[k // c, j]
+        total = np.zeros((hi - lo, m))
+        for j in range(m):
+            total += operand[lo:hi, j, None] * system.A[:, j]
+        if held is not None:
+            for j in range(m):
+                total += held[lo:hi, j, None] * system.B[:, j]
+        rows[lo:hi] = total
+        lo = hi
     return rows
 
 

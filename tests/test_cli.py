@@ -290,6 +290,16 @@ class TestMultirate:
         )
         assert code == 1
 
+    def test_oversized_horizon_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(
+            ["multirate", "--system", str(SAMPLES / "multirate_clocks.json"),
+             "--out", str(out), "--horizon", str(10**12)]
+        )
+        assert code == 1
+        assert "horizon 1000000000000 needs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBadInvocations:
     def test_malformed_file(self, tmp_path, capsys):

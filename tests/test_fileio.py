@@ -160,6 +160,39 @@ class TestParse:
         with pytest.raises(ParseError, match="kind"):
             parse_system_file(write_doc(tmp_path / "s.json", {"kind": "modal"}))
 
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("true", "expected a number, got True"),
+            ('"1"', "expected a number, got '1'"),
+            ("1e400", "number out of the finite double range"),
+            ("-1e400", "number out of the finite double range"),
+            ("1" * 400, "number out of the finite double range"),
+        ],
+        ids=["bool", "string", "inf", "-inf", "huge-int"],
+    )
+    def test_bad_entry_in_large_data(self, tmp_path, literal, message):
+        """One bad entry among 4096 gets the same error as in a short list."""
+        doc = minimal_doc()
+        doc["state_shape"] = [64]
+        doc["schedule"][0]["A"] = tensor_doc([64, 64], [0.5] * 2000 + [0.125] + [0.5] * 2095)
+        doc["x0"] = tensor_doc([64], [1.0] * 64)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc).replace("0.125", literal), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}.schedule[0].A.data: {message}"
+
+    def test_ints_and_floats_parse_as_float_does(self, tmp_path):
+        data = [2**60 + 1, 3, -(2**70) - 12345, 0.1, -0.0, 5e-324, 1.7976931348623157e308]
+        doc = minimal_doc()
+        doc["state_shape"] = [7]
+        doc["schedule"][0]["A"] = tensor_doc([7, 7], data * 7)
+        doc["x0"] = tensor_doc([7], data)
+        parsed = parse_system_file(write_doc(tmp_path / "s.json", doc))
+        assert parsed.x0.tolist() == [float(v) for v in data]
+        assert np.signbit(parsed.x0.tolist()[4])
+
 
 class TestParseMultirate:
     def multirate_doc(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tensorstate import (
     table_function,
     trajectory_on_grid,
 )
+from tensorstate import multirate
 
 
 def mixed_boundary(i, n):
@@ -270,3 +273,144 @@ class TestSingleRateDegeneracy:
             for i in (1, 2):
                 chain = eval_state(system, i, n)
                 assert abs(chain - traj[j].state.tolist()[i - 1]) < 1e-12
+
+
+def grid_indices(clocks, horizon):
+    """(process, index) pairs the sweep to `horizon` looks up: k*f_j for all k, j."""
+    clock = global_clock(clocks)
+    return [(j, k * f) for k in range(horizon + 1) for j, f in enumerate(clock.factors, 1)]
+
+
+def process_function(kind, clocks, horizon, rng):
+    if kind == "index":
+        return index_function()
+    if kind == "constant":
+        return constant_function(rng.uniform(-1.0, 1.0, len(clocks)))
+    return table_function({key: float(rng.normal()) for key in grid_indices(clocks, horizon)})
+
+
+def recursion_rows(system, horizon):
+    """The grid by eval_state with one shared cache, in tick then process order."""
+    cache = {}
+    m = system.process_count
+    return np.array(
+        [[eval_state(system, i, k * system.clock.d, cache) for i in range(1, m + 1)]
+         for k in range(horizon + 1)]
+    )
+
+
+def counting(func, calls):
+    def lookup(i, n):
+        calls.append((i, n))
+        return func(i, n)
+
+    return lookup
+
+
+CLOCK_SETS = [(2, 3), (2, 3, 5), (4, 6, 9), (2, 3, 5, 7)]
+
+
+class TestGridSweep:
+    """trajectory_on_grid against the memoized recursion it replaces."""
+
+    @pytest.mark.parametrize("clocks", CLOCK_SETS, ids=str)
+    @pytest.mark.parametrize("with_input", [False, True], ids=["no-input", "input"])
+    @pytest.mark.parametrize("kind", ["index", "constant", "table"])
+    def test_equals_recursion(self, clocks, with_input, kind):
+        rng = np.random.default_rng([len(clocks), max(clocks), with_input, len(kind)])
+        m = len(clocks)
+        extra = {}
+        if with_input:
+            extra = {"B": rng.uniform(-0.5, 0.5, (m, m)),
+                     "input": process_function(kind, clocks, 300, rng)}
+        system = MultirateSystem(
+            A=rng.uniform(-0.5, 0.5, (m, m)), clocks=clocks,
+            boundary=process_function(kind, clocks, 300, rng), **extra,
+        )
+        for horizon in (0, 1, 2, 7, 300):
+            assert np.array_equal(trajectory_on_grid(system, horizon),
+                                  recursion_rows(system, horizon))
+
+    @pytest.mark.parametrize("clocks", [(2, 2**70), (10**20, 3), (3, 7)], ids=str)
+    def test_clock_past_horizon(self, clocks):
+        system = MultirateSystem(A=[[0.5, 0.25], [0.1, 0.3]], B=np.eye(2), clocks=clocks,
+                                 boundary=index_function(), input=constant_function(0.5))
+        for horizon in (2, 9):
+            assert np.array_equal(trajectory_on_grid(system, horizon),
+                                  recursion_rows(system, horizon))
+
+    @pytest.mark.parametrize(
+        "what,process,tick",
+        [("boundary", 1, 0), ("boundary", 2, 4), ("boundary", 3, 7), ("boundary", 1, 9),
+         ("input", 1, 1), ("input", 2, 6), ("input", 3, 10)],
+    )
+    def test_missing_entry_same_error(self, what, process, tick):
+        clocks = (2, 3, 5)
+        rng = np.random.default_rng(7)
+        values = {key: float(rng.normal()) for key in grid_indices(clocks, 10)}
+        del values[(process, tick * global_clock(clocks).factors[process - 1])]
+        tables = {"boundary": table_function(values), "input": constant_function(0.5)}
+        if what == "input":
+            tables = {"boundary": constant_function(0.5), "input": table_function(values)}
+        system = MultirateSystem(A=np.full((3, 3), 0.2), B=np.eye(3), clocks=clocks, **tables)
+        with pytest.raises(BoundaryDataError) as expected:
+            recursion_rows(system, 10)
+        with pytest.raises(BoundaryDataError) as got:
+            trajectory_on_grid(system, 10)
+        assert (got.value.process, got.value.index, str(got.value)) == (
+            expected.value.process, expected.value.index, str(expected.value))
+        assert what in str(got.value)
+
+    def test_first_missing_value_wins(self):
+        """With a boundary and an input missing, both reached at tick 2, the
+        recursion meets the boundary first; so must the sweep."""
+        clocks = (2, 3)
+        boundary = {key: 1.0 for key in grid_indices(clocks, 4)}
+        inputs = dict(boundary)
+        del boundary[(2, 4)], inputs[(1, 6)]
+        system = MultirateSystem(A=np.eye(2), B=np.eye(2), clocks=clocks,
+                                 boundary=table_function(boundary), input=table_function(inputs))
+        with pytest.raises(BoundaryDataError) as err:
+            trajectory_on_grid(system, 4)
+        assert (err.value.process, err.value.index) == (2, 4)
+        assert "boundary" in str(err.value)
+
+    @pytest.mark.parametrize("clocks", CLOCK_SETS, ids=str)
+    def test_each_value_looked_up_once(self, clocks):
+        horizon = 300
+        m = len(clocks)
+        boundary_calls, input_calls = [], []
+        system = MultirateSystem(
+            A=np.full((m, m), 0.1), B=np.eye(m), clocks=clocks,
+            boundary=counting(index_function(), boundary_calls),
+            input=counting(constant_function(1.0), input_calls),
+        )
+        trajectory_on_grid(system, horizon)
+        off_grid = sum(1 for k in range(1, horizon + 1) for c in clocks if k % c)
+        assert len(boundary_calls) == m + off_grid
+        assert len(input_calls) == m * horizon
+        assert len(set(boundary_calls)) == len(boundary_calls)
+        assert len(set(input_calls)) == len(input_calls)
+
+
+class TestHorizonLimit:
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(multirate, "MAX_GRID_CELLS", 15)
+        assert trajectory_on_grid(docs_system(), 4).shape == (5, 2)  # 5 x 3 cells
+        with pytest.raises(ValueError, match="horizon 5 needs 18 output cells"):
+            trajectory_on_grid(docs_system(), 5)
+
+    def test_refused_before_lookup_or_allocation(self):
+        calls = []
+        system = MultirateSystem(A=np.eye(2), clocks=(2, 3),
+                                 boundary=counting(index_function(), calls))
+        horizon = 10**15
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"horizon {horizon} "):
+                trajectory_on_grid(system, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 2**16
