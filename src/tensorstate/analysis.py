@@ -1,11 +1,13 @@
 """Classical linear-systems analysis lifted to tensor systems by unfolding:
 spectral radius, stability verdicts, and controllability/observability ranks
-of the equivalent vector system.
+of the equivalent vector system, all read from one eigendecomposition of its
+matrix M_A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,19 +77,116 @@ def spectral_radius(m) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
+# Eigenvalues of M_A linked by gaps of at most CLUSTER_TOL * ||M_A||_F form one
+# cluster: a repeated eigenvalue or a Jordan block, which eig splits by about
+# 1e-8 * ||M_A||. Distinct eigenvalues that close are grouped too; their
+# cluster is then counted through its Krylov matrix, at the cost of one
+# q x q SVD. A Jordan block of size 3 or more splits by about 1e-5 * ||M_A||
+# under a similarity, past this tolerance, and its modes count as simple.
+CLUSTER_TOL = 1e-7
+
+
+class _Modes(NamedTuple):
+    """One eigendecomposition of M_A, grouped into simple modes and clusters.
+
+    basis is T = [eigenvectors of the simple eigenvalues | an orthonormal basis
+    of each cluster's generalized eigenspace] and dual is T^-1: its rows are
+    the left eigenvectors of the simple eigenvalues and each cluster's
+    projection. The first `simple` columns of T are the simple modes. Each
+    cluster is (center, columns, nilpotent) with nilpotent the restriction
+    (dual[columns] M_A basis[:, columns] - center I) / ||M_A||_F.
+    """
+
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    dual: np.ndarray
+    simple: int
+    clusters: tuple
+
+
+def _groups(close) -> list:
+    """Connected components of the symmetric boolean matrix `close`, each a
+    list of indices in increasing order, ordered by their first index."""
+    q = len(close)
+    label = np.arange(q)
+    while True:  # every index takes the least label among its neighbours
+        least = np.where(close, label, q).min(axis=1)
+        if np.array_equal(least, label):
+            break
+        label = least
+    groups = {}
+    for index, root in enumerate(label.tolist()):
+        groups.setdefault(root, []).append(index)
+    return list(groups.values())
+
+
+def _generalized_eigenspace(a, center, k, scale) -> np.ndarray:
+    """Orthonormal q x k basis of the null space of (M_A - center I)^j.
+
+    j is the first power at which the k smallest singular values of
+    ((M_A - center I) / scale)^j fall below CLUSTER_TOL, and at most k: a
+    semisimple repeat stops at j = 1, before the powers of the other
+    eigenvalues' gaps sink below the singular values' resolution.
+    """
+    shifted = (a - center * np.eye(len(a))) / scale
+    power = shifted
+    for j in range(1, k + 1):
+        _, sigma, vh = np.linalg.svd(power)
+        if sigma[-k] <= CLUSTER_TOL or j == k:
+            return vh[-k:].conj().T
+        power = power @ shifted
+
+
+def _decompose(a) -> _Modes:
+    eigenvalues, vectors = np.linalg.eig(a)
+    peak = float(np.abs(a).max())  # scaled, so that squares neither overflow nor underflow
+    scale = peak * float(np.linalg.norm(a / peak)) if peak else 1.0
+    groups = _groups(np.abs(eigenvalues[:, None] - eigenvalues) <= CLUSTER_TOL * scale)
+    simple = [group[0] for group in groups if len(group) == 1]
+    columns = [vectors[:, simple]]
+    spans = []
+    start = len(simple)
+    for group in groups:
+        if len(group) > 1:
+            center = eigenvalues[group].mean()
+            columns.append(_generalized_eigenspace(a, center, len(group), scale))
+            spans.append((center, slice(start, start + len(group))))
+            start += len(group)
+    # T, not V: for a defective M_A the eigenvectors are (nearly) dependent
+    basis = np.hstack(columns)
+    dual = np.linalg.inv(basis)
+    clusters = []
+    for center, cols in spans:
+        restricted = dual[cols] @ a @ basis[:, cols]
+        clusters.append((center, cols, (restricted - center * np.eye(len(restricted))) / scale))
+    return _Modes(eigenvalues, basis, dual, len(simple), tuple(clusters))
+
+
+def _modes_of(system) -> _Modes:
+    """The system's decomposition of M_A, computed on first use and kept."""
+    modes = system._modes
+    if modes is None:
+        modes = system._modes = _decompose(unfold_system(system).a)
+    return modes
+
+
 @dataclass(frozen=True)
 class StabilityResult:
     """Verdict plus the margin quantities it was judged on.
 
     verdict is "stable", "marginal", or "unstable"; boundary cases within
     epsilon of the criterion line are marginal, never stable. max_real_part
-    is None for discrete systems.
+    is None for discrete systems. defective is true when an eigenvalue within
+    epsilon of the boundary has fewer eigenvectors than its multiplicity
+    (a Jordan block there); its free response grows polynomially, so the
+    verdict is then unstable.
     """
 
     verdict: str
     spectral_radius: float
     max_real_part: float | None
     epsilon: float
+    defective: bool = False
 
     @property
     def stable(self) -> bool:
@@ -99,58 +198,92 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
 
     Discrete: stable iff spectral radius < 1 - epsilon, unstable iff
     > 1 + epsilon. Continuous: stable iff max real part < -epsilon,
-    unstable iff > +epsilon. Everything in between is marginal.
+    unstable iff > +epsilon. Everything in between is marginal, unless a
+    cluster of eigenvalues within epsilon of the boundary (|lambda| = 1, or
+    Re lambda = 0) is defective: M_A - lambda I restricted to the cluster has
+    a singular value above CLUSTER_TOL * ||M_A||_F. That makes the verdict
+    unstable.
     """
-    m_a = unfold_system(system).a
-    eigenvalues = np.linalg.eigvals(m_a)
+    modes = _modes_of(system)
+    eigenvalues = modes.eigenvalues
     radius = float(np.abs(eigenvalues).max())
-    if system.time_kind == "discrete":
+    discrete = system.time_kind == "discrete"
+    if discrete:
         margin = radius - 1.0
         max_real = None
     else:
         max_real = float(eigenvalues.real.max())
         margin = max_real
+    defective = any(
+        (abs(abs(center) - 1.0) if discrete else abs(center.real)) <= epsilon
+        and np.linalg.norm(nilpotent, 2) > CLUSTER_TOL
+        for center, _, nilpotent in modes.clusters
+    )
     if margin < -epsilon:
         verdict = "stable"
-    elif margin > epsilon:
+    elif margin > epsilon or defective:
         verdict = "unstable"
     else:
         verdict = "marginal"
-    return StabilityResult(verdict, radius, max_real, float(epsilon))
+    return StabilityResult(verdict, radius, max_real, float(epsilon), defective)
 
 
-def _svd_rank(matrix: np.ndarray, q: int, rel_tol: float) -> int:
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0:
+def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
+    """How many modes a coupling reaches (Popov-Belevitch-Hautus test).
+
+    Row i of `frame` is direction i of the modal basis as seen by the
+    coupling: a row of T^-1 against the columns of B, or a column of T
+    against the rows of C (then `coupling` is C^T and `transpose` is set).
+    A simple mode counts when |frame_i coupling| / (|frame_i| |coupling|_2)
+    exceeds q * rel_tol. A cluster of k modes adds the number of singular
+    values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(k-1) G]
+    of its normalized coupling G and its nilpotent part N (N^T for C).
+    """
+    norm = np.linalg.norm(coupling, 2)
+    if norm == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > sigma[0] * q * rel_tol))
+    tol = len(frame) * rel_tol
+    reach = frame @ coupling
+    n = modes.simple
+    simple = np.linalg.norm(reach[:n], axis=1) / (np.linalg.norm(frame[:n], axis=1) * norm)
+    rank = int(np.count_nonzero(simple > tol))
+    for _, columns, nilpotent in modes.clusters:
+        if transpose:
+            nilpotent = nilpotent.T
+        blocks = [reach[columns] / (np.linalg.norm(frame[columns], 2) * norm)]
+        for _ in range(len(nilpotent) - 1):
+            blocks.append(nilpotent @ blocks[-1])
+        sigma = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+        rank += int(np.count_nonzero(sigma > tol))
+    return rank
 
 
 def controllability_rank(system, rel_tol=1e-12) -> int:
-    """Numerical rank of K = [M_B | M_A M_B | ... | M_A^(q-1) M_B].
+    """Dimension of the reachable subspace, from the modal (PBH) test.
 
-    Singular values below sigma_max * q * rel_tol count as zero.
+    A mode counts when its left eigenvector meets B: |w_i^H B| /
+    (|w_i| |B|_2) > q * rel_tol. Eigenvalues within CLUSTER_TOL * ||M_A||_F
+    of each other form a cluster, which adds the rank of the Krylov matrix
+    of M_A and B restricted to its generalized eigenspace.
     """
     m = unfold_system(system)
     if m.b is None:
         raise ValueError("controllability needs an input coupling B")
-    q = system.state_dim
-    blocks = [m.b]
-    for _ in range(q - 1):
-        blocks.append(m.a @ blocks[-1])
-    return _svd_rank(np.hstack(blocks), q, rel_tol)
+    modes = _modes_of(system)
+    return _modal_rank(modes, modes.dual, m.b, rel_tol, transpose=False)
 
 
 def observability_rank(system, rel_tol=1e-12) -> int:
-    """Numerical rank of O = [M_C; M_C M_A; ...; M_C M_A^(q-1)]."""
+    """Dimension of the observable subspace, from the modal (PBH) test.
+
+    A mode counts when C sees its eigenvector: |C v_i| / (|C|_2 |v_i|) >
+    q * rel_tol; clusters as in controllability_rank, with (M_A^T, C^T).
+    """
     m = unfold_system(system)
     if m.c is None:
         raise ValueError("observability needs an output coupling C")
-    q = system.state_dim
-    blocks = [m.c]
-    for _ in range(q - 1):
-        blocks.append(blocks[-1] @ m.a)
-    return _svd_rank(np.vstack(blocks), q, rel_tol)
+    modes = _modes_of(system)
+    return _modal_rank(modes, modes.basis.T, m.c.T, rel_tol, transpose=True)
 
 
 @dataclass(frozen=True)
@@ -166,6 +299,7 @@ class AnalysisReport:
     controllable: bool | None
     observability_rank: int | None
     observable: bool | None
+    defective: bool = False
 
 
 def analyze(system, epsilon=1e-9, rel_tol=1e-12) -> AnalysisReport:
@@ -187,4 +321,5 @@ def analyze(system, epsilon=1e-9, rel_tol=1e-12) -> AnalysisReport:
         controllable=None if ctrb is None else ctrb == q,
         observability_rank=obsv,
         observable=None if obsv is None else obsv == q,
+        defective=stability.defective,
     )

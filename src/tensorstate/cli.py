@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--epsilon", type=float, default=1e-9, help="stability margin (default 1e-9)")
     ana.add_argument(
         "--rank-tol", type=float, default=1e-12, dest="rank_tol",
-        help="relative singular-value threshold for ranks (default 1e-12)",
+        help="a mode counts toward a rank when its normalized coupling to B or C "
+        "exceeds state_dim x this (default 1e-12)",
     )
 
     multi = sub.add_parser(

@@ -450,7 +450,7 @@ def multirate_csv(values, clock) -> str:
 
 def render_report(report) -> str:
     """Plain-text analysis report, one field per line, fixed order,
-    absent parts omitted."""
+    absent parts omitted; defective_boundary appears only when true."""
     lines = [
         f"state_dim={report.state_dim}",
         f"spectral_radius={_fmt(report.spectral_radius)}",
@@ -458,6 +458,8 @@ def render_report(report) -> str:
     if report.max_real_part is not None:
         lines.append(f"max_real_part={_fmt(report.max_real_part)}")
     lines.append(f"stability={report.verdict}")
+    if report.defective:
+        lines.append("defective_boundary=true")
     if report.controllability_rank is not None:
         lines.append(f"controllability_rank={report.controllability_rank}")
     if report.observability_rank is not None:

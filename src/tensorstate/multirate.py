@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulate import MAX_GRID_CELLS, NumericOverflowError
+
 __all__ = [
     "GlobalClock",
     "global_clock",
@@ -150,12 +152,6 @@ def eval_state(system, i, n, cache=None) -> float:
     return _eval(system, i, n, cache)
 
 
-# Output cells, (horizon+1) x (M+1) with the tick column, that one grid sweep
-# may fill: each (horizon+1) x M float array then stays under 80 MB and the
-# CSV text under about 250 MB.
-MAX_GRID_CELLS = 10_000_000
-
-
 def _operands(system, reads_grid):
     """Boundary and input values of ticks 0..K, looked up in tick order.
 
@@ -188,6 +184,7 @@ def _operands(system, reads_grid):
     return operand, held
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is raised below
 def trajectory_on_grid(system, horizon) -> np.ndarray:
     """States at the global ticks n = k*d for k = 0..horizon.
 
@@ -196,8 +193,10 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     boundary data otherwise. Since every c_j >= 2, the ticks in
     [2^l, 2^(l+1)) read only earlier blocks, so each block is one vectorized
     step that sums the terms in the order eval_state does and gives the same
-    doubles. A horizon whose output would exceed MAX_GRID_CELLS is refused
-    before anything is looked up or allocated.
+    doubles. A horizon whose output, (horizon+1) x (M+1) cells with the tick
+    column, would exceed MAX_GRID_CELLS is refused before anything is looked
+    up or allocated. A non-finite state raises NumericOverflowError naming
+    the first tick and process where it appears.
     """
     horizon = int(horizon)
     if horizon < 0:
@@ -231,6 +230,12 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
                 total += held[lo:hi, j, None] * system.B[:, j]
         rows[lo:hi] = total
         lo = hi
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, j = map(int, np.argwhere(~finite)[0])
+        raise NumericOverflowError(
+            f"state of process {j + 1} became non-finite at tick {k} (index {k * system.clock.d})"
+        )
     return rows
 
 

@@ -15,6 +15,7 @@ from .tensors import ShapeError, Tensor, _as_tensor, _normalize_shape, devec, ve
 
 __all__ = [
     "NumericOverflowError",
+    "MAX_GRID_CELLS",
     "InputSignal",
     "TrajectorySample",
     "Trajectory",
@@ -28,6 +29,23 @@ __all__ = [
 
 class NumericOverflowError(ArithmeticError):
     """State or output left the finite range during simulation."""
+
+
+# Output cells that one run may fill: samples x (state + output values) for
+# simulate, (horizon+1) x (M+1) with the tick column for a multirate grid.
+# Each float array then stays under 80 MB and the CSV text under about 250 MB.
+MAX_GRID_CELLS = 10_000_000
+
+
+def _refuse_large_grid(system, what, samples, formula):
+    """Raise ValueError, before anything is allocated, when `samples` rows of
+    state and output values would exceed MAX_GRID_CELLS."""
+    cells = samples * (system.state_dim + system.output_dim)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"{what} needs {cells:.0f} output cells ({formula} x (state+output values)), "
+            f"more than the limit of {MAX_GRID_CELLS}"
+        )
 
 
 class InputSignal:
@@ -275,12 +293,14 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
 
     `u` is an InputSignal sampled at integer steps; None means zero input.
     Raises NumericOverflowError naming the step if the state or an output
-    leaves the finite range.
+    leaves the finite range, and ValueError when the samples would exceed
+    MAX_GRID_CELLS.
     """
     _require_kind(system, "discrete", "simulate_discrete")
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
     timeline = _timeline(system, _as_signal(system, u))
     return _sweep(
         system, timeline, _state_vec(system, x0), range(steps + 1),
@@ -386,6 +406,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     (segment, dt) of whole grid intervals and reuses it; the pieces of a cut
     interval are computed on their own and not kept, so the memo holds at
     most segments × distinct step lengths pairs, whatever the input table.
+    A grid of about t_end/h + 1 samples that would exceed MAX_GRID_CELLS is
+    refused with ValueError before it is built.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -398,6 +420,7 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"h must be positive and finite, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
+    _refuse_large_grid(system, f"h {h!r}", t_end / h + 1, "(t_end/h+1)")
     timeline = _timeline(system, _as_signal(system, u))
     v = _state_vec(system, x0)
     memo = {}

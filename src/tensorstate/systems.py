@@ -149,7 +149,9 @@ class TensorStateSystem:
     matrices the simulators and analysis work on.
     """
 
-    __slots__ = ("time_kind", "state_shape", "input_shape", "output_shape", "schedule", "unfolded")
+    __slots__ = (
+        "time_kind", "state_shape", "input_shape", "output_shape", "schedule", "unfolded", "_modes",
+    )
 
     def __init__(self, time_kind, state_shape, schedule, input_shape=None, output_shape=None):
         if time_kind not in TIME_KINDS:
@@ -186,6 +188,7 @@ class TensorStateSystem:
             )
             for _, coeffs in schedule
         )
+        self._modes = None  # analysis keeps its eigendecomposition of M_A here
 
     @property
     def has_input(self) -> bool:

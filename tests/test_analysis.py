@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,183 @@ class TestAnalyze:
             report = analyze(system)
             assert 0 <= report.controllability_rank <= 3
             assert 0 <= report.observability_rank <= 3
+
+
+def krylov_rank(a, b):
+    """Test-only oracle for small q: rank of [B, AB, ..., A^(q-1) B] by
+    np.linalg.matrix_rank, counting singular values above 1e-9 sigma_max."""
+    blocks = [b]
+    for _ in range(len(a) - 1):
+        blocks.append(a @ blocks[-1])
+    krylov = np.hstack(blocks)
+    return int(np.linalg.matrix_rank(krylov, tol=1e-9 * np.linalg.norm(krylov, 2)))
+
+
+def modal_structure_system(rng):
+    """A = Q J Q^T for random orthogonal Q and J of repeated eigenvalues and
+    2x2 Jordan blocks; B and C have rows/columns zeroed in the modal basis."""
+    q = int(rng.integers(2, 7))
+    values = rng.choice([-0.8, -0.3, 0.2, 0.5, 0.9, 1.0], size=q)
+    j = np.diag(values)
+    i = 0
+    while i < q - 1:
+        if rng.random() < 0.5:
+            j[i + 1, i + 1] = values[i]
+            j[i, i + 1] = rng.uniform(0.5, 1.5)
+            i += 2
+        else:
+            i += 1
+    basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    p = int(rng.integers(1, 3))
+    b = rng.standard_normal((q, p))
+    b[rng.random(q) < 0.3] = 0.0
+    c = rng.standard_normal((p, q))
+    c[:, rng.random(q) < 0.3] = 0.0
+    return basis @ j @ basis.T, basis @ b, c @ basis.T
+
+
+class TestModalRanks:
+    def test_random_structures_match_krylov_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            a, b, c = modal_structure_system(rng)
+            system = r1_system(a, b=b, c=c)
+            assert controllability_rank(system) == krylov_rank(a, b)
+            assert observability_rank(system) == krylov_rank(a.T, c.T)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_free(self, scale):
+        """Entries far from 1, whose squares leave double range."""
+        rng = np.random.default_rng(2025)
+        for _ in range(20):
+            a, b, c = modal_structure_system(rng)
+            system = r1_system(a * scale, b=b, c=c)
+            assert controllability_rank(system) == krylov_rank(a, b)
+            assert observability_rank(system) == krylov_rank(a.T, c.T)
+
+    def test_diagonal_probe(self):
+        """Forty distinct eigenvalues 0.1..0.99, every mode driven by B = ones.
+        Its Krylov matrix is a Vandermonde matrix whose smaller singular
+        values fall below double precision."""
+        system = r1_system(np.diag(np.linspace(0.1, 0.99, 40)), b=np.ones((40, 1)))
+        assert controllability_rank(system) == 40
+
+    @pytest.mark.parametrize("a", [[[1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    def test_jordan_block(self, a):
+        """Only the end of the chain reaches the whole block; neither case
+        may warn, though its eigenvectors are parallel."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert controllability_rank(r1_system(a, b=[[0.0], [1.0]])) == 2
+            assert controllability_rank(r1_system(a, b=[[1.0], [0.0]])) == 1
+            assert observability_rank(r1_system(a, c=[[1.0, 0.0]])) == 2
+            assert observability_rank(r1_system(a, c=[[0.0, 1.0]])) == 1
+
+    def test_jordan_block_beside_a_near_eigenvalue(self):
+        """The block's coupling 1 is larger than its gap to 0.9, so the null
+        space of M_A - I alone misses the block; its square holds it."""
+        rng = np.random.default_rng(229)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = basis @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.9]]) @ basis.T
+        for k, (ctrb, obsv) in enumerate([(1, 2), (2, 1), (1, 1)]):
+            b = basis[:, [k]]
+            assert controllability_rank(r1_system(a, b=b)) == ctrb == krylov_rank(a, b)
+            assert observability_rank(r1_system(a, c=b.T)) == obsv == krylov_rank(a.T, b)
+
+    def test_rank_tol_scales_with_q(self):
+        """The fourth mode's coupling 2e-12 / |B|_2 = 1.15e-12 lies between
+        rel_tol and q * rel_tol = 4e-12."""
+        system = r1_system(np.diag([0.1, 0.2, 0.3, 0.4]), b=[[1.0], [1.0], [1.0], [2e-12]])
+        assert controllability_rank(system) == 3
+        assert controllability_rank(system, rel_tol=1e-13) == 4
+
+    def test_triangular_chain_of_three(self):
+        a = np.eye(3) + np.diag([1.0, 1.0], 1)
+        for k in range(3):
+            assert controllability_rank(r1_system(a, b=np.eye(3)[:, [k]])) == k + 1
+
+    def test_repeated_semisimple_needs_one_input_per_copy(self):
+        """An eigenvalue three times over with two inputs leaves one copy
+        unreachable, whatever the inputs."""
+        rng = np.random.default_rng(211)
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = basis @ np.diag([0.5, 0.5, 0.5, 0.2]) @ basis.T
+        system = r1_system(a, b=rng.standard_normal((4, 2)), c=rng.standard_normal((2, 4)))
+        assert controllability_rank(system) == 3
+        assert observability_rank(system) == 3
+
+    def test_zero_coupling(self):
+        assert controllability_rank(r1_system(np.diag([0.5, 0.2]), b=np.zeros((2, 1)))) == 0
+
+    def test_large_block_triangular_construction(self):
+        """q = 256: A = T blk T^T with blk = [[L1, A12], [0, L2]], L1, L2
+        diagonal and B in the span of T's first 224 columns, so the
+        controllability rank is 224; a dense C observes all 256 modes."""
+        rng = np.random.default_rng(4096)
+        q, k = 256, 224
+        blk = np.diag(rng.uniform(-0.9, 0.9, q))
+        blk[:k, k:] = 0.05 * rng.standard_normal((k, q - k))
+        t, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        system = r1_system(
+            t @ blk @ t.T,
+            b=t[:, :k] @ rng.standard_normal((k, 4)),
+            c=rng.standard_normal((4, q)),
+        )
+        report = analyze(system)
+        assert report.controllability_rank == k
+        assert report.observability_rank == q
+
+    def test_one_eigendecomposition_per_analyze(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(m):
+            calls.append(m.shape)
+            return eig(m)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        rng = np.random.default_rng(223)
+        system = r1_system(rng.normal(size=(5, 5)), b=rng.normal(size=(5, 2)),
+                           c=rng.normal(size=(2, 5)))
+        analyze(system)
+        assert calls == [(5, 5)]
+        analyze(system, epsilon=1e-6, rel_tol=1e-9)
+        assert calls == [(5, 5)]
+
+
+class TestDefectiveBoundary:
+    def test_discrete_jordan_is_unstable(self):
+        res = check_stability(r1_system([[1.0, 1.0], [0.0, 1.0]]))
+        assert res.defective
+        assert res.verdict == "unstable"
+        assert res.spectral_radius == 1.0
+
+    def test_continuous_nilpotent_is_unstable(self):
+        res = check_stability(r1_system([[0.0, 1.0], [0.0, 0.0]], time_kind="continuous"))
+        assert res.defective
+        assert res.verdict == "unstable"
+
+    def test_rotated_jordan_is_unstable(self):
+        """A similarity moves eig's eigenvalues about 1e-8 apart; the block is
+        still found."""
+        rng = np.random.default_rng(227)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = basis @ np.array([[1.0, 0.7, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.3]]) @ basis.T
+        res = check_stability(r1_system(a), epsilon=1e-6)
+        assert res.defective
+        assert res.verdict == "unstable"
+
+    @pytest.mark.parametrize("a", [np.eye(2), np.diag([1.0, 1.0, 0.5])])
+    def test_semisimple_repeat_stays_marginal(self, a):
+        res = check_stability(r1_system(a))
+        assert not res.defective
+        assert res.verdict == "marginal"
+
+    def test_defect_inside_the_unit_disc_is_stable(self):
+        res = check_stability(r1_system([[0.5, 1.0], [0.0, 0.5]]))
+        assert not res.defective
+        assert res.verdict == "stable"
+
+    def test_report_carries_the_flag(self):
+        assert analyze(r1_system([[1.0, 1.0], [0.0, 1.0]])).defective
+        assert not analyze(r1_system(np.eye(2))).defective

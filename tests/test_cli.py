@@ -189,6 +189,18 @@ class TestSimulate:
         fields = dict(item.split("=") for item in capsys.readouterr().out.split())
         assert float(fields["terminal_norm"]) == pytest.approx(expected, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--steps", str(10**12)], "error: steps 1000000000000 needs "),
+        (["--t-end", "1", "--h", "1e-12"], "error: h 1e-12 needs "),
+    ])
+    def test_oversized_grid_exit_1(self, tmp_path, capsys, flags, message):
+        name = "discrete_pair.json" if flags[0] == "--steps" else "continuous_decay.json"
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--system", str(SAMPLES / name), "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_multirate_file_rejected(self, tmp_path, capsys):
         code = main(
             ["simulate", "--system", str(SAMPLES / "multirate_clocks.json"),
@@ -238,6 +250,18 @@ class TestAnalyze:
         system = write_doc(tmp_path / "s.json", identity_doc())
         assert main(["analyze", "--system", system]) == 0
         assert "stability=marginal" in capsys.readouterr().out
+
+    def test_defective_boundary_line(self, tmp_path, capsys):
+        doc = identity_doc()
+        doc["schedule"][0]["A"] = tensor_doc([2, 2], [1, 1, 0, 1])
+        system = write_doc(tmp_path / "s.json", doc)
+        assert main(["analyze", "--system", system]) == 0
+        assert capsys.readouterr().out == (
+            "state_dim=2\n"
+            "spectral_radius=1\n"
+            "stability=unstable\n"
+            "defective_boundary=true\n"
+        )
 
     def test_time_varying_exit_1(self, tmp_path, capsys):
         doc = identity_doc()
@@ -298,6 +322,23 @@ class TestMultirate:
         )
         assert code == 1
         assert "horizon 1000000000000 needs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_overflow_exit_2_writes_nothing(self, tmp_path, capsys):
+        doc = {
+            "kind": "multirate",
+            "A": [[1e300, 1e300], [1e300, 1e300]],
+            "clocks": [2, 3],
+            "boundary": {"kind": "constant", "value": 1e300},
+        }
+        system = write_doc(tmp_path / "m.json", doc)
+        out = tmp_path / "o.csv"
+        code = main(["multirate", "--system", system, "--out", str(out), "--horizon", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state of process 1 became non-finite at tick 1 (index 6)\n"
+        )
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tensorstate import (
     BoundaryDataError,
     InputSignal,
     MultirateSystem,
+    NumericOverflowError,
     Tensor,
     build_system,
     CoefficientSet,
@@ -414,3 +416,25 @@ class TestHorizonLimit:
             tracemalloc.stop()
         assert calls == []
         assert peak < 2**16
+
+
+class TestOverflow:
+    def overflowing_system(self):
+        return MultirateSystem(A=np.full((2, 2), 1e300), clocks=(2, 3),
+                               boundary=constant_function(1e300))
+
+    def test_non_finite_state_names_tick_and_process(self):
+        """Tick 1 (index d = 6) sums products 1e300 * 1e300 of boundary
+        values, which overflow in both processes; process 1 comes first.
+        No numpy warning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match=r"^state of process 1 became non-finite at tick 1 \(index 6\)$"):
+                trajectory_on_grid(self.overflowing_system(), 4)
+
+    def test_finite_grid_is_unchanged(self):
+        system = MultirateSystem(A=np.full((2, 2), 1e150), clocks=(2, 3),
+                                 boundary=constant_function(1.0))
+        rows = trajectory_on_grid(system, 1)
+        assert np.array_equal(rows, [[1.0, 1.0], [2e150, 2e150]])

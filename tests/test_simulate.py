@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tensorstate import (
     vec,
     vector_twin,
 )
+from tensorstate import simulate
 
 
 def scalar_system(a, time_kind="continuous"):
@@ -728,3 +730,41 @@ class TestTensorVectorEquivalence:
         t_tensor = simulate_continuous(system, x0, 1.0, h=0.25, method="exact")
         t_vector = simulate_continuous(twin, devec(vec(x0), (4,)), 1.0, h=0.25, method="exact")
         assert np.max(np.abs(t_tensor.state_matrix() - t_vector.state_matrix())) < 1e-12
+
+
+class TestGridLimit:
+    """Runs whose samples x (state + output values) pass MAX_GRID_CELLS are
+    refused before the grid or any array is built."""
+
+    def test_discrete_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 12)
+        system = r1_system(np.eye(2))  # 2 state + 2 output values a sample
+        assert len(simulate_discrete(system, make_tensor([2], [1, 2]), 2)) == 3
+        with pytest.raises(ValueError, match=r"^steps 3 needs 16 output cells"):
+            simulate_discrete(system, make_tensor([2], [1, 2]), 3)
+
+    def test_continuous_limit(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 22)
+        system = scalar_system(-1.0)  # 1 state + 1 output value a sample
+        assert len(simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.1)) == 11
+        with pytest.raises(ValueError, match=r"^h 0.05 needs 42 output cells"):
+            simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.05)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda x0: simulate_discrete(scalar_system(0.5, "discrete"), x0, 10**15),
+         "steps 1000000000000000 needs 2000000000000002 "),
+        (lambda x0: simulate_continuous(scalar_system(-1.0), x0, 1.0, h=1e-12),
+         "h 1e-12 needs 2000000000002 "),
+        (lambda x0: simulate_continuous(scalar_system(-1.0), x0, 1e300, h=5e-324),
+         "h 5e-324 needs inf "),
+    ])
+    def test_refused_before_allocation(self, run, message):
+        x0 = make_tensor([1], [1.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                run(x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
