@@ -77,13 +77,11 @@ def spectral_radius(m) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-# Eigenvalues of M_A linked by gaps of at most CLUSTER_TOL * ||M_A||_F form one
-# cluster: a repeated eigenvalue or a Jordan block, which eig splits by about
-# 1e-8 * ||M_A||. Distinct eigenvalues that close are grouped too; their
-# cluster is then counted through its Krylov matrix, at the cost of one
-# q x q SVD. A Jordan block of size 3 or more splits by about 1e-5 * ||M_A||
-# under a similarity, past this tolerance, and its modes count as simple.
-CLUSTER_TOL = 1e-7
+# A restriction of M_A counts as zero when its norm is at most NULL_TOL *
+# ||M_A||_F: the generalized eigenspace of a cluster is the first such null
+# space of a product of its shifts, and a cluster whose M_A - lambda I is not
+# zero is defective.
+NULL_TOL = 1e-7
 
 
 class _Modes(NamedTuple):
@@ -120,37 +118,70 @@ def _groups(close) -> list:
     return list(groups.values())
 
 
-def _generalized_eigenspace(a, center, k, scale) -> np.ndarray:
-    """Orthonormal q x k basis of the null space of (M_A - center I)^j.
+def _generalized_eigenspace(unit, vectors, shifts, noise) -> np.ndarray:
+    """Orthonormal q x k basis of the invariant subspace of the k = len(shifts)
+    eigenvalues `shifts` of unit = M_A / ||M_A||_F, whose eigenvectors are
+    the columns of `vectors`.
 
-    j is the first power at which the k smallest singular values of
-    ((M_A - center I) / scale)^j fall below CLUSTER_TOL, and at most k: a
-    semisimple repeat stops at j = 1, before the powers of the other
-    eigenvalues' gaps sink below the singular values' resolution.
+    That is their span when it is invariant to within noise,
+    |unit X - X X^H unit X|_F <= noise, as a semisimple repeat's is.
+    Otherwise (a Jordan block) it is the null space of
+    prod_{i<j} (unit - shifts[i] I), j the first count at which the k
+    smallest singular values of the product are at most NULL_TOL, and at
+    most k: a semisimple repeat stops at j = 1, before the other
+    eigenvalues' products of gaps sink below the singular values'
+    resolution.
     """
-    shifted = (a - center * np.eye(len(a))) / scale
-    power = shifted
+    x, _ = np.linalg.qr(vectors)
+    ux = unit @ x
+    if np.linalg.norm(ux - x @ (x.conj().T @ ux)) <= noise:
+        return x
+    k = len(shifts)
+    eye = np.eye(len(unit))
+    product = unit - shifts[0] * eye
     for j in range(1, k + 1):
-        _, sigma, vh = np.linalg.svd(power)
-        if sigma[-k] <= CLUSTER_TOL or j == k:
+        _, sigma, vh = np.linalg.svd(product)
+        if sigma[-k] <= NULL_TOL or j == k:
             return vh[-k:].conj().T
-        power = power @ shifted
+        product = product @ (unit - shifts[j] * eye)
 
 
 def _decompose(a) -> _Modes:
+    """eig(M_A), with eigenvalues grouped into clusters when their gap is at
+    most noise * ||M_A||_F * (kappa_i + kappa_j). noise = 2q * eps bounds
+    the relative backward error of eig and kappa_i = |w_i| is the condition
+    number of eigenvalue i (|v_i| = 1, w_i row i of V^-1), so this is the
+    first-order bound on how far eig moves two copies of one eigenvalue
+    apart. A Jordan block of size k splits by about eps^(1/k) and its
+    eigenvalues' kappa grows to match, so every block stays one cluster;
+    when V is exactly singular all eigenvalues form one cluster.
+    """
+    q = len(a)
     eigenvalues, vectors = np.linalg.eig(a)
     peak = float(np.abs(a).max())  # scaled, so that squares neither overflow nor underflow
     scale = peak * float(np.linalg.norm(a / peak)) if peak else 1.0
-    groups = _groups(np.abs(eigenvalues[:, None] - eigenvalues) <= CLUSTER_TOL * scale)
+    noise = 2 * q * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        try:
+            dual = np.linalg.inv(vectors)
+            kappa = np.linalg.norm(dual, axis=1)
+        except np.linalg.LinAlgError:
+            kappa = np.full(q, np.inf)
+        kappa[np.isnan(kappa)] = np.inf
+        reach = noise * scale * (kappa[:, None] + kappa)
+    groups = _groups(np.abs(eigenvalues[:, None] - eigenvalues) <= reach)
+    if len(groups) == q:
+        return _Modes(eigenvalues, vectors, dual, q, ())
     simple = [group[0] for group in groups if len(group) == 1]
     columns = [vectors[:, simple]]
     spans = []
     start = len(simple)
+    unit = a / scale
     for group in groups:
         if len(group) > 1:
-            center = eigenvalues[group].mean()
-            columns.append(_generalized_eigenspace(a, center, len(group), scale))
-            spans.append((center, slice(start, start + len(group))))
+            shifts = eigenvalues[group]
+            columns.append(_generalized_eigenspace(unit, vectors[:, group], shifts / scale, noise))
+            spans.append((shifts.mean(), slice(start, start + len(group))))
             start += len(group)
     # T, not V: for a defective M_A the eigenvectors are (nearly) dependent
     basis = np.hstack(columns)
@@ -201,7 +232,7 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
     unstable iff > +epsilon. Everything in between is marginal, unless a
     cluster of eigenvalues within epsilon of the boundary (|lambda| = 1, or
     Re lambda = 0) is defective: M_A - lambda I restricted to the cluster has
-    a singular value above CLUSTER_TOL * ||M_A||_F. That makes the verdict
+    a singular value above NULL_TOL * ||M_A||_F. That makes the verdict
     unstable.
     """
     modes = _modes_of(system)
@@ -216,7 +247,7 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
         margin = max_real
     defective = any(
         (abs(abs(center) - 1.0) if discrete else abs(center.real)) <= epsilon
-        and np.linalg.norm(nilpotent, 2) > CLUSTER_TOL
+        and np.linalg.norm(nilpotent, 2) > NULL_TOL
         for center, _, nilpotent in modes.clusters
     )
     if margin < -epsilon:
@@ -236,8 +267,9 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     against the rows of C (then `coupling` is C^T and `transpose` is set).
     A simple mode counts when |frame_i coupling| / (|frame_i| |coupling|_2)
     exceeds q * rel_tol. A cluster of k modes adds the number of singular
-    values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(k-1) G]
-    of its normalized coupling G and its nilpotent part N (N^T for C).
+    values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(j-1) G]
+    of its normalized coupling G and its nilpotent part N (N^T for C),
+    grown until that number reaches k or a block leaves it unchanged.
     """
     norm = np.linalg.norm(coupling, 2)
     if norm == 0.0:
@@ -250,11 +282,17 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     for _, columns, nilpotent in modes.clusters:
         if transpose:
             nilpotent = nilpotent.T
-        blocks = [reach[columns] / (np.linalg.norm(frame[columns], 2) * norm)]
-        for _ in range(len(nilpotent) - 1):
-            blocks.append(nilpotent @ blocks[-1])
-        sigma = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-        rank += int(np.count_nonzero(sigma > tol))
+        block = reach[columns] / (np.linalg.norm(frame[columns], 2) * norm)
+        krylov = block
+        count = int(np.count_nonzero(np.linalg.svd(krylov, compute_uv=False) > tol))
+        while 0 < count < len(nilpotent):  # a block that adds nothing ends the Krylov sequence
+            block = nilpotent @ block
+            krylov = np.hstack([krylov, block])
+            grown = int(np.count_nonzero(np.linalg.svd(krylov, compute_uv=False) > tol))
+            if grown == count:
+                break
+            count = grown
+        rank += count
     return rank
 
 
@@ -262,9 +300,9 @@ def controllability_rank(system, rel_tol=1e-12) -> int:
     """Dimension of the reachable subspace, from the modal (PBH) test.
 
     A mode counts when its left eigenvector meets B: |w_i^H B| /
-    (|w_i| |B|_2) > q * rel_tol. Eigenvalues within CLUSTER_TOL * ||M_A||_F
-    of each other form a cluster, which adds the rank of the Krylov matrix
-    of M_A and B restricted to its generalized eigenspace.
+    (|w_i| |B|_2) > q * rel_tol. A cluster of eigenvalues (see _decompose)
+    adds the rank of the Krylov matrix of M_A and B restricted to its
+    generalized eigenspace.
     """
     m = unfold_system(system)
     if m.b is None:

@@ -382,10 +382,20 @@ def _apply_zoh(pair, piece, v) -> np.ndarray:
     return phi @ v if u is None else phi @ v + gamma @ u
 
 
+def _grid_size(t_end, h):
+    """(n, samples) of the grid 0, h, ..., n·h, t_end: n whole steps, and
+    t_end appended unless n·h is already within 1e-9·h of it. Floats, so a
+    huge count is measured without building anything; n may be inf."""
+    n = t_end / h + 1e-9
+    if n < math.inf:
+        n = math.floor(n)
+    return n, n + (2 if t_end - n * h > 1e-9 * h else 1)
+
+
 def _time_grid(t_end, h):
-    n_full = int(math.floor(t_end / h + 1e-9))
-    times = [k * h for k in range(n_full + 1)]
-    if t_end - times[-1] > 1e-9 * h:
+    n, samples = _grid_size(t_end, h)
+    times = [k * h for k in range(n + 1)]
+    if samples > n + 1:
         times.append(t_end)
     else:
         times[-1] = t_end
@@ -406,8 +416,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     (segment, dt) of whole grid intervals and reuses it; the pieces of a cut
     interval are computed on their own and not kept, so the memo holds at
     most segments × distinct step lengths pairs, whatever the input table.
-    A grid of about t_end/h + 1 samples that would exceed MAX_GRID_CELLS is
-    refused with ValueError before it is built.
+    A grid whose samples would exceed MAX_GRID_CELLS is refused with
+    ValueError before it is built.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -420,7 +430,7 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"h must be positive and finite, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
-    _refuse_large_grid(system, f"h {h!r}", t_end / h + 1, "(t_end/h+1)")
+    _refuse_large_grid(system, f"h {h!r}", _grid_size(t_end, h)[1], "(grid samples)")
     timeline = _timeline(system, _as_signal(system, u))
     v = _state_vec(system, x0)
     memo = {}

@@ -323,30 +323,98 @@ def krylov_rank(a, b):
     return int(np.linalg.matrix_rank(krylov, tol=1e-9 * np.linalg.norm(krylov, 2)))
 
 
-def modal_structure_system(rng):
-    """A = Q J Q^T for random orthogonal Q and J of repeated eigenvalues and
-    2x2 Jordan blocks; B and C have rows/columns zeroed in the modal basis."""
+def modal_structure_system(rng, values=(-0.8, -0.3, 0.2, 0.5, 0.9, 1.0), largest=2):
+    """A = Q J Q^T for random orthogonal Q and J of Jordan blocks of sizes 1
+    to `largest` on eigenvalues drawn from `values`, repeats included; B and
+    C have rows/columns zeroed in the modal basis and every other entry at
+    least 0.5 in magnitude, so every rank is far from a tolerance."""
     q = int(rng.integers(2, 7))
-    values = rng.choice([-0.8, -0.3, 0.2, 0.5, 0.9, 1.0], size=q)
-    j = np.diag(values)
+    diagonal = rng.choice(values, size=q)
+    j = np.diag(diagonal)
     i = 0
-    while i < q - 1:
-        if rng.random() < 0.5:
-            j[i + 1, i + 1] = values[i]
-            j[i, i + 1] = rng.uniform(0.5, 1.5)
-            i += 2
-        else:
-            i += 1
+    while i < q:
+        size = int(rng.integers(1, min(largest, q - i) + 1))
+        for m in range(i + 1, i + size):
+            j[m, m] = diagonal[i]
+            j[m - 1, m] = rng.uniform(0.5, 1.5)
+        i += size
     basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
     p = int(rng.integers(1, 3))
-    b = rng.standard_normal((q, p))
+    b = rng.choice([-1.0, 1.0], (q, p)) * rng.uniform(0.5, 1.5, (q, p))
     b[rng.random(q) < 0.3] = 0.0
-    c = rng.standard_normal((p, q))
+    c = rng.choice([-1.0, 1.0], (p, q)) * rng.uniform(0.5, 1.5, (p, q))
     c[:, rng.random(q) < 0.3] = 0.0
     return basis @ j @ basis.T, basis @ b, c @ basis.T
 
 
 class TestModalRanks:
+    def test_jordan_chains_match_krylov_oracle(self):
+        """eig splits a block of size k by about eps^(1/k), 6e-6 for k = 3,
+        yet each block stays one cluster. Eigenvalues 0.5 apart keep the
+        blocks' invariant subspaces well conditioned."""
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            a, b, c = modal_structure_system(rng, values=(-0.8, -0.3, 0.2, 0.7), largest=4)
+            system = r1_system(a, b=b, c=c)
+            assert controllability_rank(system) == krylov_rank(a, b)
+            assert observability_rank(system) == krylov_rank(a.T, c.T)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_rotated_jordan_chain(self, q):
+        """One block of size q under a dense orthogonal similarity: the
+        input at chain position k reaches k + 1 modes, the output there
+        observes q - k."""
+        rng = np.random.default_rng(230 + q)
+        basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        a = basis @ (0.5 * np.eye(q) + np.diag(rng.uniform(0.5, 1.5, q - 1), 1)) @ basis.T
+        for k in range(q):
+            e = basis[:, [k]]
+            assert controllability_rank(r1_system(a, b=e)) == k + 1
+            assert observability_rank(r1_system(a, c=e.T)) == q - k
+
+    def test_semisimple_repeats_use_their_eigenvectors(self, monkeypatch):
+        """A lifted system repeats each eigenvalue once per column; those
+        clusters take the span of their eigenvectors, with no q x q SVD."""
+        from tensorstate import lift_matrix_state
+
+        svd = np.linalg.svd
+        shapes = []
+
+        def recording_svd(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = np.random.default_rng(239)
+        system = lift_matrix_state(
+            rng.standard_normal((4, 4)), B=rng.standard_normal((4, 1)),
+            C=rng.standard_normal((1, 4)), columns=3,
+        )
+        report = analyze(system)
+        assert report.controllability_rank == report.observability_rank == 12
+        assert (12, 12) not in shapes
+
+    def test_exactly_singular_eigenvectors(self, monkeypatch):
+        """When V^-1 does not exist, all eigenvalues form one cluster, whose
+        Krylov count still gives each rank."""
+        inv = np.linalg.inv
+        calls = []
+
+        def singular_first(m):
+            calls.append(m.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_first)
+        rng = np.random.default_rng(233)
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        j = np.diag([0.5, 0.5, 0.5, 0.9]) + np.diag([1.0, 1.0, 0.0], 1)
+        system = r1_system(basis @ j @ basis.T, b=basis[:, [1]], c=basis[:, [1]].T)
+        assert controllability_rank(system) == 2
+        assert observability_rank(system) == 2
+        assert calls == [(4, 4), (4, 4)]
+
     def test_random_structures_match_krylov_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):

@@ -750,6 +750,15 @@ class TestGridLimit:
         with pytest.raises(ValueError, match=r"^h 0.05 needs 42 output cells"):
             simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.05)
 
+    def test_continuous_limit_counts_the_cut_sample(self, monkeypatch):
+        """0, 0.3, 0.6, 0.9 and t_end = 1: five samples, not 1/0.3 + 1."""
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 10)
+        system = scalar_system(-1.0)
+        assert len(simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.3)) == 5
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 9)
+        with pytest.raises(ValueError, match=r"^h 0.3 needs 10 output cells"):
+            simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.3)
+
     @pytest.mark.parametrize("run, message", [
         (lambda x0: simulate_discrete(scalar_system(0.5, "discrete"), x0, 10**15),
          "steps 1000000000000000 needs 2000000000000002 "),
