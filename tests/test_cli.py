@@ -393,3 +393,109 @@ class TestBadInvocations:
              "--out", str(tmp_path / "o.csv"), "--t-end", "1", "--method", "euler"]
         )
         assert code == 1
+
+
+def input_doc(signal):
+    """A one-state discrete file with a scalar input driven by `signal`."""
+    return {
+        "time": "discrete",
+        "state_shape": [1],
+        "input_shape": [1],
+        "schedule": [{"start": 0, "A": tensor_doc([1, 1], [1]), "B": tensor_doc([1, 1], [1])}],
+        "x0": tensor_doc([1], [0]),
+        "input": signal,
+    }
+
+
+def multirate_doc(**fields):
+    return {"kind": "multirate", "A": [[1, 1], [0, 1]], "clocks": [2, 3],
+            "boundary": {"kind": "index"}, **fields}
+
+
+class TestParseErrorMessages:
+    """One malformed file per ParseError the parser can raise: exit 1 and
+    exactly one stderr line, the message naming the field after the path."""
+
+    CASES = [
+        ("top-level", "[]", ": expected a top-level object"),
+        ("segment-object", {**identity_doc(), "schedule": [5]},
+         ".schedule[0]: expected an object, got int"),
+        ("time", {**identity_doc(), "time": "hybrid"},
+         ".time: expected 'discrete' or 'continuous', got 'hybrid'"),
+        ("shape-empty", {**identity_doc(), "state_shape": []},
+         ".state_shape: expected a non-empty list of mode sizes"),
+        ("shape-mode", {**identity_doc(), "state_shape": [0]},
+         ".state_shape: mode sizes must be integers >= 1, got 0"),
+        ("schedule-empty", {**identity_doc(), "schedule": []},
+         ".schedule: expected a non-empty list of segments"),
+        ("schedule-start", {**identity_doc(), "schedule": [
+            {"start": 1, "A": tensor_doc([2, 2], [1, 0, 0, 1])}]},
+         ".schedule: schedule must start at 0, got first key 1.0"),
+        ("data-list", {**identity_doc(), "x0": {"shape": [2], "data": 5}},
+         ".x0.data: expected a list of numbers"),
+        ("x0-shape", {**identity_doc(), "x0": tensor_doc([1, 2], [1, 2])},
+         ".x0: shape [1, 2] does not match state_shape [2]"),
+        ("zero-extra", input_doc({"kind": "zero", "samples": []}),
+         ".input: kind 'zero' takes no other fields"),
+        ("constant-field", input_doc({"kind": "constant", "samples": []}),
+         ".input: kind 'constant' needs exactly the field 'value'"),
+        ("constant-shape", input_doc({"kind": "constant", "value": tensor_doc([2], [1, 2])}),
+         ".input.value: shape [2] does not match input_shape [1]"),
+        ("number-before-shape", input_doc({"kind": "constant", "value": tensor_doc([2], ["x", 2])}),
+         ".input.value.data: expected a number, got 'x'"),
+        ("table-field", input_doc({"kind": "table", "value": tensor_doc([1], [1])}),
+         ".input: kind 'table' needs exactly the field 'samples'"),
+        ("samples-empty", input_doc({"kind": "table", "samples": []}),
+         ".input.samples: expected a non-empty list of [when, tensor] pairs"),
+        ("samples-pair", input_doc({"kind": "table", "samples": [[0]]}),
+         ".input.samples[0]: expected a [when, tensor] pair"),
+        ("samples-shape", input_doc({"kind": "table", "samples": [
+            [0, tensor_doc([1], [1])], [1, tensor_doc([1, 1], [1])]]}),
+         ".input.samples[1]: shape [1, 1] does not match input_shape [1]"),
+        ("signal-kind", input_doc({"kind": ["zero"]}),
+         ".input.kind: expected 'zero', 'constant', or 'table', got ['zero']"),
+        ("matrix-empty", multirate_doc(A=[]), ".A: expected a non-empty list of rows"),
+        ("matrix-row", multirate_doc(A=[1]), ".A[0]: expected a list of numbers"),
+        ("matrix-width", multirate_doc(A=[[1, 1], [1]]), ".A[1]: row length 1 != 2"),
+        ("matrix-number", multirate_doc(A=[[1, 1], [0, None]]),
+         ".A[1]: expected a number, got None"),
+        ("clocks", multirate_doc(clocks=[2, "3"]), ".clocks: expected a list of integers"),
+        ("process-constant", multirate_doc(boundary={"kind": "constant"}),
+         ".boundary: kind 'constant' needs exactly the field 'value'"),
+        ("process-index", multirate_doc(B=[[1], [0]], input={"kind": "index", "value": 1}),
+         ".input: kind 'index' takes no other fields"),
+        ("process-table", multirate_doc(boundary={"kind": "table", "value": 1}),
+         ".boundary: kind 'table' needs exactly the field 'values'"),
+        ("values-empty", multirate_doc(boundary={"kind": "table", "values": []}),
+         ".boundary.values: expected a non-empty list of [index, value] pairs"),
+        ("values-pair", multirate_doc(boundary={"kind": "table", "values": [[0, 1], [1]]}),
+         ".boundary.values[1]: expected an [index, value] pair"),
+        ("values-index", multirate_doc(boundary={"kind": "table", "values": [[-1, 0]]}),
+         ".boundary.values[0]: index must be an integer >= 0, got -1"),
+        ("process-kind", multirate_doc(boundary=[{"kind": "index"}, {"kind": {"a": 1}}]),
+         ".boundary[1].kind: expected 'constant', 'index', or 'table', got {'a': 1}"),
+    ]
+
+    @pytest.mark.parametrize("doc, suffix", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_exit_1_with_one_line(self, tmp_path, capsys, doc, suffix):
+        path = tmp_path / "s.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        if isinstance(doc, dict) and doc.get("kind") == "multirate":
+            argv = ["multirate", "--system", str(path), "--out", str(out), "--horizon", "2"]
+        else:
+            argv = ["simulate", "--system", str(path), "--out", str(out), "--steps", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}{suffix}\n"
+        assert not out.exists()
+
+    def test_tensor_past_numpy_dimension_limit(self, tmp_path, capsys):
+        """numpy holds at most 64 modes; the tensor that has more is named."""
+        doc = {**identity_doc(), "state_shape": [1] * 33,
+               "schedule": [{"start": 0, "A": tensor_doc([1] * 66, [1])}]}
+        path = write_doc(tmp_path / "s.json", doc)
+        assert main(["analyze", "--system", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}.schedule[0].A: ")
+        assert err.count("\n") == 1
