@@ -116,7 +116,9 @@ def _parse_shape(value, where):
     return tuple(shape)
 
 
-def _parse_tensor(obj, where) -> Tensor:
+def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
+    """The tensor at `where`, whose shape must equal `declared` (the file's
+    `name`) when one is given; that check comes last, after the numbers."""
     _check_keys(obj, where, required=("shape", "data"))
     shape = _parse_shape(obj["shape"], f"{where}.shape")
     data = obj["data"]
@@ -130,51 +132,58 @@ def _parse_tensor(obj, where) -> Tensor:
         )
     values = _numbers(data, f"{where}.data")
     try:
-        return Tensor(shape, values)
-    except ValueError as exc:
+        tensor = Tensor(shape, values)
+    except ValueError as exc:  # numpy holds at most 64 modes
         raise ParseError(f"{where}: {exc}") from None
+    if declared is not None and shape != declared:
+        raise ParseError(f"{where}: shape {list(shape)} does not match {name} {list(declared)}")
+    return tensor
+
+
+def _tagged(obj, where, kinds):
+    """(kind, value of its field) for a spec holding "kind" and exactly the
+    field `kinds` maps that kind to (None: no field, no value). Kinds match by
+    equality: a JSON kind may be a list or an object, which do not hash."""
+    _check_keys(obj, where, required=("kind",), optional=[f for f in kinds.values() if f])
+    kind = obj["kind"]
+    for name, field in kinds.items():
+        if kind == name:
+            if set(obj) == {"kind", field} - {None}:
+                return name, obj.get(field)
+            need = "takes no other fields" if field is None else f"needs exactly the field '{field}'"
+            raise ParseError(f"{where}: kind '{name}' {need}")
+    *rest, last = (f"'{name}'" for name in kinds)
+    raise ParseError(f"{where}.kind: expected {', '.join(rest)}, or {last}, got {kind!r}")
+
+
+def _pairs(value, where, what):
+    """Yield (where[k], first, second) per entry of `value`, a non-empty list
+    of 2-item lists, checking each as it goes; `what` names one entry with
+    its article."""
+    if not isinstance(value, list) or not value:
+        raise ParseError(f"{where}: expected a non-empty list of {what.split(' ', 1)[1]}s")
+    for k, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{where}[{k}]: expected {what}")
+        yield f"{where}[{k}]", pair[0], pair[1]
 
 
 def _parse_signal(obj, input_shape, where) -> InputSignal:
-    _check_keys(obj, where, required=("kind",), optional=("value", "samples"))
-    kind = obj["kind"]
+    kind, arg = _tagged(obj, where, {"zero": None, "constant": "value", "table": "samples"})
     if kind == "zero":
-        if len(obj) > 1:
-            raise ParseError(f"{where}: kind 'zero' takes no other fields")
         return InputSignal.zero()
     if kind == "constant":
-        if "value" not in obj or "samples" in obj:
-            raise ParseError(f"{where}: kind 'constant' needs exactly the field 'value'")
-        value = _parse_tensor(obj["value"], f"{where}.value")
-        if value.shape != input_shape:
-            raise ParseError(
-                f"{where}.value: shape {list(value.shape)} does not match "
-                f"input_shape {list(input_shape)}"
-            )
-        return InputSignal.constant(value)
-    if kind == "table":
-        if "samples" not in obj or "value" in obj:
-            raise ParseError(f"{where}: kind 'table' needs exactly the field 'samples'")
-        samples = obj["samples"]
-        if not isinstance(samples, list) or not samples:
-            raise ParseError(f"{where}.samples: expected a non-empty list of [when, tensor] pairs")
-        entries = []
-        for k, pair in enumerate(samples):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}.samples[{k}]: expected a [when, tensor] pair")
-            when = _number(pair[0], f"{where}.samples[{k}]")
-            value = _parse_tensor(pair[1], f"{where}.samples[{k}]")
-            if value.shape != input_shape:
-                raise ParseError(
-                    f"{where}.samples[{k}]: shape {list(value.shape)} does not match "
-                    f"input_shape {list(input_shape)}"
-                )
-            entries.append((when, value))
-        try:
-            return InputSignal.table(entries)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    raise ParseError(f"{where}.kind: expected 'zero', 'constant', or 'table', got {kind!r}")
+        return InputSignal.constant(
+            _parse_tensor(arg, f"{where}.value", input_shape, "input_shape")
+        )
+    entries = [
+        (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
+        for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair")
+    ]
+    try:
+        return InputSignal.table(entries)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_tensor_system(obj, path) -> SystemFile:
@@ -215,11 +224,7 @@ def _parse_tensor_system(obj, path) -> SystemFile:
         raise
     except ValueError as exc:
         raise ParseError(f"{path}.schedule: {exc}") from None
-    x0 = _parse_tensor(obj["x0"], f"{path}.x0")
-    if x0.shape != state_shape:
-        raise ParseError(
-            f"{path}.x0: shape {list(x0.shape)} does not match state_shape {list(state_shape)}"
-        )
+    x0 = _parse_tensor(obj["x0"], f"{path}.x0", state_shape, "state_shape")
     signal = None
     if "input" in obj:
         if input_shape is None:
@@ -235,7 +240,7 @@ def _parse_matrix(value, where) -> np.ndarray:
     for k, row in enumerate(value):
         if not isinstance(row, list):
             raise ParseError(f"{where}[{k}]: expected a list of numbers")
-        rows.append([_number(v, f"{where}[{k}]") for v in row])
+        rows.append(_numbers(row, f"{where}[{k}]"))
     width = len(rows[0])
     for k, row in enumerate(rows):
         if len(row) != width:
@@ -265,40 +270,25 @@ def _process_function(spec, count, where):
 
 
 def _single_process_function(spec, where):
-    _check_keys(spec, where, required=("kind",), optional=("value", "values"))
-    kind = spec.get("kind")
+    kind, arg = _tagged(spec, where, {"constant": "value", "index": None, "table": "values"})
     if kind == "constant":
-        if "value" not in spec or "values" in spec:
-            raise ParseError(f"{where}: kind 'constant' needs exactly the field 'value'")
-        value = _number(spec["value"], f"{where}.value")
+        value = _number(arg, f"{where}.value")
         return constant_function(value), {"kind": "constant", "value": value}
     if kind == "index":
-        if len(spec) > 1:
-            raise ParseError(f"{where}: kind 'index' takes no other fields")
         return index_function(), {"kind": "index"}
-    if kind == "table":
-        if "values" not in spec or "value" in spec:
-            raise ParseError(f"{where}: kind 'table' needs exactly the field 'values'")
-        raw = spec["values"]
-        if not isinstance(raw, list) or not raw:
-            raise ParseError(f"{where}.values: expected a non-empty list of [index, value] pairs")
-        table = {}
-        for k, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}.values[{k}]: expected an [index, value] pair")
-            idx = pair[0]
-            if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
-                raise ParseError(f"{where}.values[{k}]: index must be an integer >= 0, got {idx!r}")
-            if idx in table:
-                raise ParseError(f"{where}.values[{k}]: duplicate index {idx}")
-            table[idx] = _number(pair[1], f"{where}.values[{k}]")
+    table = {}
+    for at, idx, value in _pairs(arg, f"{where}.values", "an [index, value] pair"):
+        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
+            raise ParseError(f"{at}: index must be an integer >= 0, got {idx!r}")
+        if idx in table:
+            raise ParseError(f"{at}: duplicate index {idx}")
+        table[idx] = _number(value, at)
 
-        def lookup(i, n):
-            return table[n]
+    def lookup(i, n):
+        return table[n]
 
-        canon = {"kind": "table", "values": [[n, table[n]] for n in sorted(table)]}
-        return lookup, canon
-    raise ParseError(f"{where}.kind: expected 'constant', 'index', or 'table', got {kind!r}")
+    canon = {"kind": "table", "values": [[n, table[n]] for n in sorted(table)]}
+    return lookup, canon
 
 
 def _parse_multirate(obj, path) -> MultirateFile:

@@ -228,9 +228,9 @@ def _timeline(system, signal) -> Piecewise:
 
 def _advance(piece, v) -> np.ndarray:
     """M_A·v + M_B·u for a piece (m, u): the next state of a discrete step,
-    the derivative of a continuous one. The input term is added whenever the
-    system has one, even when it is zero, so signed zeros come out the same
-    on every route."""
+    the derivative of a continuous one, and Φ·v + Γ·u when m is a _zoh_pair.
+    The input term is added whenever the system has one, even when it is
+    zero, so signed zeros come out the same on every route."""
     m, u = piece
     nxt = m.a @ v
     if u is not None:
@@ -247,6 +247,7 @@ def _output(piece, v) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state or output is raised below
 def _sweep(system, timeline, v, times, step, where) -> Trajectory:
     """Sample state and output at each of `times`, moving the state between
     neighbouring samples with step(piece, v, a, b), where piece is the
@@ -362,24 +363,18 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
 
 
 def _zoh_pair(m, dt):
-    """(Φ, Γ) of unfolded matrices m over a step dt: Φ = exp(M_A·dt) and
+    """Unfolded matrices m discretized over a step dt, as m with a = Φ and
+    b = Γ, so _advance takes the step: Φ = exp(M_A·dt) and
     Γ = ∫_0^dt exp(M_A·s) ds·M_B, both blocks of the exponential of
     [[M_A, M_B], [0, 0]]·dt (Van Loan 1978); Γ is None without input."""
     if m.b is None:
-        return matrix_exponential(m.a, dt), None
+        return m._replace(a=matrix_exponential(m.a, dt))
     q, p = m.b.shape
     aug = np.zeros((q + p, q + p))
     aug[:q, :q] = m.a
     aug[:q, q:] = m.b
     big = matrix_exponential(aug, dt)
-    return big[:q, :q], big[:q, q:]
-
-
-def _apply_zoh(pair, piece, v) -> np.ndarray:
-    """Φ·v + Γ·u for a ZOH pair and a piece (m, u)."""
-    phi, gamma = pair
-    u = piece[1]
-    return phi @ v if u is None else phi @ v + gamma @ u
+    return m._replace(a=big[:q, :q], b=big[:q, q:])
 
 
 def _grid_size(t_end, h):
@@ -442,11 +437,11 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
             pair = memo.get(key)
             if pair is None:
                 pair = memo[key] = _zoh_pair(piece[0], b - a)
-            return _apply_zoh(pair, piece, v)
+            return _advance((pair, piece[1]), v)
         edges = (a, *cuts, b)
         for p, r in zip(edges, edges[1:]):
-            piece = timeline.at(p)
-            v = _apply_zoh(_zoh_pair(piece[0], r - p), piece, v)
+            m, u = timeline.at(p)
+            v = _advance((_zoh_pair(m, r - p), u), v)
         return v
 
     def advance_rk4(piece, v, a, b):

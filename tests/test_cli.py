@@ -128,6 +128,27 @@ class TestSimulate:
         )
         assert code == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("time, flags, message", [
+        ("discrete", ["--steps", "5"], "error: state became non-finite at step 1\n"),
+        ("continuous", ["--t-end", "1", "--method", "exact"],
+         "error: state became non-finite at t=0.001\n"),
+    ], ids=["discrete", "exact"])
+    def test_overflow_prints_one_line(self, tmp_path, capsys, time, flags, message):
+        """No numpy overflow warning precedes the error line (the warnings
+        filter turns one into an exception)."""
+        doc = {
+            "time": time,
+            "state_shape": [1],
+            "schedule": [{"start": 0, "A": tensor_doc([1, 1], [1e308])}],
+            "x0": tensor_doc([1], [1e308]),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--system", system, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_exit_2(self, tmp_path, capsys):
         doc = {

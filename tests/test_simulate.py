@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -487,6 +488,24 @@ class TestSimulateContinuous:
             with pytest.raises(NumericOverflowError) as err:
                 simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.1, method="exact")
         assert "t=" in str(err.value)
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate_discrete(r1_system([[1e308]]), make_tensor([1], [1e308]), 5),
+        lambda: simulate_continuous(scalar_system(1e308), make_tensor([1], [1e308]), 1.0),
+        lambda: simulate_continuous(
+            scalar_system(1e308), make_tensor([1], [1e308]), 1.0, method="exact"
+        ),
+        lambda: simulate_continuous(
+            build_system("continuous", (1,), CoefficientSet(
+                A=make_tensor([1, 1], [0.0]), C=make_tensor([1, 1], [10.0]))),
+            make_tensor([1], [1e308]), 1.0,
+        ),
+    ], ids=["discrete", "rk4", "exact", "output"])
+    def test_overflow_raises_no_warning(self, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                run()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_output_overflow(self):
