@@ -60,8 +60,8 @@ def test_mutated_file_fails_cleanly(field, value):
         out = Path(tmp) / "out.txt"
         command, *flags = COMMANDS[name]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
             warnings.simplefilter("error")
             code = main([command, "--system", str(system), "--out", str(out), *flags])
         assert code in (0, 1, 2)
