@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multirate import MultirateSystem, constant_function, index_function
+from .multirate import MultirateSystem, _per_process, _table, constant_function, index_function
 from .simulate import InputSignal, Trajectory
 from .systems import CoefficientSet, TensorStateSystem, build_system
-from .tensors import ShapeError, Tensor
+from .tensors import Tensor
 
 __all__ = [
     "ParseError",
@@ -220,8 +220,6 @@ def _parse_tensor_system(obj, path) -> SystemFile:
         system = build_system(
             time_kind, state_shape, segments, input_shape=input_shape, output_shape=output_shape
         )
-    except ShapeError:
-        raise
     except ValueError as exc:
         raise ParseError(f"{path}.schedule: {exc}") from None
     x0 = _parse_tensor(obj["x0"], f"{path}.x0", state_shape, "state_shape")
@@ -260,12 +258,8 @@ def _process_function(spec, count, where):
         pairs = [
             _single_process_function(entry, f"{where}[{k}]") for k, entry in enumerate(spec)
         ]
-        funcs = [func for func, _ in pairs]
-
-        def dispatch(i, n):
-            return funcs[i - 1](i, n)
-
-        return dispatch, [canon for _, canon in pairs]
+        funcs = {i: func for i, (func, _) in enumerate(pairs, 1)}
+        return _per_process(funcs), [canon for _, canon in pairs]
     return _single_process_function(spec, where)
 
 
@@ -283,12 +277,8 @@ def _single_process_function(spec, where):
         if idx in table:
             raise ParseError(f"{at}: duplicate index {idx}")
         table[idx] = _number(value, at)
-
-    def lookup(i, n):
-        return table[n]
-
     canon = {"kind": "table", "values": [[n, table[n]] for n in sorted(table)]}
-    return lookup, canon
+    return _table(table), canon
 
 
 def _parse_multirate(obj, path) -> MultirateFile:
@@ -324,8 +314,8 @@ def _parse_multirate(obj, path) -> MultirateFile:
 def parse_system_file(path) -> SystemFile | MultirateFile:
     """Read and validate a system definition; see README for the format.
 
-    Raises ParseError naming the bad field, or the underlying shape error
-    verbatim when the tensors disagree with the declared shapes.
+    Raises ParseError naming the bad field; a tensor that disagrees with the
+    declared shapes is reported under the file's `schedule` field.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -434,8 +424,13 @@ def multirate_csv(values, clock) -> str:
     values = np.asarray(values, dtype=float)
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
-    table = [[k * clock.d, *row] for k, row in enumerate(values.tolist())]
-    return _csv([header, columns], table)
+    # t = float(k*d): the exact integer rounded once, in int64 while it fits
+    count = len(values)
+    if count * clock.d < 2**63:
+        ticks = (np.arange(count, dtype=np.int64) * clock.d).astype(float)
+    else:
+        ticks = np.array([float(k * clock.d) for k in range(count)])
+    return _csv([header, columns], np.hstack([ticks[:, None], values]).tolist())
 
 
 def render_report(report) -> str:

@@ -64,7 +64,10 @@ class MultirateSystem:
 
     boundary and input are callables (process, index) -> real with 1-based
     process numbers; a missing value should raise LookupError, which
-    evaluation wraps into BoundaryDataError naming (process, index).
+    evaluation wraps into BoundaryDataError naming (process, index). Those
+    the helpers below and the file format build also answer
+    many(process, indices), which trajectory_on_grid uses to read a whole
+    column at a time.
     """
 
     __slots__ = ("A", "B", "clocks", "clock", "boundary", "input")
@@ -153,19 +156,28 @@ def eval_state(system, i, n, cache=None) -> float:
 
 
 def _operands(system, reads_grid):
-    """Boundary and input values of ticks 0..K, looked up in tick order.
+    """Boundary and input values of ticks 0..K.
 
     reads_grid[k, j] marks where tick k reads grid tick k/c_j of process j.
     Returns (operand, held): operand[k, j] is boundary(j, k*f_j) where
     reads_grid[k, j] is false and unset where it is true; held[k, j] is
-    input(j, k*f_j) for k >= 1 (held is None without input). Each value is
-    looked up once, tick by tick, boundaries before inputs, so the first
-    missing value raised is the one the recursion of eval_state meets first.
+    input(j, k*f_j) for k >= 1 (held is None without input). When boundary
+    and input both answer many(process, indices) and every index fits in
+    int64, each process's values come in one call per column. Otherwise, or
+    when a column misses a value, each value is looked up once, tick by
+    tick, boundaries before inputs, so the first missing value raised is
+    the one the recursion of eval_state meets first.
     """
     ticks, m = reads_grid.shape
     factors = system.clock.factors
     boundary = system.boundary
     inputs = system.input
+    columns = hasattr(boundary, "many") and (inputs is None or hasattr(inputs, "many"))
+    if columns and ticks * max(factors) < 2**63:
+        try:
+            return _operand_columns(system, reads_grid)
+        except LookupError:
+            pass  # the loop below raises the first missing value in tick order
     boundaries = []
     input_values = []
     for k, row in enumerate(reads_grid.tolist()):
@@ -181,6 +193,20 @@ def _operands(system, reads_grid):
     if inputs is not None:
         held = np.zeros((ticks, m))
         held[1:] = np.reshape(input_values, (ticks - 1, m))
+    return operand, held
+
+
+def _operand_columns(system, reads_grid):
+    """_operands by one many() call per process and spec."""
+    ticks, m = reads_grid.shape
+    k = np.arange(ticks, dtype=np.int64)
+    operand = np.empty((ticks, m))
+    held = None if system.input is None else np.zeros((ticks, m))
+    for j, f in enumerate(system.clock.factors):
+        off_grid = k[~reads_grid[:, j]]
+        operand[off_grid, j] = system.boundary.many(j + 1, off_grid * f)
+        if held is not None:
+            held[1:, j] = system.input.many(j + 1, k[1:] * f)
     return operand, held
 
 
@@ -239,22 +265,40 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     return rows
 
 
+def _columns(lookup, many):
+    """lookup, a (process, index) -> real function, made to also answer
+    many(process, indices) with the float array of its values there. Plain
+    functions keep the per-value call speed that eval_state relies on."""
+    lookup.many = many
+    return lookup
+
+
+def _per_process(funcs):
+    """(process, index) -> funcs[process](process, index) for column-reading
+    funcs; a missing process raises KeyError."""
+    return _columns(lambda i, n: funcs[i](i, n), lambda i, indices: funcs[i].many(i, indices))
+
+
+def _table(table):
+    """(process, index) -> table[index]; a missing index raises KeyError."""
+    return _columns(
+        lambda i, n: table[n],
+        lambda i, indices: np.array([table[n] for n in indices.tolist()], dtype=float),
+    )
+
+
 def constant_function(values):
     """(process, index) -> fixed value; scalar or one value per process."""
     if np.ndim(values) == 0:
         value = float(values)
-        return lambda i, n: value
-    table = [float(v) for v in values]
-
-    def lookup(i, n):
-        return table[i - 1]
-
-    return lookup
+        return _columns(lambda i, n: value, lambda i, indices: np.full(len(indices), value))
+    table = {i: float(v) for i, v in enumerate(values, 1)}
+    return _columns(lambda i, n: table[i], lambda i, indices: np.full(len(indices), table[i]))
 
 
 def index_function():
     """(process, index) -> index, the x_i(n) = n boundary of the worked example."""
-    return lambda i, n: float(n)
+    return _columns(lambda i, n: float(n), lambda i, indices: indices.astype(float))
 
 
 def table_function(entries):
@@ -263,9 +307,10 @@ def table_function(entries):
     `entries` maps (process, index) pairs to reals; lookups outside the table
     raise LookupError so evaluation reports the missing (process, index).
     """
-    table = {(int(i), int(n)): float(v) for (i, n), v in dict(entries).items()}
-
-    def lookup(i, n):
-        return table[(i, n)]
-
-    return lookup
+    tables = {}
+    for (i, n), v in dict(entries).items():
+        tables.setdefault(int(i), {})[int(n)] = float(v)
+    return _columns(
+        lambda i, n: tables[i][n],
+        lambda i, indices: np.array([tables[i][n] for n in indices.tolist()], dtype=float),
+    )

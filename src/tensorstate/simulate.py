@@ -335,15 +335,29 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     """exp(m*t) by scaling-and-squaring over a truncated power series.
 
     The scaled matrix has infinity norm <= 0.5, so the series reaches machine
-    precision in well under the 40-term cap.
+    precision in well under the 40-term cap. Where q*max|m_ij|*|t| passes
+    2^1022, so that m*t or the scale 2^squarings could overflow, m and t are
+    scaled apart by powers of two, and an exponential past the double range
+    comes back non-finite without a numpy warning.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix_exponential needs a square matrix, got shape {list(m.shape)}")
     t = float(t)
-    if not np.isfinite(m).all() or not math.isfinite(t):
+    peak = float(np.abs(m).max())  # nan or inf when an entry is
+    if not math.isfinite(peak) or not math.isfinite(t):
         raise ValueError("matrix_exponential needs finite entries and finite t")
     q = m.shape[0]
+    if q * peak * abs(t) > 2.0**1022:
+        # |m_ij| < 2^e_m and |t| < 2^e_t, so the scaled m*t below has norm < q*2^-extra <= 0.5
+        e_m = math.frexp(peak)[1]
+        e_t = math.frexp(t)[1]
+        extra = (q - 1).bit_length() + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = matrix_exponential(np.ldexp(m, -e_m), math.ldexp(t, -e_t - extra))
+            for _ in range(e_m + e_t + extra):
+                result = result @ result
+        return result
     a = m * t
     norm = np.linalg.norm(a, np.inf)
     if norm == 0.0:

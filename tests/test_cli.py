@@ -133,7 +133,9 @@ class TestSimulate:
         ("discrete", ["--steps", "5"], "error: state became non-finite at step 1\n"),
         ("continuous", ["--t-end", "1", "--method", "exact"],
          "error: state became non-finite at t=0.001\n"),
-    ], ids=["discrete", "exact"])
+        ("continuous", ["--t-end", "1000", "--h", "10", "--method", "exact"],
+         "error: state became non-finite at t=10\n"),
+    ], ids=["discrete", "exact", "exact-exponent-overflow"])
     def test_overflow_prints_one_line(self, tmp_path, capsys, time, flags, message):
         """No numpy overflow warning precedes the error line (the warnings
         filter turns one into an exception)."""
@@ -449,6 +451,9 @@ class TestParseErrorMessages:
          ".state_shape: mode sizes must be integers >= 1, got 0"),
         ("schedule-empty", {**identity_doc(), "schedule": []},
          ".schedule: expected a non-empty list of segments"),
+        ("coefficient-shape", {**identity_doc(), "state_shape": [3]},
+         ".schedule: segment 0: coefficient A has shape [2, 2], expected [3, 3] "
+         "(state_shape + state_shape)"),
         ("schedule-start", {**identity_doc(), "schedule": [
             {"start": 1, "A": tensor_doc([2, 2], [1, 0, 0, 1])}]},
          ".schedule: schedule must start at 0, got first key 1.0"),

@@ -6,11 +6,11 @@ import pytest
 from tensorstate import (
     MultirateFile,
     ParseError,
-    ShapeError,
     SystemFile,
     Tensor,
     analyze,
     eval_state,
+    global_clock,
     make_tensor,
     multirate_csv,
     parse_system_file,
@@ -126,11 +126,11 @@ class TestParse:
         with pytest.raises(ParseError, match="input_shape"):
             parse_system_file(write_doc(tmp_path / "s.json", doc))
 
-    def test_wrong_coefficient_shape_is_shape_error(self, tmp_path):
+    def test_wrong_coefficient_shape_names_schedule(self, tmp_path):
         doc = minimal_doc()
         doc["state_shape"] = [3]
         doc["x0"] = tensor_doc([3], [1, 2, 3])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParseError, match=r"\.schedule: segment 0: coefficient A has shape"):
             parse_system_file(write_doc(tmp_path / "s.json", doc))
 
     def test_table_must_start_at_zero(self, tmp_path):
@@ -389,6 +389,21 @@ class TestCsv:
         assert lines[3] == "6,4,1"
         assert lines[5] == "18,10,1"
         assert lines[8] == "36,11,1"
+
+    @pytest.mark.parametrize("clocks", [(2**27 - 1, 2**28 + 3), (2**61 - 1, 3)], ids=str)
+    def test_multirate_ticks_past_2_53(self, clocks):
+        """The tick column is the exact k*d rounded once to a double, where
+        d*K passes 2^53 (the first clocks) and 2^63 (the second)."""
+        clock = global_clock(clocks)
+        assert 4 * clock.d >= 2**53
+        lines = multirate_csv(np.zeros((5, 2)), clock).splitlines()[2:]
+        assert [line.split(",")[0] for line in lines] == ["%.17g" % (k * clock.d) for k in range(5)]
+
+    def test_multirate_ticks_not_rounded_twice(self):
+        clock = global_clock((2**27 - 1, 2**28 + 3))
+        twice = ["%.17g" % t for t in np.arange(5) * float(clock.d)]
+        lines = multirate_csv(np.zeros((5, 2)), clock).splitlines()[2:]
+        assert [line.split(",")[0] for line in lines] != twice
 
 
 class TestRenderReport:

@@ -1,4 +1,5 @@
-"""Property tests over the sample files, driven by hypothesis."""
+"""Property tests over the sample files and the multirate lookups, driven
+by hypothesis."""
 
 import contextlib
 import copy
@@ -8,8 +9,19 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tensorstate import (
+    BoundaryDataError,
+    MultirateSystem,
+    constant_function,
+    global_clock,
+    index_function,
+    parse_system_file,
+    table_function,
+    trajectory_on_grid,
+)
 from tensorstate.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -69,3 +81,126 @@ def test_mutated_file_fails_cleanly(field, value):
             assert not out.exists()
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _per_value(system):
+    """The same system with each callable behind a plain lambda: no many(),
+    so trajectory_on_grid looks every value up on its own."""
+    def wrap(func):
+        return None if func is None else (lambda i, n: func(i, n))
+
+    return MultirateSystem(system.A, system.clocks, wrap(system.boundary),
+                           B=system.B, input=wrap(system.input))
+
+
+def _sweep(system, horizon):
+    try:
+        return trajectory_on_grid(system, horizon)
+    except BoundaryDataError as exc:
+        return exc.process, exc.index, str(exc)
+
+
+def _assert_columns_match_values(system, horizon):
+    """The column lookups give the per-value lookups' rows bit for bit, or
+    the same first missing value."""
+    assert hasattr(system.boundary, "many")
+    columns, values = _sweep(system, horizon), _sweep(_per_value(system), horizon)
+    if isinstance(values, tuple):
+        assert columns == values
+    else:
+        assert isinstance(columns, np.ndarray) and np.array_equal(columns, values)
+
+
+@st.composite
+def _multirate_case(draw):
+    """(clocks, horizon, rng, pick): pick(indices) draws the kind of one
+    spec, constant, index or table, and for a table its values at `indices`,
+    sometimes with one of them missing."""
+    clocks = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
+    horizon = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(indices):
+        kind = draw(st.sampled_from(["constant", "index", "table"]))
+        if kind != "table":
+            return kind, None
+        table = {n: float(rng.uniform(-1.0, 1.0)) for n in indices}
+        gap = draw(st.none() | st.sampled_from(sorted(table)))
+        if gap is not None and len(table) > 1:  # a file's table holds at least one entry
+            del table[gap]
+        return kind, table
+
+    return clocks, horizon, rng, pick
+
+
+def _indices(clocks, horizon):
+    """Per process j, the indices k*f_j, k = 0..horizon, the sweep reads."""
+    return [[k * f for k in range(horizon + 1)] for f in global_clock(clocks).factors]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_multirate_case(), st.booleans(), st.booleans(), st.booleans())
+def test_file_specs_columns_match_values(case, with_input, boundary_list, input_list):
+    """Boundary and input specs read from a file, single or per process, of
+    every kind, tables sometimes with a gap."""
+    clocks, horizon, rng, pick = case
+    m = len(clocks)
+    indices = _indices(clocks, horizon)
+
+    def spec(per_process):
+        def one(wanted):
+            kind, table = pick(wanted)
+            if kind == "constant":
+                return {"kind": kind, "value": float(rng.uniform(-1.0, 1.0))}
+            if kind == "index":
+                return {"kind": kind}
+            return {"kind": kind, "values": [[n, v] for n, v in table.items()]}
+
+        if per_process:
+            return [one(wanted) for wanted in indices]
+        return one(sorted({n for wanted in indices for n in wanted}))
+
+    doc = {"kind": "multirate", "A": (rng.uniform(-0.5, 0.5, (m, m)) / m).tolist(),
+           "clocks": list(clocks), "boundary": spec(boundary_list)}
+    if with_input:
+        doc["B"] = (rng.uniform(-0.5, 0.5, (m, m)) / m).tolist()
+        doc["input"] = spec(input_list)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "multirate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        system = parse_system_file(path).system
+    _assert_columns_match_values(system, horizon)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_multirate_case(), st.booleans())
+def test_helper_specs_columns_match_values(case, with_input):
+    """The same for the helpers, table_function keyed by (process, index)."""
+    clocks, horizon, rng, pick = case
+    m = len(clocks)
+    pairs = [(j, n) for j, wanted in enumerate(_indices(clocks, horizon), 1) for n in wanted]
+
+    def spec():
+        kind, table = pick(pairs)
+        if kind == "constant":
+            return constant_function(rng.uniform(-1.0, 1.0, m))
+        if kind == "index":
+            return index_function()
+        return table_function(table)
+
+    extra = {}
+    if with_input:
+        extra = {"B": rng.uniform(-0.5, 0.5, (m, m)) / m, "input": spec()}
+    system = MultirateSystem(rng.uniform(-0.5, 0.5, (m, m)) / m, clocks, spec(), **extra)
+    _assert_columns_match_values(system, horizon)
+
+
+@pytest.mark.parametrize(
+    "clocks", [(2, 2**70), (10**20, 3), (3, 7), (2, 2**55 + 2**30 + 1)], ids=str)
+@pytest.mark.parametrize("horizon", [0, 2, 9])
+def test_huge_clocks_columns_match_values(clocks, horizon):
+    """Indices past int64 fall back to the per-value lookups; indices past
+    2^53 (the last clocks) round to the same doubles in a column."""
+    system = MultirateSystem(A=[[0.5, 0.25], [0.1, 0.3]], B=np.eye(2), clocks=clocks,
+                             boundary=index_function(), input=constant_function(0.5))
+    _assert_columns_match_values(system, horizon)

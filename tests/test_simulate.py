@@ -376,6 +376,17 @@ class TestMatrixExponential:
         with pytest.raises(ShapeError):
             matrix_exponential(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1.5, 10.0])
+    def test_product_past_double_range(self, t):
+        """m*t past 2^1022 (t = 1.5), or past the double range: no
+        OverflowError and no warning; an exponential past the double range
+        is inf, a decaying one about 0."""
+        assert np.isposinf(matrix_exponential([[1e308]], t=t)).all()
+        assert np.array_equal(matrix_exponential([[-1e308]], t=t), [[0.0]])
+        got = matrix_exponential([[-1e308, -1e308], [0.0, -1e308]], t=1.0)
+        assert np.isfinite(got).all() and np.abs(got).max() < 1e-300
+
     def test_scipy_expm_oracle(self):
         """Random 8x8 matrices with infinity norms up to 30 against scipy's
         Pade-based expm, relative error in the infinity norm."""
