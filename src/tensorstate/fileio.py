@@ -424,12 +424,7 @@ def multirate_csv(values, clock) -> str:
     values = np.asarray(values, dtype=float)
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
-    # t = float(k*d): the exact integer rounded once, in int64 while it fits
-    count = len(values)
-    if count * clock.d < 2**63:
-        ticks = (np.arange(count, dtype=np.int64) * clock.d).astype(float)
-    else:
-        ticks = np.array([float(k * clock.d) for k in range(count)])
+    ticks = np.array([float(k * clock.d) for k in range(len(values))])
     return _csv([header, columns], np.hstack([ticks[:, None], values]).tolist())
 
 

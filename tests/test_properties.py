@@ -113,24 +113,24 @@ def _assert_columns_match_values(system, horizon):
 
 @st.composite
 def _multirate_case(draw):
-    """(clocks, horizon, rng, pick): pick(indices) draws the kind of one
-    spec, constant, index or table, and for a table its values at `indices`,
-    sometimes with one of them missing."""
+    """(clocks, horizon, rng): 1-4 clocks 2..9, a horizon, a seeded rng."""
     clocks = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
     horizon = draw(st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return clocks, horizon, rng
 
-    def pick(indices):
-        kind = draw(st.sampled_from(["constant", "index", "table"]))
-        if kind != "table":
-            return kind, None
-        table = {n: float(rng.uniform(-1.0, 1.0)) for n in indices}
-        gap = draw(st.none() | st.sampled_from(sorted(table)))
-        if gap is not None and len(table) > 1:  # a file's table holds at least one entry
-            del table[gap]
-        return kind, table
 
-    return clocks, horizon, rng, pick
+def _pick(data, rng, indices):
+    """Draw the kind of one spec, constant, index or table, and for a table
+    its values at `indices`, sometimes with one of them missing."""
+    kind = data.draw(st.sampled_from(["constant", "index", "table"]))
+    if kind != "table":
+        return kind, None
+    table = {n: float(rng.uniform(-1.0, 1.0)) for n in indices}
+    gap = data.draw(st.none() | st.sampled_from(sorted(table)))
+    if gap is not None and len(table) > 1:  # a file's table holds at least one entry
+        del table[gap]
+    return kind, table
 
 
 def _indices(clocks, horizon):
@@ -139,17 +139,17 @@ def _indices(clocks, horizon):
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@hypothesis.given(_multirate_case(), st.booleans(), st.booleans(), st.booleans())
-def test_file_specs_columns_match_values(case, with_input, boundary_list, input_list):
+@hypothesis.given(_multirate_case(), st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_file_specs_columns_match_values(case, with_input, boundary_list, input_list, data):
     """Boundary and input specs read from a file, single or per process, of
     every kind, tables sometimes with a gap."""
-    clocks, horizon, rng, pick = case
+    clocks, horizon, rng = case
     m = len(clocks)
     indices = _indices(clocks, horizon)
 
     def spec(per_process):
         def one(wanted):
-            kind, table = pick(wanted)
+            kind, table = _pick(data, rng, wanted)
             if kind == "constant":
                 return {"kind": kind, "value": float(rng.uniform(-1.0, 1.0))}
             if kind == "index":
@@ -173,15 +173,15 @@ def test_file_specs_columns_match_values(case, with_input, boundary_list, input_
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@hypothesis.given(_multirate_case(), st.booleans())
-def test_helper_specs_columns_match_values(case, with_input):
+@hypothesis.given(_multirate_case(), st.booleans(), st.data())
+def test_helper_specs_columns_match_values(case, with_input, data):
     """The same for the helpers, table_function keyed by (process, index)."""
-    clocks, horizon, rng, pick = case
+    clocks, horizon, rng = case
     m = len(clocks)
     pairs = [(j, n) for j, wanted in enumerate(_indices(clocks, horizon), 1) for n in wanted]
 
     def spec():
-        kind, table = pick(pairs)
+        kind, table = _pick(data, rng, pairs)
         if kind == "constant":
             return constant_function(rng.uniform(-1.0, 1.0, m))
         if kind == "index":
