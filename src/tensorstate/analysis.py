@@ -6,6 +6,7 @@ matrix M_A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -233,8 +234,9 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
     cluster of eigenvalues within epsilon of the boundary (|lambda| = 1, or
     Re lambda = 0) is defective: M_A - lambda I restricted to the cluster has
     a singular value above NULL_TOL * ||M_A||_F. That makes the verdict
-    unstable.
+    unstable. epsilon must be finite and >= 0.
     """
+    _check_tolerance("epsilon", epsilon)
     modes = _modes_of(system)
     eigenvalues = modes.eigenvalues
     radius = float(np.abs(eigenvalues).max())
@@ -259,6 +261,11 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
     return StabilityResult(verdict, radius, max_real, float(epsilon), defective)
 
 
+def _check_tolerance(name, value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     """How many modes a coupling reaches (Popov-Belevitch-Hautus test).
 
@@ -270,7 +277,9 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(j-1) G]
     of its normalized coupling G and its nilpotent part N (N^T for C),
     grown until that number reaches k or a block leaves it unchanged.
+    rel_tol must be finite and >= 0.
     """
+    _check_tolerance("rel_tol", rel_tol)
     norm = np.linalg.norm(coupling, 2)
     if norm == 0.0:
         return 0

@@ -64,10 +64,11 @@ class MultirateSystem:
 
     boundary and input are callables (process, index) -> real with 1-based
     process numbers; a missing value should raise LookupError, which
-    evaluation wraps into BoundaryDataError naming (process, index). Those
-    the helpers below and the file format build also answer
-    many(process, indices), which trajectory_on_grid uses to read a whole
-    column at a time.
+    evaluation wraps into BoundaryDataError naming (process, index).
+    trajectory_on_grid reads each process's values a column at a time: by
+    one many(process, indices) call where the callable answers it, as those
+    the helpers below and the file format build do, else by one call per
+    index.
     """
 
     __slots__ = ("A", "B", "clocks", "clock", "boundary", "input")
@@ -155,58 +156,50 @@ def eval_state(system, i, n, cache=None) -> float:
     return _eval(system, i, n, cache)
 
 
+def _column(func, process, indices, what):
+    """func's values for one process at an index array: one many() call
+    when func answers it, else (or when many() misses a value) one call per
+    index, which raises BoundaryDataError at the first missing index."""
+    if hasattr(func, "many"):
+        try:
+            return func.many(process, indices)
+        except LookupError:
+            pass
+    return [_lookup(func, process, n, what) for n in indices.tolist()]
+
+
 def _operands(system, reads_grid):
     """Boundary and input values of ticks 0..K.
 
     reads_grid[k, j] marks where tick k reads grid tick k/c_j of process j.
     Returns (operand, held): operand[k, j] is boundary(j, k*f_j) where
     reads_grid[k, j] is false and unset where it is true; held[k, j] is
-    input(j, k*f_j) for k >= 1 (held is None without input). When boundary
-    and input both answer many(process, indices) and every index fits in
-    int64, each process's values come in one call per column. Otherwise, or
-    when a column misses a value, each value is looked up once, tick by
-    tick, boundaries before inputs, so the first missing value raised is
-    the one the recursion of eval_state meets first.
+    input(j, k*f_j) for k >= 1 (held is None without input). Each process's
+    boundary column, then its input column, is read by _column. Of the
+    missing values, the one raised is the first in tick order, boundaries
+    before inputs, processes in order: the one the recursion of eval_state
+    meets first.
     """
     ticks, m = reads_grid.shape
     factors = system.clock.factors
-    boundary = system.boundary
-    inputs = system.input
-    columns = hasattr(boundary, "many") and (inputs is None or hasattr(inputs, "many"))
-    if columns and ticks * max(factors) < 2**63:
-        try:
-            return _operand_columns(system, reads_grid)
-        except LookupError:
-            pass  # the loop below raises the first missing value in tick order
-    boundaries = []
-    input_values = []
-    for k, row in enumerate(reads_grid.tolist()):
-        for j in range(m):
-            if not row[j]:
-                boundaries.append(_lookup(boundary, j + 1, k * factors[j], "boundary"))
-        if inputs is not None and k > 0:
-            for j in range(m):
-                input_values.append(_lookup(inputs, j + 1, k * factors[j], "input"))
-    operand = np.empty((ticks, m))
-    operand[~reads_grid] = boundaries
-    held = None
-    if inputs is not None:
-        held = np.zeros((ticks, m))
-        held[1:] = np.reshape(input_values, (ticks - 1, m))
-    return operand, held
-
-
-def _operand_columns(system, reads_grid):
-    """_operands by one many() call per process and spec."""
-    ticks, m = reads_grid.shape
-    k = np.arange(ticks, dtype=np.int64)
+    # past int64, an object array of Python ints keeps every index k*f_j exact
+    k = np.arange(ticks, dtype=np.int64 if ticks * max(factors) < 2**63 else object)
     operand = np.empty((ticks, m))
     held = None if system.input is None else np.zeros((ticks, m))
-    for j, f in enumerate(system.clock.factors):
-        off_grid = k[~reads_grid[:, j]]
-        operand[off_grid, j] = system.boundary.many(j + 1, off_grid * f)
+    missing = []
+    for j, f in enumerate(factors):
+        off_grid = ~reads_grid[:, j]
+        try:
+            operand[off_grid, j] = _column(system.boundary, j + 1, k[off_grid] * f, "boundary")
+        except BoundaryDataError as exc:
+            missing.append((exc.index // f, 0, j, exc))
         if held is not None:
-            held[1:, j] = system.input.many(j + 1, k[1:] * f)
+            try:
+                held[1:, j] = _column(system.input, j + 1, k[1:] * f, "input")
+            except BoundaryDataError as exc:
+                missing.append((exc.index // f, 1, j, exc))
+    if missing:
+        raise min(missing, key=lambda entry: entry[:3])[3]
     return operand, held
 
 

@@ -257,6 +257,34 @@ class TestObservability:
             assert obs == ctrb
 
 
+BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
+
+
+class TestTolerances:
+    """epsilon and rel_tol must be finite and >= 0; zero is valid."""
+
+    def system(self):
+        return r1_system([[0.9, 0.0], [0.0, 0.5]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES, ids=str)
+    def test_bad_epsilon(self, value):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and >= 0, got {value}$"):
+            check_stability(self.system(), epsilon=value)
+        with pytest.raises(ValueError, match="^epsilon "):
+            analyze(self.system(), epsilon=value)
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES, ids=str)
+    @pytest.mark.parametrize("rank", [controllability_rank, observability_rank, analyze])
+    def test_bad_rel_tol(self, rank, value):
+        with pytest.raises(ValueError, match=f"^rel_tol must be finite and >= 0, got {value}$"):
+            rank(self.system(), rel_tol=value)
+
+    def test_zero_is_valid(self):
+        report = analyze(self.system(), epsilon=0.0, rel_tol=0.0)
+        assert report.verdict == "stable"
+        assert (report.controllability_rank, report.observability_rank) == (1, 1)
+
+
 class TestAnalyze:
     def test_full_report(self):
         a = np.array([[0.0, 1.0], [-0.5, 0.3]])

@@ -286,6 +286,18 @@ class TestAnalyze:
             "defective_boundary=true\n"
         )
 
+    @pytest.mark.parametrize("flag,name", [("--epsilon", "epsilon"), ("--rank-tol", "rel_tol")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_1(self, tmp_path, capsys, flag, name, value):
+        out = tmp_path / "report.txt"
+        code = main(["analyze", "--system", str(SAMPLES / "discrete_pair.json"),
+                     "--out", str(out), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} must be finite and >= 0, got {float(value)}\n"
+        )
+        assert not out.exists()
+
     def test_time_varying_exit_1(self, tmp_path, capsys):
         doc = identity_doc()
         doc["schedule"].append({"start": 4, "A": tensor_doc([2, 2], [1, 0, 0, 1])})
@@ -347,6 +359,23 @@ class TestMultirate:
         assert "horizon 1000000000000 needs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("boundary", [{"kind": "constant", "value": 1.0}, {"kind": "index"}],
+                             ids=["constant", "index"])
+    def test_ticks_past_double_range_exit_1(self, tmp_path, capsys, boundary):
+        """d = 3 * (10^308 + 1): tick 2, index 2d, has no double; tick 0 does."""
+        doc = {"kind": "multirate", "A": [[0.5, 0.1], [0.2, 0.3]],
+               "clocks": [10**308 + 1, 3], "boundary": boundary}
+        system = write_doc(tmp_path / "m.json", doc)
+        out = tmp_path / "o.csv"
+        code = main(["multirate", "--system", system, "--out", str(out), "--horizon", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: horizon 2 times d={3 * 10**308 + 3} is past the largest double "
+            "(1.7976931348623157e+308), so the ticks cannot be written\n"
+        )
+        assert not out.exists()
+        assert main(["multirate", "--system", system, "--out", str(out), "--horizon", "0"]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[2].startswith("0,")
 
     def test_overflow_exit_2_writes_nothing(self, tmp_path, capsys):
         doc = {

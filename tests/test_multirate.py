@@ -309,7 +309,21 @@ def counting(func, calls):
     return lookup
 
 
+def columns(func):
+    """func as built, answering many(process, indices)."""
+    return func
+
+
+def plain(func):
+    """func behind a counting wrapper without many(), read one value at a time."""
+    return counting(func, [])
+
+
 CLOCK_SETS = [(2, 3), (2, 3, 5), (4, 6, 9), (2, 3, 5, 7)]
+
+# (spec, process, tick) of one missing table value
+MISSING = [("boundary", 1, 0), ("boundary", 2, 4), ("boundary", 3, 7), ("boundary", 1, 9),
+           ("input", 1, 1), ("input", 2, 6), ("input", 3, 10)]
 
 
 class TestGridSweep:
@@ -341,19 +355,16 @@ class TestGridSweep:
             assert np.array_equal(trajectory_on_grid(system, horizon),
                                   recursion_rows(system, horizon))
 
-    @pytest.mark.parametrize(
-        "what,process,tick",
-        [("boundary", 1, 0), ("boundary", 2, 4), ("boundary", 3, 7), ("boundary", 1, 9),
-         ("input", 1, 1), ("input", 2, 6), ("input", 3, 10)],
-    )
-    def test_missing_entry_same_error(self, what, process, tick):
+    @pytest.mark.parametrize("what,process,tick", MISSING)
+    def test_missing_entry_same_error(self, what, process, tick, wrap=columns):
         clocks = (2, 3, 5)
         rng = np.random.default_rng(7)
         values = {key: float(rng.normal()) for key in grid_indices(clocks, 10)}
         del values[(process, tick * global_clock(clocks).factors[process - 1])]
-        tables = {"boundary": table_function(values), "input": constant_function(0.5)}
+        tables = {"boundary": wrap(table_function(values)), "input": wrap(constant_function(0.5))}
         if what == "input":
-            tables = {"boundary": constant_function(0.5), "input": table_function(values)}
+            tables = {"boundary": wrap(constant_function(0.5)),
+                      "input": wrap(table_function(values))}
         system = MultirateSystem(A=np.full((3, 3), 0.2), B=np.eye(3), clocks=clocks, **tables)
         with pytest.raises(BoundaryDataError) as expected:
             recursion_rows(system, 10)
@@ -363,7 +374,12 @@ class TestGridSweep:
             expected.value.process, expected.value.index, str(expected.value))
         assert what in str(got.value)
 
-    def test_first_missing_value_wins(self):
+    @pytest.mark.parametrize("what,process,tick", MISSING)
+    def test_missing_entry_same_error_plain(self, what, process, tick):
+        """The same with callables that have no many()."""
+        self.test_missing_entry_same_error(what, process, tick, wrap=plain)
+
+    def test_first_missing_value_wins(self, wrap=columns):
         """With a boundary and an input missing, both reached at tick 2, the
         recursion meets the boundary first; so must the sweep."""
         clocks = (2, 3)
@@ -371,11 +387,41 @@ class TestGridSweep:
         inputs = dict(boundary)
         del boundary[(2, 4)], inputs[(1, 6)]
         system = MultirateSystem(A=np.eye(2), B=np.eye(2), clocks=clocks,
-                                 boundary=table_function(boundary), input=table_function(inputs))
+                                 boundary=wrap(table_function(boundary)),
+                                 input=wrap(table_function(inputs)))
         with pytest.raises(BoundaryDataError) as err:
             trajectory_on_grid(system, 4)
         assert (err.value.process, err.value.index) == (2, 4)
         assert "boundary" in str(err.value)
+
+    def test_first_missing_value_wins_plain(self):
+        self.test_first_missing_value_wins(wrap=plain)
+
+    @pytest.mark.parametrize("wrap", [columns, plain], ids=["many", "plain"])
+    @pytest.mark.parametrize(
+        "boundary_gaps,input_gaps,message",
+        [  # boundary ticks 7 (processes 1, 3) and 8; input tick 3 before boundary tick 9
+            ([(3, 42), (1, 105), (2, 80)], [], "missing boundary value for process 1 at index 105"),
+            ([(1, 135)], [(3, 18)], "missing input value for process 3 at index 18"),
+        ],
+        ids=["same-tick", "earlier-tick"],
+    )
+    def test_first_of_several_gaps_wins(self, boundary_gaps, input_gaps, message, wrap):
+        clocks = (2, 3, 5)
+        boundary = {key: 1.0 for key in grid_indices(clocks, 10)}
+        inputs = dict(boundary)
+        for key in boundary_gaps:
+            del boundary[key]
+        for key in input_gaps:
+            del inputs[key]
+        system = MultirateSystem(A=np.full((3, 3), 0.2), B=np.eye(3), clocks=clocks,
+                                 boundary=wrap(table_function(boundary)),
+                                 input=wrap(table_function(inputs)))
+        with pytest.raises(BoundaryDataError) as expected:
+            recursion_rows(system, 10)
+        with pytest.raises(BoundaryDataError) as got:
+            trajectory_on_grid(system, 10)
+        assert str(got.value) == str(expected.value) == message
 
     @pytest.mark.parametrize("clocks", CLOCK_SETS, ids=str)
     def test_each_value_looked_up_once(self, clocks):

@@ -16,6 +16,7 @@ from tensorstate import (
     BoundaryDataError,
     MultirateSystem,
     constant_function,
+    eval_state,
     global_clock,
     index_function,
     parse_system_file,
@@ -93,22 +94,33 @@ def _per_value(system):
                            B=system.B, input=wrap(system.input))
 
 
-def _sweep(system, horizon):
+def _outcome(rows):
+    """rows() or, when it raises BoundaryDataError, (process, index, message)."""
     try:
-        return trajectory_on_grid(system, horizon)
+        return rows()
     except BoundaryDataError as exc:
         return exc.process, exc.index, str(exc)
 
 
+def _recursion(system, horizon):
+    """The grid by eval_state with one shared cache, in tick then process order."""
+    cache = {}
+    m, d = system.process_count, system.clock.d
+    return np.array([[eval_state(system, i, k * d, cache) for i in range(1, m + 1)]
+                     for k in range(horizon + 1)])
+
+
 def _assert_columns_match_values(system, horizon):
-    """The column lookups give the per-value lookups' rows bit for bit, or
-    the same first missing value."""
+    """The column lookups, the per-value lookups and the recursion give the
+    same rows bit for bit, or the same first missing value."""
     assert hasattr(system.boundary, "many")
-    columns, values = _sweep(system, horizon), _sweep(_per_value(system), horizon)
-    if isinstance(values, tuple):
-        assert columns == values
-    else:
-        assert isinstance(columns, np.ndarray) and np.array_equal(columns, values)
+    expected = _outcome(lambda: _recursion(system, horizon))
+    for swept in (system, _per_value(system)):
+        got = _outcome(lambda: trajectory_on_grid(swept, horizon))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
 
 
 @st.composite
@@ -199,8 +211,8 @@ def test_helper_specs_columns_match_values(case, with_input, data):
     "clocks", [(2, 2**70), (10**20, 3), (3, 7), (2, 2**55 + 2**30 + 1)], ids=str)
 @pytest.mark.parametrize("horizon", [0, 2, 9])
 def test_huge_clocks_columns_match_values(clocks, horizon):
-    """Indices past int64 fall back to the per-value lookups; indices past
-    2^53 (the last clocks) round to the same doubles in a column."""
+    """Indices past int64 are read as Python ints in an object array; indices
+    past 2^53 (the last clocks) round to the same doubles in a column."""
     system = MultirateSystem(A=[[0.5, 0.25], [0.1, 0.3]], B=np.eye(2), clocks=clocks,
                              boundary=index_function(), input=constant_function(0.5))
     _assert_columns_match_values(system, horizon)
