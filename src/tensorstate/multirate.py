@@ -10,6 +10,7 @@ the caller. Process indices are 1-based throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,12 +215,20 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     step that sums the terms in the order eval_state does and gives the same
     doubles. A horizon whose output, (horizon+1) x (M+1) cells with the tick
     column, would exceed MAX_GRID_CELLS is refused before anything is looked
-    up or allocated. A non-finite state raises NumericOverflowError naming
-    the first tick and process where it appears.
+    up or allocated, and so is one whose largest index horizon*d has no
+    double. A non-finite state raises NumericOverflowError naming the first
+    tick and process where it appears.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    d = system.clock.d
+    if horizon * d > sys.float_info.max:
+        # every lookup index k*f_j and every tick k*d is at most horizon*d
+        raise ValueError(
+            f"horizon {horizon} times d={d} is past the largest double "
+            f"({sys.float_info.max!r}), so the ticks cannot be written"
+        )
     m = system.process_count
     cells = (horizon + 1) * (m + 1)
     if cells > MAX_GRID_CELLS:

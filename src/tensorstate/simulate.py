@@ -313,7 +313,9 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     """State at step n of a time-invariant system via unfolded matrix powers.
 
     vec(X(n)) = M_A^n vec(x0) + sum_{k<n} M_A^(n-1-k) M_B vec(u(k)), with
-    M_A = unfold(A, r) and M_B = unfold(B, r).
+    M_A = unfold(A, r) and M_B = unfold(B, r). Over each run [k0, k1) of
+    steps with one held input u, both terms come from one matrix power,
+    [[M_A, M_B·u], [0, 1]]^(k1-k0), so a run costs O(log(k1-k0)) products.
     """
     _require_kind(system, "discrete", "solve_discrete_closed_form")
     if not system.is_time_invariant:
@@ -323,12 +325,20 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
         raise ValueError(f"n must be >= 0, got {n}")
     timeline = _timeline(system, _as_signal(system, u))
     m = system.unfolded[0]
-    acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
-    if system.has_input:
-        for k in range(n):
-            _, u_k = timeline.at(k)
-            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ u_k)
-    return devec(acc, system.state_shape)
+    v = _state_vec(system, x0)
+    if not system.has_input:
+        return devec(np.linalg.matrix_power(m.a, n) @ v, system.state_shape)
+    q = v.size
+    aug = np.zeros((q + 1, q + 1))
+    aug[:q, :q] = m.a
+    aug[q, q] = 1.0
+    # step k holds the input of the last key <= k, so a run starts at each ceil(key)
+    starts = sorted({math.ceil(key) for key in timeline.keys if key <= n - 1})
+    for k0, k1 in zip(starts, [*starts[1:], n]):
+        aug[:q, q] = m.b @ timeline.at(k0)[1]
+        power = np.linalg.matrix_power(aug, k1 - k0)
+        v = power[:q, :q] @ v + power[:q, q]
+    return devec(v, system.state_shape)
 
 
 def matrix_exponential(m, t=1.0) -> np.ndarray:
@@ -420,13 +430,19 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     coefficients and input by the zero-order-hold pair v <- Φ·v + Γ·vec(u),
     with Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B read off one
     exponential of [[M_A, M_B], [0, 0]]·dt (of M_A·dt alone without input),
-    splitting intervals at schedule starts and input breakpoints. The pair
-    does not depend on the held input, so a run computes it once per
-    (segment, dt) of whole grid intervals and reuses it; the pieces of a cut
-    interval are computed on their own and not kept, so the memo holds at
-    most segments × distinct step lengths pairs, whatever the input table.
-    A grid whose samples would exceed MAX_GRID_CELLS is refused with
-    ValueError before it is built.
+    splitting intervals at schedule starts and input breakpoints. The float
+    grid point k*h stands for the nominal k·h: with tol = 4 ulps of the
+    interval's end b, a key within tol of either end of an interval longer
+    than 2·tol is taken to lie on that grid point and cuts nothing (the
+    interval runs on the piece in force after a key near its start, and on
+    the piece before a key near its end), and an uncut interval within tol
+    of h is stepped with dt = h itself. The pair does not depend on the held
+    input, so a run computes it once per segment for h, and once more for a
+    last step to t_end of another length, and reuses it; the pieces of a
+    cut interval are computed on their own and not kept, so the memo holds
+    at most 2 pairs per segment, whatever the input table. A grid whose
+    samples would exceed MAX_GRID_CELLS is refused with ValueError before it
+    is built.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -445,16 +461,26 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     memo = {}
 
     def advance_exact(piece, v, a, b):
+        dt = b - a
         cuts = timeline.inside(a, b)
+        tol = 4 * math.ulp(b)  # the float grid point k*h stands for the nominal one
+        if dt > 2 * tol:
+            # keys within tol of a or b are that grid point; differences near it are exact
+            near_a = [c for c in cuts if c - a <= tol]
+            if near_a:
+                piece = timeline.at(near_a[-1])
+            cuts = [c for c in cuts if c - a > tol and b - c > tol]
+            if abs(dt - h) <= tol:
+                dt = h
         if not cuts:
-            key = (id(piece[0]), b - a)  # the segment's matrices live on the system
+            key = (id(piece[0]), dt)  # the segment's matrices live on the system
             pair = memo.get(key)
             if pair is None:
-                pair = memo[key] = _zoh_pair(piece[0], b - a)
+                pair = memo[key] = _zoh_pair(piece[0], dt)
             return _advance((pair, piece[1]), v)
         edges = (a, *cuts, b)
-        for p, r in zip(edges, edges[1:]):
-            m, u = timeline.at(p)
+        pieces = (piece, *map(timeline.at, cuts))
+        for p, r, (m, u) in zip(edges, edges[1:], pieces):
             v = _advance((_zoh_pair(m, r - p), u), v)
         return v
 

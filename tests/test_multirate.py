@@ -463,6 +463,22 @@ class TestHorizonLimit:
         assert calls == []
         assert peak < 2**16
 
+    def test_indices_past_double_range_refused(self):
+        """d = 3 * (10^308 + 1): index 2d, which tick 2 reads, has no double.
+        Refused with ValueError before any lookup, not a bare OverflowError
+        from index_function; tick 0 alone still runs."""
+        calls = []
+        system = MultirateSystem([[0.5, 0.1], [0.2, 0.3]], [10**308 + 1, 3],
+                                 counting(index_function(), calls))
+        with pytest.raises(ValueError) as err:
+            trajectory_on_grid(system, 2)
+        assert str(err.value) == (
+            f"horizon 2 times d={3 * 10**308 + 3} is past the largest double "
+            "(1.7976931348623157e+308), so the ticks cannot be written"
+        )
+        assert calls == []
+        assert trajectory_on_grid(system, 0).tolist() == [[0.0, 0.0]]
+
 
 class TestOverflow:
     def overflowing_system(self):

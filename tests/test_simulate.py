@@ -333,6 +333,22 @@ class TestClosedForm:
         expected = np.linalg.matrix_power(a, 9) @ vec(x0)
         assert np.max(np.abs(vec(closed) - expected)) < 1e-12
 
+    def test_vs_iteration_long_table(self):
+        """n=2000 with table keys on steps, between steps (a run starts at
+        the next step) and past n, against plain iteration at several n."""
+        rng = np.random.default_rng(53)
+        a = rng.normal(size=(4, 4))
+        a *= 0.95 / np.abs(np.linalg.eigvals(a)).max()
+        system = r1_system(a, b=rng.normal(size=(4, 2)))
+        keys = [0.0, 0.5, 1.0, 7.25, 7.75, 9.0, *range(25, 2000, 25), 1999.5, 2500.0]
+        u = InputSignal.table([(key, rng.normal(size=2)) for key in keys])
+        x0 = Tensor.from_array(rng.normal(size=4))
+        states = simulate_discrete(system, x0, 2000, u=u).state_matrix()
+        scale = np.abs(states).max()
+        for n in (0, 1, 2, 7, 8, 9, 1999, 2000):
+            closed = vec(solve_discrete_closed_form(system, x0, n, u=u))
+            assert np.max(np.abs(closed - states[n])) < 1e-12 * scale
+
     def test_time_varying_rejected(self):
         coeffs = CoefficientSet(A=Tensor.identity([2]))
         system = build_system("discrete", (2,), [(0, coeffs), (3, coeffs)])
@@ -640,10 +656,12 @@ def exact_zoh_run(system, x0, signal):
     return simulate_continuous(system, Tensor.from_array(x0), 3.0, h=0.01, u=signal, method="exact")
 
 
-def zoh_reference(times, x0, raw, step):
+def zoh_reference(times, x0, raw, step, h=None):
     """States on `times` from v <- Φ·v + w, where step(A, B, u, dt) gives
     (Φ, w), w None without input. It is called on every interval and on
-    every piece of an interval cut at a segment start or an input breakpoint."""
+    every piece of an interval cut at a segment start or an input breakpoint.
+    With h given, an interval that is not cut and whose length is within
+    4 ulps (of its end) of h is stepped with dt = h."""
     starts, a_mats, b_mats, breaks, inputs = raw
     keys = sorted(set(starts) | set(breaks))
     v, states = x0, [x0]
@@ -652,24 +670,43 @@ def zoh_reference(times, x0, raw, step):
         for p, r in zip(edges, edges[1:]):
             seg = last_at_or_before(starts, p)
             u = inputs[last_at_or_before(breaks, p)]
-            phi, w = step(a_mats[seg], b_mats[seg], u, r - p)
+            nominal = h is not None and len(edges) == 2 and abs(r - p - h) <= 4 * math.ulp(r)
+            phi, w = step(a_mats[seg], b_mats[seg], u, h if nominal else r - p)
             v = phi @ v if w is None else phi @ v + w
         states.append(v)
     return np.array(states)
 
 
+def counting_exponentials(monkeypatch):
+    """The list of t of every simulate.matrix_exponential(m, t) call from now on."""
+    calls = []
+
+    def counting(m, t=1.0):
+        calls.append(t)
+        return matrix_exponential(m, t)
+
+    monkeypatch.setattr("tensorstate.simulate.matrix_exponential", counting)
+    return calls
+
+
+def zoh_signal(breaks, inputs, shift):
+    """The zoh_case table with every key that lies on a grid point, except
+    0, moved `shift` ulps up (shift > 0) or down."""
+    moved = list(breaks)
+    for j in range(1, len(moved)):
+        if moved[j] == 2 * j * 0.01:
+            for _ in range(abs(shift)):
+                moved[j] = math.nextafter(moved[j], math.copysign(math.inf, shift))
+    return InputSignal.table(list(zip(moved, inputs)))
+
+
 class TestExactZohMemo:
     def test_one_exponential_per_segment_and_step_length(self, monkeypatch):
-        """Whole grid intervals cost one matrix_exponential per distinct
-        (segment, step length); each piece of a cut interval costs one, also
-        when an earlier piece had the same segment and length."""
-        calls = []
-
-        def counting(m, t=1.0):
-            calls.append(t)
-            return matrix_exponential(m, t)
-
-        monkeypatch.setattr("tensorstate.simulate.matrix_exponential", counting)
+        """Whole grid intervals, all within rounding of h, cost one
+        matrix_exponential per segment, for the nominal step h itself; each
+        piece of a cut interval costs one, also when an earlier piece had the
+        same segment and length."""
+        calls = counting_exponentials(monkeypatch)
         system, x0, signal, (starts, _, _, breaks, _) = zoh_case("table")
         times = exact_zoh_run(system, x0, signal).times.tolist()
         keys = sorted(set(starts) | set(breaks))
@@ -683,8 +720,9 @@ class TestExactZohMemo:
                 pieces += lengths
         assert len(times) == 301
         assert len(pieces) == 14 and len(set(pieces)) < len(pieces)
-        assert len(calls) == len(whole) + len(pieces)
-        assert len(calls) < 30
+        assert {seg for seg, _ in whole} == {0, 1, 2} and len(whole) > 3
+        assert len(calls) == 17  # one pair for h per segment, and the 14 cut pieces
+        assert calls.count(0.01) == 3
 
     def test_memo_changes_no_bit(self):
         system, x0, signal, raw = zoh_case("table")
@@ -698,7 +736,33 @@ class TestExactZohMemo:
             return big[:q, :q], big[:q, q:] @ u
 
         traj = exact_zoh_run(system, x0, signal)
-        assert np.array_equal(traj.state_matrix(), zoh_reference(traj.times, x0, raw, step))
+        reference = zoh_reference(traj.times, x0, raw, step, h=0.01)
+        assert np.array_equal(traj.state_matrix(), reference)
+
+    @pytest.mark.parametrize("shift", [-2, -1, 1, 2])
+    def test_keys_within_ulps_of_the_grid_snap(self, monkeypatch, shift):
+        """An input key moved 1 or 2 ulps off its grid point, to either side,
+        cuts no sliver: the states and the exponential count are those of
+        the key on the grid point."""
+        system, x0, signal, (_, _, _, breaks, inputs) = zoh_case("table")
+        expected = exact_zoh_run(system, x0, signal).state_matrix()
+        moved = zoh_signal(breaks, inputs, shift)
+        assert len(set(moved.breakpoints) - set(breaks)) == 143
+        calls = counting_exponentials(monkeypatch)
+        assert np.array_equal(exact_zoh_run(system, x0, moved).state_matrix(), expected)
+        assert len(calls) == 17
+
+    def test_long_uniform_run_makes_one_exponential(self, monkeypatch):
+        """t_end=100, h=0.01: the float grid k*h has many distinct interval
+        lengths, all within rounding of h, so the run needs a single pair."""
+        calls = counting_exponentials(monkeypatch)
+        rng = np.random.default_rng(89)
+        system = r1_system(rng.normal(size=(3, 3)) * 0.1, b=rng.normal(size=(3, 2)),
+                           time_kind="continuous")
+        traj = simulate_continuous(system, Tensor.from_array(rng.normal(size=3)), 100.0,
+                                   h=0.01, u=InputSignal.constant(np.ones(2)), method="exact")
+        assert len(traj) == 10001 and len(set(np.diff(traj.times))) > 1
+        assert calls == [0.01]
 
     @pytest.mark.parametrize("kind", ["table", "zero", "none"])
     def test_scipy_held_input_oracle(self, kind):
