@@ -5,6 +5,7 @@ path for piecewise-constant coefficients and inputs).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -313,9 +314,7 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     """State at step n of a time-invariant system via unfolded matrix powers.
 
     vec(X(n)) = M_A^n vec(x0) + sum_{k<n} M_A^(n-1-k) M_B vec(u(k)), with
-    M_A = unfold(A, r) and M_B = unfold(B, r). Over each run [k0, k1) of
-    steps with one held input u, both terms come from one matrix power,
-    [[M_A, M_B·u], [0, 1]]^(k1-k0), so a run costs O(log(k1-k0)) products.
+    M_A = unfold(A, r) and M_B = unfold(B, r).
     """
     _require_kind(system, "discrete", "solve_discrete_closed_form")
     if not system.is_time_invariant:
@@ -325,20 +324,12 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
         raise ValueError(f"n must be >= 0, got {n}")
     timeline = _timeline(system, _as_signal(system, u))
     m = system.unfolded[0]
-    v = _state_vec(system, x0)
-    if not system.has_input:
-        return devec(np.linalg.matrix_power(m.a, n) @ v, system.state_shape)
-    q = v.size
-    aug = np.zeros((q + 1, q + 1))
-    aug[:q, :q] = m.a
-    aug[q, q] = 1.0
-    # step k holds the input of the last key <= k, so a run starts at each ceil(key)
-    starts = sorted({math.ceil(key) for key in timeline.keys if key <= n - 1})
-    for k0, k1 in zip(starts, [*starts[1:], n]):
-        aug[:q, q] = m.b @ timeline.at(k0)[1]
-        power = np.linalg.matrix_power(aug, k1 - k0)
-        v = power[:q, :q] @ v + power[:q, q]
-    return devec(v, system.state_shape)
+    acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
+    if system.has_input:
+        for k in range(n):
+            _, u_k = timeline.at(k)
+            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ u_k)
+    return devec(acc, system.state_shape)
 
 
 def matrix_exponential(m, t=1.0) -> np.ndarray:
@@ -421,6 +412,22 @@ def _time_grid(t_end, h):
     return times
 
 
+def _snapped(timeline, times):
+    """The timeline with each key that lies within 4 ulps of a grid time
+    moved onto it; of keys that land on one time, the last piece holds."""
+    pairs = []
+    for key, piece in timeline:
+        i = bisect.bisect_left(times, key)
+        for near in times[max(i - 1, 0):i + 1]:
+            if abs(near - key) <= 4 * math.ulp(near):
+                key = near
+                break
+        if pairs and pairs[-1][0] == key:
+            pairs.pop()
+        pairs.append((key, piece))
+    return Piecewise(pairs, "timeline")
+
+
 def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Trajectory:
     """Integrate dX/dt = A(t)·X + B(t)·U(t) on the grid t = 0, h, 2h, ..., t_end.
 
@@ -431,18 +438,17 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     with Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B read off one
     exponential of [[M_A, M_B], [0, 0]]·dt (of M_A·dt alone without input),
     splitting intervals at schedule starts and input breakpoints. The float
-    grid point k*h stands for the nominal k·h: with tol = 4 ulps of the
-    interval's end b, a key within tol of either end of an interval longer
-    than 2·tol is taken to lie on that grid point and cuts nothing (the
-    interval runs on the piece in force after a key near its start, and on
-    the piece before a key near its end), and an uncut interval within tol
-    of h is stepped with dt = h itself. The pair does not depend on the held
-    input, so a run computes it once per segment for h, and once more for a
-    last step to t_end of another length, and reuses it; the pieces of a
-    cut interval are computed on their own and not kept, so the memo holds
-    at most 2 pairs per segment, whatever the input table. A grid whose
-    samples would exceed MAX_GRID_CELLS is refused with ValueError before it
-    is built.
+    grid point k*h stands for the nominal k·h: a key within 4 ulps of a
+    grid time is moved onto it before the run, so it cuts nothing, and the
+    state and the output at that time both read the piece it starts. An
+    uncut interval whose length is within 4 ulps (of its end) of h is
+    stepped with dt = h itself. The pair does not depend on the held input,
+    so a run computes it once per segment for h, and once more for a last
+    step to t_end of another length, and reuses it; the pieces of a cut
+    interval are computed on their own and not kept, so the memo holds at
+    most 2 pairs per segment, whatever the input table. A grid whose
+    samples would exceed MAX_GRID_CELLS is refused with ValueError before
+    it is built.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -456,31 +462,25 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     _refuse_large_grid(system, f"h {h!r}", _grid_size(t_end, h)[1], "(grid samples)")
+    times = _time_grid(t_end, h)
     timeline = _timeline(system, _as_signal(system, u))
+    if method == "exact":
+        timeline = _snapped(timeline, times)
     v = _state_vec(system, x0)
     memo = {}
 
     def advance_exact(piece, v, a, b):
-        dt = b - a
         cuts = timeline.inside(a, b)
-        tol = 4 * math.ulp(b)  # the float grid point k*h stands for the nominal one
-        if dt > 2 * tol:
-            # keys within tol of a or b are that grid point; differences near it are exact
-            near_a = [c for c in cuts if c - a <= tol]
-            if near_a:
-                piece = timeline.at(near_a[-1])
-            cuts = [c for c in cuts if c - a > tol and b - c > tol]
-            if abs(dt - h) <= tol:
-                dt = h
         if not cuts:
+            dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a  # k*h stands for k·h
             key = (id(piece[0]), dt)  # the segment's matrices live on the system
             pair = memo.get(key)
             if pair is None:
                 pair = memo[key] = _zoh_pair(piece[0], dt)
             return _advance((pair, piece[1]), v)
         edges = (a, *cuts, b)
-        pieces = (piece, *map(timeline.at, cuts))
-        for p, r, (m, u) in zip(edges, edges[1:], pieces):
+        for p, r in zip(edges, edges[1:]):
+            m, u = timeline.at(p)
             v = _advance((_zoh_pair(m, r - p), u), v)
         return v
 
@@ -494,4 +494,4 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         return v + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     step = advance_exact if method == "exact" else advance_rk4
-    return _sweep(system, timeline, v, _time_grid(t_end, h), step, "t={:.17g}")
+    return _sweep(system, timeline, v, times, step, "t={:.17g}")

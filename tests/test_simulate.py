@@ -334,8 +334,8 @@ class TestClosedForm:
         assert np.max(np.abs(vec(closed) - expected)) < 1e-12
 
     def test_vs_iteration_long_table(self):
-        """n=2000 with table keys on steps, between steps (a run starts at
-        the next step) and past n, against plain iteration at several n."""
+        """n=2000 with table keys on steps, between steps (held from the
+        next step on) and past n, against plain iteration at several n."""
         rng = np.random.default_rng(53)
         a = rng.normal(size=(4, 4))
         a *= 0.95 / np.abs(np.linalg.eigvals(a)).max()
@@ -751,6 +751,59 @@ class TestExactZohMemo:
         calls = counting_exponentials(monkeypatch)
         assert np.array_equal(exact_zoh_run(system, x0, moved).state_matrix(), expected)
         assert len(calls) == 17
+
+    @pytest.mark.parametrize("where", ["decimal", -2, -1, 1, 2])
+    def test_nominal_grid_reference(self, monkeypatch, where):
+        """Against a run kept in whole grid indices, so sharing no tolerance
+        with the code: every step is h long, and the schedule start or input
+        key meant for grid index k takes effect at k, for state and output
+        alike (D != 0). The float keys are the decimals round(k*0.01, 12),
+        16 of them 1 ulp below the grid point k*0.01, or the grid points
+        with input keys moved 1 or 2 ulps one way and schedule starts the
+        other, so two keys fall on the grid points 1 and 2."""
+        rng = np.random.default_rng(97)
+        mats = [[rng.normal(size=shape) * scale for shape, scale in
+                 (((4, 4), 0.5), ((4, 2), 1.0), ((3, 4), 1.0), ((3, 2), 1.0))] for _ in range(3)]
+        inputs = [rng.uniform(-1.0, 1.0, 2) for _ in range(150)]
+        x0 = rng.normal(size=4)
+
+        def key(k, shift):
+            if where == "decimal":
+                return round(k * 0.01, 12)
+            moved = k * 0.01
+            for _ in range(abs(shift)):
+                moved = math.nextafter(moved, math.copysign(math.inf, shift))
+            return moved if k else 0.0
+
+        shift = 0 if where == "decimal" else where
+        if where == "decimal":
+            assert sum(key(2 * j, shift) != 2 * j * 0.01 for j in range(150)) == 16
+        system = build_system(
+            "continuous", (4,),
+            [(key(k, -shift), CoefficientSet(A=a, B=b, C=c, D=d))
+             for k, (a, b, c, d) in zip((0, 100, 200), mats)],
+            input_shape=(2,), output_shape=(3,),
+        )
+        signal = InputSignal.table([(key(2 * j, shift), u) for j, u in enumerate(inputs)])
+        pairs = []
+        for a, b, _, _ in mats:
+            aug = np.zeros((6, 6))
+            aug[:4, :4] = a
+            aug[:4, 4:] = b
+            big = matrix_exponential(aug, 0.01)
+            pairs.append((big[:4, :4], big[:4, 4:]))
+        v, states, outputs = x0, [], []
+        for k in range(301):
+            seg, u = min(k // 100, 2), inputs[min(k // 2, 149)]
+            states.append(v)
+            outputs.append(mats[seg][2] @ v + mats[seg][3] @ u)
+            phi, gamma = pairs[seg]
+            v = phi @ v + gamma @ u
+        calls = counting_exponentials(monkeypatch)
+        traj = exact_zoh_run(system, x0, signal)
+        assert np.array_equal(traj.state_matrix(), states)
+        assert np.array_equal(traj.output_matrix(), outputs)
+        assert calls == [0.01] * 3
 
     def test_long_uniform_run_makes_one_exponential(self, monkeypatch):
         """t_end=100, h=0.01: the float grid k*h has many distinct interval
