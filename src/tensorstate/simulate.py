@@ -214,24 +214,28 @@ def _as_signal(system, u) -> InputSignal | None:
     return u
 
 
-def _timeline(system, signal) -> Piecewise:
+def _timeline(system, signal, grid=()) -> Piecewise:
     """Coefficients and input of one run as one step function, keyed by the
     schedule starts and the input breakpoints together. Each piece holds the
     unfolded matrices and the vec'd input (None without an input) in force
-    until the next key, so both are sampled once per piece."""
-    keys = sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints))
-    pieces = [
-        (system.unfolded_at(k), None if signal is None else vec(signal.sample(k, system.input_shape)))
-        for k in keys
-    ]
-    return Piecewise(zip(keys, pieces), "timeline")
+    until the next key, so both are sampled once per piece. A key within 4
+    ulps of a time of the sorted `grid` is moved onto it; of keys that land
+    on one time, the last piece holds."""
+    pieces = {}
+    for key in sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints)):
+        i = bisect.bisect_left(grid, key)
+        near = [g for g in grid[max(i - 1, 0):i + 1] if abs(g - key) <= 4 * math.ulp(g)]
+        pieces[near[0] if near else key] = (
+            system.unfolded_at(key), None if signal is None else vec(signal.sample(key, system.input_shape))
+        )
+    return Piecewise(pieces.items(), "timeline")
 
 
 def _advance(piece, v) -> np.ndarray:
-    """M_A·v + M_B·u for a piece (m, u): the next state of a discrete step,
-    the derivative of a continuous one, and Φ·v + Γ·u when m is a _zoh_pair.
-    The input term is added whenever the system has one, even when it is
-    zero, so signed zeros come out the same on every route."""
+    """P·v + Q·u for a piece (m, u) with P = m.a and Q = m.b: the discrete
+    step, an exact pair (Φ, Γ) or a composed RK4 map. The input term is added
+    whenever the system has one, even when it is zero, so signed zeros come
+    out the same on every route."""
     m, u = piece
     nxt = m.a @ v
     if u is not None:
@@ -248,26 +252,52 @@ def _output(piece, v) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state or output is raised below
-def _sweep(system, timeline, v, times, step, where) -> Trajectory:
-    """Sample state and output at each of `times`, moving the state between
-    neighbouring samples with step(piece, v, a, b), where piece is the
-    timeline's value at a. `where` formats a sample time for the error
-    raised when the state or an output leaves the finite range."""
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
+def _sweep(system, timeline, v, times, where, method="discrete", h=None):
+    """Sample state and output at each of `times`, moving the state over each
+    interval by one affine map from the pieces in force over it: for
+    "discrete" the piece's M_A and M_B, for "exact" and "rk4" the memoized
+    maps of simulate_continuous. `where` formats the time of an error."""
+    keys, pieces = timeline.keys, timeline.values
+    starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
+    at = np.repeat(np.arange(len(keys)), np.diff([*starts, len(times)])).tolist()
     states = np.empty((len(times), system.state_dim))
+    states[0] = v
+    memo = {}
+    for i in range(len(times) - 1):
+        a, b, j, k = times[i], times[i + 1], at[i], at[i + 1]
+        m, u = pieces[j]
+        if method != "discrete":
+            dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a  # k*h stands for k·h
+            cuts = keys[j + 1:k if keys[k] == b else k + 1]
+        if method == "discrete":
+            v = _advance((m, u), v)
+        elif method == "rk4":
+            mid = j if j == k else bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
+            (m_mid, u_mid), (m_b, u_b) = pieces[mid], pieces[k]
+            key = (id(m), id(m_mid), id(m_b), dt)  # the segments' matrices live on the system
+            if key not in memo:
+                memo[key] = _rk4_map(m, m_mid, m_b, dt)
+            held, split = memo[key]
+            if j != k and u is not None:  # the stages read the inputs at a, the midpoint and b
+                held, u = split, np.concatenate((u, u_mid, u_b))
+            v = _advance((held, u), v)
+        elif cuts:  # the exact pairs of a cut interval's pieces are not kept
+            for n, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):
+                v = _advance((_zoh_pair(pieces[n][0], r - p), pieces[n][1]), v)
+        else:
+            key = (id(m), dt)
+            if key not in memo:
+                memo[key] = _zoh_pair(m, dt)
+            v = _advance((memo[key], u), v)
+        states[i + 1] = v
     outputs = np.empty((len(times), system.output_dim))
-    for i, t in enumerate(times):
-        piece = timeline.at(t)
-        states[i] = v
-        outputs[i] = _output(piece, v)
-        if i + 1 == len(times):
-            break
-        v = step(piece, v, t, times[i + 1])
-        if not np.isfinite(v).all():
-            raise NumericOverflowError(f"state became non-finite at {where.format(times[i + 1])}")
-    if not np.isfinite(outputs).all():
-        first = np.flatnonzero(~np.isfinite(outputs).all(axis=1))[0]
-        raise NumericOverflowError(f"output became non-finite at {where.format(times[first])}")
+    for i, j in enumerate(at):
+        outputs[i] = _output(pieces[j], states[i])
+    for name, rows in (("state", states), ("output", outputs)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise NumericOverflowError(f"{name} became non-finite at {where.format(times[bad[0]])}")
     return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
 
 
@@ -304,10 +334,7 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
     timeline = _timeline(system, _as_signal(system, u))
-    return _sweep(
-        system, timeline, _state_vec(system, x0), range(steps + 1),
-        lambda piece, v, n, _: _advance(piece, v), "step {}",
-    )
+    return _sweep(system, timeline, _state_vec(system, x0), range(steps + 1), "step {}")
 
 
 def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
@@ -336,10 +363,13 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     """exp(m*t) by scaling-and-squaring over a truncated power series.
 
     The scaled matrix has infinity norm <= 0.5, so the series reaches machine
-    precision in well under the 40-term cap. Where q*max|m_ij|*|t| passes
-    2^1022, so that m*t or the scale 2^squarings could overflow, m and t are
-    scaled apart by powers of two, and an exponential past the double range
-    comes back non-finite without a numpy warning.
+    precision in well under the 40-term cap. The series and the squarings
+    carry R = exp(m*t/2^s) - I (R <- 2R + R²), and I is added at the end, so
+    a slow mode of a stiff matrix does not round away against 1. Where
+    q*max|m_ij|*|t| passes 2^1022, so that m*t or the scale 2^squarings
+    could overflow, m and t are scaled apart by powers of two, and an
+    exponential past the double range comes back non-finite without a numpy
+    warning.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -361,20 +391,17 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
         return result
     a = m * t
     norm = np.linalg.norm(a, np.inf)
-    if norm == 0.0:
-        return np.eye(q)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
     a = a / (2.0 ** squarings)
-    result = np.eye(q)
-    term = np.eye(q)
-    for k in range(1, 41):
+    r = term = a  # exp(a) - I
+    for k in range(2, 41):
         term = term @ a / k
-        result = result + term
-        if np.linalg.norm(term, np.inf) <= 1e-17 * np.linalg.norm(result, np.inf):
+        r = r + term
+        if np.linalg.norm(term, np.inf) <= 1e-17 * np.linalg.norm(r, np.inf):
             break
     for _ in range(squarings):
-        result = result @ result
-    return result
+        r = 2 * r + r @ r  # (I + r)^2 - I
+    return r + np.eye(q)
 
 
 def _zoh_pair(m, dt):
@@ -392,6 +419,32 @@ def _zoh_pair(m, dt):
     return m._replace(a=big[:q, :q], b=big[:q, q:])
 
 
+def _rk4_map(m_a, m_mid, m_b, dt):
+    """Classical RK4 over dt, with the field M_A·v + M_B·u read from m_a, m_mid
+    and m_b at the step's start, midpoint and end, run on the columns of
+    [v; u_a; u_mid; u_b] and returned as two maps for _advance:
+    (P, Q_a + Q_mid + Q_b) for one input held over the step, and
+    (P, [Q_a Q_mid Q_b]); Q is None without input."""
+    q = m_a.a.shape[0]
+    p = 0 if m_a.b is None else m_a.b.shape[1]
+    eye = np.eye(q, q + 3 * p)
+
+    def field(n, m, x):  # M_A·x + M_B·u_n
+        k = m.a @ x
+        if p:
+            k[:, q + n * p:q + n * p + p] += m.b
+        return k
+
+    k1 = field(0, m_a, eye)
+    k2 = field(1, m_mid, eye + (dt / 2) * k1)
+    k3 = field(1, m_mid, eye + (dt / 2) * k2)
+    k4 = field(2, m_b, eye + dt * k3)
+    step = eye + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    split = step[:, q:] if p else None
+    held = None if split is None else split.reshape(q, 3, p).sum(axis=1)
+    return m_a._replace(a=step[:, :q], b=held), m_a._replace(a=step[:, :q], b=split)
+
+
 def _grid_size(t_end, h):
     """(n, samples) of the grid 0, h, ..., n·h, t_end: n whole steps, and
     t_end appended unless n·h is already within 1e-9·h of it. Floats, so a
@@ -402,53 +455,27 @@ def _grid_size(t_end, h):
     return n, n + (2 if t_end - n * h > 1e-9 * h else 1)
 
 
-def _time_grid(t_end, h):
-    n, samples = _grid_size(t_end, h)
-    times = [k * h for k in range(n + 1)]
-    if samples > n + 1:
-        times.append(t_end)
-    else:
-        times[-1] = t_end
-    return times
-
-
-def _snapped(timeline, times):
-    """The timeline with each key that lies within 4 ulps of a grid time
-    moved onto it; of keys that land on one time, the last piece holds."""
-    pairs = []
-    for key, piece in timeline:
-        i = bisect.bisect_left(times, key)
-        for near in times[max(i - 1, 0):i + 1]:
-            if abs(near - key) <= 4 * math.ulp(near):
-                key = near
-                break
-        if pairs and pairs[-1][0] == key:
-            pairs.pop()
-        pairs.append((key, piece))
-    return Piecewise(pairs, "timeline")
-
-
 def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Trajectory:
     """Integrate dX/dt = A(t)·X + B(t)·U(t) on the grid t = 0, h, 2h, ..., t_end.
 
     The final step is truncated to land exactly on t_end; h defaults to
-    t_end/1000. method="rk4" runs classical Runge-Kutta on the unfolded
-    vector field. method="exact" advances each interval of constant
-    coefficients and input by the zero-order-hold pair v <- Φ·v + Γ·vec(u),
-    with Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B read off one
-    exponential of [[M_A, M_B], [0, 0]]·dt (of M_A·dt alone without input),
-    splitting intervals at schedule starts and input breakpoints. The float
-    grid point k*h stands for the nominal k·h: a key within 4 ulps of a
-    grid time is moved onto it before the run, so it cuts nothing, and the
-    state and the output at that time both read the piece it starts. An
-    uncut interval whose length is within 4 ulps (of its end) of h is
-    stepped with dt = h itself. The pair does not depend on the held input,
-    so a run computes it once per segment for h, and once more for a last
-    step to t_end of another length, and reuses it; the pieces of a cut
-    interval are computed on their own and not kept, so the memo holds at
-    most 2 pairs per segment, whatever the input table. A grid whose
-    samples would exceed MAX_GRID_CELLS is refused with ValueError before
-    it is built.
+    t_end/1000. One sweep moves the state over each grid interval by one
+    affine map v <- P·v + Q·u. Timeline keys (schedule starts and input
+    breakpoints) within 4 ulps of a grid time are moved onto it, so k*h
+    stands for the nominal k·h and the state and output there read the piece
+    the key starts; an interval within 4 ulps (of its end) of h is stepped
+    with dt = h. method="rk4" runs classical Runge-Kutta on the unfolded
+    field, its four stages composed into v <- P·v + Q_a·u_a + Q_mid·u_mid +
+    Q_b·u_b (the inputs at the step's start, midpoint and end) once per run
+    for each (segment at the start, at the midpoint, at the end, dt).
+    method="exact" uses the zero-order-hold pair Φ = exp(M_A·dt),
+    Γ = ∫_0^dt exp(M_A·s) ds·M_B, read off one exponential of
+    [[M_A, M_B], [0, 0]]·dt, once per run for each (segment, dt); an
+    interval cut by a key is stepped piece by piece with pairs that are not
+    kept. Finiteness is checked once, after the sweep: NumericOverflowError
+    names the first sample whose state, else output, is not finite. A grid
+    whose samples would exceed MAX_GRID_CELLS raises ValueError before it
+    is built.
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -461,37 +488,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"h must be positive and finite, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
-    _refuse_large_grid(system, f"h {h!r}", _grid_size(t_end, h)[1], "(grid samples)")
-    times = _time_grid(t_end, h)
-    timeline = _timeline(system, _as_signal(system, u))
-    if method == "exact":
-        timeline = _snapped(timeline, times)
-    v = _state_vec(system, x0)
-    memo = {}
-
-    def advance_exact(piece, v, a, b):
-        cuts = timeline.inside(a, b)
-        if not cuts:
-            dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a  # k*h stands for k·h
-            key = (id(piece[0]), dt)  # the segment's matrices live on the system
-            pair = memo.get(key)
-            if pair is None:
-                pair = memo[key] = _zoh_pair(piece[0], dt)
-            return _advance((pair, piece[1]), v)
-        edges = (a, *cuts, b)
-        for p, r in zip(edges, edges[1:]):
-            m, u = timeline.at(p)
-            v = _advance((_zoh_pair(m, r - p), u), v)
-        return v
-
-    def advance_rk4(piece, v, a, b):
-        dt = b - a
-        mid = timeline.at(a + dt / 2)
-        k1 = _advance(piece, v)
-        k2 = _advance(mid, v + (dt / 2) * k1)
-        k3 = _advance(mid, v + (dt / 2) * k2)
-        k4 = _advance(timeline.at(b), v + dt * k3)
-        return v + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    step = advance_exact if method == "exact" else advance_rk4
-    return _sweep(system, timeline, v, times, step, "t={:.17g}")
+    samples = _grid_size(t_end, h)[1]
+    _refuse_large_grid(system, f"h {h!r}", samples, "(grid samples)")
+    times = [k * h for k in range(samples - 1)] + [t_end]
+    timeline = _timeline(system, _as_signal(system, u), times)
+    return _sweep(system, timeline, _state_vec(system, x0), times, "t={:.17g}", method, h)

@@ -99,10 +99,6 @@ class Piecewise:
         """Value of the last key <= when (when >= 0)."""
         return self.values[self.index(when)]
 
-    def inside(self, a, b) -> tuple:
-        """Keys strictly between a and b, where the value may change."""
-        return self.keys[bisect.bisect_right(self.keys, a):bisect.bisect_left(self.keys, b)]
-
     def __len__(self):
         return len(self.keys)
 

@@ -415,6 +415,27 @@ class TestMatrixExponential:
             err = np.linalg.norm(matrix_exponential(m) - expected, np.inf)
             assert err <= 1e-11 * np.linalg.norm(expected, np.inf)
 
+    @pytest.mark.parametrize("b", [1e6, 1e10, 1e20])
+    def test_stiff_diagonal_keeps_the_slow_mode(self, b):
+        """The scaled slow entry -1/2^s would round away against 1; carried
+        apart from I it gives e^-1 to the last bit, and e^-b underflows to 0."""
+        got = matrix_exponential(np.diag([-b, -1.0]))
+        assert got[1, 1] == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
+        assert np.array_equal(got[[0, 0, 1], [0, 1, 0]], [0.0, 0.0, 0.0])
+
+    def test_stiff_rotated_diagonal(self):
+        """H·diag(λ)·Hᵀ/4 with H a 4x4 Hadamard matrix, so the rotation and
+        the matrix are exact in floats, eigenvalues from -1e8 to -1. The
+        scaled series still rounds at about eps·0.5 on entries that mix the
+        modes, which the 28 squarings carry into the slow ones: scipy's Padé
+        expm is off by 3.3e-9 here, this series by 1.2e-9, and the same
+        series squaring I + R instead of R by 1.8e-8."""
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+        lam = np.array([-1e8, -1e6, -1e4, -1.0])
+        m = h @ np.diag(lam) @ h.T / 4
+        expected = h @ np.diag(np.exp(lam)) @ h.T / 4
+        assert np.abs(matrix_exponential(m) - expected).max() <= 5e-9 * np.abs(expected).max()
+
 
 class TestSimulateContinuous:
     def test_scalar_decay_exact(self):
@@ -836,6 +857,148 @@ class TestExactZohMemo:
         oracle = zoh_reference(traj.times, x0, raw, step)
         # the states are of order 1; atol covers components passing near 0
         np.testing.assert_allclose(traj.state_matrix(), oracle, rtol=1e-12, atol=1e-14)
+
+
+def rk4_case():
+    """q=3, p=2, C and D, h=0.1, t_end=1.05. Schedule starts 0.32 and 0.58
+    lie strictly inside (0.3, 0.35) and (0.55, 0.6), the first and second
+    halves of their grid intervals; input keys 0.4 (on the grid), 0.72 and
+    0.78 (inside (0.7, 0.8), on either side of its midpoint). Returns the
+    system, x0, the signal and the raw matrices and keys."""
+    rng = np.random.default_rng(101)
+    starts = [0.0, 0.32, 0.58]
+    mats = [[rng.normal(size=shape) * 0.5 for shape in ((3, 3), (3, 2), (2, 3), (2, 2))]
+            for _ in starts]
+    breaks = [0.0, 0.4, 0.72, 0.78]
+    inputs = [rng.uniform(-1.0, 1.0, 2) for _ in breaks]
+    system = build_system(
+        "continuous", (3,),
+        [(start, CoefficientSet(**{k: Tensor.from_array(m) for k, m in zip("ABCD", ms)}))
+         for start, ms in zip(starts, mats)],
+        input_shape=(2,), output_shape=(2,),
+    )
+    signal = InputSignal.table(list(zip(breaks, inputs)))
+    return system, rng.normal(size=3), signal, (starts, mats, breaks, inputs)
+
+
+def rk4_run(system, x0, signal, t_end, h):
+    return simulate_continuous(system, Tensor.from_array(x0), t_end, h=h, u=signal, method="rk4")
+
+
+def nominal(a, b, h):
+    return h if abs(b - a - h) <= 4 * math.ulp(b) else b - a
+
+
+class TestRk4Memo:
+    def test_memo_holds_the_distinct_segment_triples(self, monkeypatch):
+        """One composed map per (segment at a, at the midpoint, at b,
+        nominal dt), built once: here the five triples of rk4_case, two of
+        them across a schedule start before or after the midpoint, for h
+        and for the last step of 0.05."""
+        calls = []
+
+        def counting(m_a, m_mid, m_b, dt):
+            calls.append((m_a, m_mid, m_b, dt))
+            return build(m_a, m_mid, m_b, dt)
+
+        build = simulate._rk4_map
+        monkeypatch.setattr("tensorstate.simulate._rk4_map", counting)
+        system, x0, signal, (starts, _, _, _) = rk4_case()
+        times = rk4_run(system, x0, signal, 1.05, 0.1).times.tolist()
+        segment = {id(m): n for n, m in enumerate(system.unfolded)}
+        built = [(*(segment[id(m)] for m in ms), dt) for *ms, dt in calls]
+        expected = {
+            (last_at_or_before(starts, a), last_at_or_before(starts, a + (b - a) / 2),
+             last_at_or_before(starts, b), nominal(a, b, 0.1))
+            for a, b in zip(times, times[1:])
+        }
+        assert len(built) == len(set(built)) and set(built) == expected
+        assert expected == {(0, 0, 0, 0.1), (0, 1, 1, 0.1), (1, 1, 1, 0.1), (1, 1, 2, 0.1),
+                            (2, 2, 2, 0.1), (2, 2, 2, times[-1] - times[-2])}
+
+    @pytest.mark.parametrize("case", ["rk4_case", "zoh_table", "zoh_none"])
+    def test_memo_changes_no_bit(self, case):
+        """Against a loop that composes the map anew on every interval and
+        applies it as the sweep does: the held-input map where no key lies
+        in (a, b], else the map on the inputs at a, the midpoint and b."""
+        if case == "rk4_case":
+            system, x0, signal, (starts, _, breaks, inputs) = rk4_case()
+            t_end, h = 1.05, 0.1
+        else:
+            system, x0, signal, (starts, _, _, breaks, inputs) = zoh_case(case[4:])
+            t_end, h = 3.0, 0.01
+        traj = rk4_run(system, x0, signal, t_end, h)
+        keys = sorted(set(starts) | set(breaks))
+        v, states = x0, [x0]
+        for a, b in zip(traj.times, traj.times[1:]):
+            ends = (a, a + (b - a) / 2, b)
+            mats = [system.unfolded[last_at_or_before(starts, t)] for t in ends]
+            held, split = simulate._rk4_map(*mats, nominal(a, b, h))
+            us = [inputs[last_at_or_before(breaks, t)] for t in ends]
+            if signal is None:
+                v = held.a @ v
+            elif not any(a < k <= b for k in keys):
+                v = held.a @ v + held.b @ us[0]
+            else:
+                v = split.a @ v + split.b @ np.concatenate(us)
+            states.append(v)
+        assert np.array_equal(traj.state_matrix(), states)
+
+    @pytest.mark.parametrize("case", ["rk4_case", "zoh_table", "zoh_zero", "zoh_none"])
+    def test_stage_by_stage_reference(self, case):
+        """Against four field evaluations per step, the coefficients and
+        input found by a linear scan at a, the midpoint and b."""
+        if case == "rk4_case":
+            system, x0, signal, (starts, raw_mats, breaks, inputs) = rk4_case()
+            a_mats, b_mats = [m[0] for m in raw_mats], [m[1] for m in raw_mats]
+            t_end, h = 1.05, 0.1
+        else:
+            system, x0, signal, (starts, a_mats, b_mats, breaks, inputs) = zoh_case(case[4:])
+            t_end, h = 3.0, 0.01
+
+        def field(t, v):
+            seg, u = last_at_or_before(starts, t), inputs[last_at_or_before(breaks, t)]
+            return a_mats[seg] @ v if u is None else a_mats[seg] @ v + b_mats[seg] @ u
+
+        traj = rk4_run(system, x0, signal, t_end, h)
+        v, states = x0, [x0]
+        for a, b in zip(traj.times, traj.times[1:]):
+            dt = b - a
+            k1 = field(a, v)
+            k2 = field(a + dt / 2, v + dt / 2 * k1)
+            k3 = field(a + dt / 2, v + dt / 2 * k2)
+            k4 = field(b, v + dt * k3)
+            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(v)
+        np.testing.assert_allclose(traj.state_matrix(), states, rtol=1e-12, atol=1e-14)
+
+    def test_key_one_ulp_after_a_grid_point_snaps(self):
+        """x' = -x + u, y = x + u, h = 0.1, u stepping 0 -> 1 at 5*0.1 or
+        1 ulp later. Both runs read the new input from t=0.5 on: in the last
+        stage of the step to 0.5, which gives x(0.5) = 0.1/6, in the output
+        at 0.5 and in every stage of the step to 0.6."""
+        coeffs = CoefficientSet(**{k: make_tensor([1, 1], [v]) for k, v in zip("ABCD", (-1, 1, 1, 1))})
+        system = build_system("continuous", (1,), coeffs, input_shape=(1,), output_shape=(1,))
+        runs = []
+        for key in (5 * 0.1, math.nextafter(5 * 0.1, math.inf)):
+            u = InputSignal.table([(0.0, [0.0]), (key, [1.0])])
+            runs.append(simulate_continuous(system, Tensor.zeros([1]), 1.0, h=0.1, u=u, method="rk4"))
+        decay = 1 - 0.1 + 0.1**2 / 2 - 0.1**3 / 6 + 0.1**4 / 24  # RK4 of x' = -x over 0.1
+        for traj in runs:
+            assert traj.times[5] == 0.5
+            assert traj[5].output.item() == pytest.approx(1 + 0.1 / 6, rel=1e-15)
+            assert traj[6].state.item() == pytest.approx(1 + (0.1 / 6 - 1) * decay, rel=1e-12)
+        assert np.array_equal(runs[0].state_matrix(), runs[1].state_matrix())
+        assert np.array_equal(runs[0].output_matrix(), runs[1].output_matrix())
+
+    @pytest.mark.parametrize("shift", [-2, -1, 1, 2])
+    def test_keys_within_ulps_of_the_grid_snap(self, shift):
+        """The zoh_case table with its on-grid keys moved 1 or 2 ulps either
+        way gives the RK4 states of the keys on the grid points."""
+        system, x0, signal, (_, _, _, breaks, inputs) = zoh_case("table")
+        expected = rk4_run(system, x0, signal, 3.0, 0.01).state_matrix()
+        moved = rk4_run(system, x0, zoh_signal(breaks, inputs, shift), 3.0, 0.01)
+        assert np.array_equal(moved.state_matrix(), expected)
 
 
 class TestTensorVectorEquivalence:
