@@ -286,7 +286,7 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     tol = len(frame) * rel_tol
     reach = frame @ coupling
     n = modes.simple
-    simple = np.linalg.norm(reach[:n], axis=1) / (np.linalg.norm(frame[:n], axis=1) * norm)
+    simple = np.linalg.norm(reach[:n] / norm, axis=1) / np.linalg.norm(frame[:n], axis=1)
     rank = int(np.count_nonzero(simple > tol))
     for _, columns, nilpotent in modes.clusters:
         if transpose:

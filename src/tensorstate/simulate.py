@@ -49,55 +49,53 @@ def _refuse_large_grid(system, what, samples, formula):
         )
 
 
-class InputSignal:
-    """Forcing signal: zero, constant, or a breakpoint table.
-
-    A table is a Piecewise step function of tensors: keys strictly increase
-    from 0 and sampling holds the value of the last key at or before the
-    query (zero-order hold), also beyond the final key.
+class InputSignal(Piecewise):
+    """Forcing signal: zero, constant, or a breakpoint table, each a
+    Piecewise step function of tensors. Zero and constant are one piece at
+    0, whose value is None for zero. A table's keys strictly increase from 0
+    and sampling holds the value of the last key at or before the query
+    (zero-order hold), also beyond the final key.
     """
 
-    __slots__ = ("kind", "_value")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind, value=None):
+    def __init__(self, kind, pairs):
+        super().__init__(pairs, "input table" if kind == "table" else f"{kind} input")
         self.kind = kind
-        self._value = value
 
     @classmethod
     def zero(cls) -> "InputSignal":
-        return cls("zero")
+        return cls("zero", [(0, None)])
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls("constant", _as_tensor(value))
+        return cls("constant", [(0, _as_tensor(value))])
 
     @classmethod
     def table(cls, samples) -> "InputSignal":
-        table = Piecewise(samples, "input table")
-        shape = _as_tensor(table.values[0]).shape
-        values = [_coerce(value, shape, f"input table value at key {when}") for when, value in table]
-        return cls("table", Piecewise(zip(table.keys, values), "input table"))
+        signal = cls("table", samples)
+        shape = _as_tensor(signal.values[0]).shape
+        signal.values = tuple(_coerce(value, shape, f"input table value at key {when}") for when, value in signal)
+        return signal
 
     @property
     def breakpoints(self) -> tuple:
         """Keys where a table signal may jump; empty for zero/constant."""
-        return self._value.keys if self.kind == "table" else ()
+        return self.keys if self.kind == "table" else ()
 
     @property
     def constant_value(self) -> Tensor | None:
-        return self._value if self.kind == "constant" else None
+        return self.values[0] if self.kind == "constant" else None
 
     @property
     def table_samples(self) -> tuple:
         """(when, value) pairs of a table signal; empty otherwise."""
-        return tuple(self._value) if self.kind == "table" else ()
+        return tuple(self) if self.kind == "table" else ()
 
     def sample(self, when, shape) -> Tensor:
-        """Value at `when` as a tensor of the given shape."""
-        if self.kind == "zero":
-            return Tensor.zeros(shape)
-        value = self._value if self.kind == "constant" else self._value.at(when)
-        return _coerce(value, tuple(shape), "input sample")
+        """Value at `when` (>= 0) as a tensor of the given shape."""
+        value = self.at(when)
+        return Tensor.zeros(shape) if value is None else _coerce(value, tuple(shape), "input sample")
 
 
 @dataclass(frozen=True)
@@ -362,12 +360,13 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
 def matrix_exponential(m, t=1.0) -> np.ndarray:
     """exp(m*t) by scaling-and-squaring over a truncated power series.
 
-    The scaled matrix has infinity norm <= 0.5, so the series reaches machine
-    precision in well under the 40-term cap. The series and the squarings
-    carry R = exp(m*t/2^s) - I (R <- 2R + R²), and I is added at the end, so
-    a slow mode of a stiff matrix does not round away against 1. Where
-    q*max|m_ij|*|t| passes 2^1022, so that m*t or the scale 2^squarings
-    could overflow, m and t are scaled apart by powers of two, and an
+    The scaled matrix m*t/2^s has infinity norm <= 0.5, so the series reaches
+    machine precision in well under the 40-term cap. The series and the
+    squarings carry R = exp(m*t/2^s) - I (R <- 2R + R²), and I is added at
+    the end, so a slow mode of a stiff matrix does not round away against 1.
+    One power-of-two scaling serves every magnitude: m and t are first
+    brought below 1 by their binary exponents, so neither m*t nor its norm
+    can overflow, and s is read exactly from the norm's exponent. An
     exponential past the double range comes back non-finite without a numpy
     warning.
     """
@@ -378,30 +377,22 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     peak = float(np.abs(m).max())  # nan or inf when an entry is
     if not math.isfinite(peak) or not math.isfinite(t):
         raise ValueError("matrix_exponential needs finite entries and finite t")
-    q = m.shape[0]
-    if q * peak * abs(t) > 2.0**1022:
-        # |m_ij| < 2^e_m and |t| < 2^e_t, so the scaled m*t below has norm < q*2^-extra <= 0.5
-        e_m = math.frexp(peak)[1]
-        e_t = math.frexp(t)[1]
-        extra = (q - 1).bit_length() + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = matrix_exponential(np.ldexp(m, -e_m), math.ldexp(t, -e_t - extra))
-            for _ in range(e_m + e_t + extra):
-                result = result @ result
-        return result
-    a = m * t
-    norm = np.linalg.norm(a, np.inf)
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
-    a = a / (2.0 ** squarings)
+    e_m, e_t = math.frexp(peak)[1], math.frexp(t)[1]
+    a = np.ldexp(m, -e_m) * math.ldexp(t, -e_t)  # m*t/2^(e_m+e_t), entries below 1
+    frac, e_a = math.frexp(float(np.linalg.norm(a, np.inf)))
+    # ceil(log2(norm of m*t / 0.5)) from norm = frac*2^(e_a+e_m+e_t), 0.5 <= frac < 1
+    squarings = max(e_a + e_m + e_t + (frac > 0.5), 0) if frac else 0
+    a = np.ldexp(a, e_m + e_t - squarings)
     r = term = a  # exp(a) - I
     for k in range(2, 41):
         term = term @ a / k
         r = r + term
         if np.linalg.norm(term, np.inf) <= 1e-17 * np.linalg.norm(r, np.inf):
             break
-    for _ in range(squarings):
-        r = 2 * r + r @ r  # (I + r)^2 - I
-    return r + np.eye(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            r = 2 * r + r @ r  # (I + r)^2 - I
+        return r + np.eye(m.shape[0])
 
 
 def _zoh_pair(m, dt):

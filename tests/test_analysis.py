@@ -461,6 +461,17 @@ class TestModalRanks:
             assert controllability_rank(system) == krylov_rank(a, b)
             assert observability_rank(system) == krylov_rank(a.T, c.T)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-200, -160, 0, 160, 200])
+    def test_invariant_to_coupling_scale(self, k):
+        """B and C scaled by 10^k: the row norms of the modal couplings are
+        taken after dividing by ‖B‖₂ (‖C‖₂), so their squares neither
+        underflow to a zero rank nor overflow with a warning."""
+        scale = 10.0**k
+        system = r1_system([[0.5, 0.1], [0.0, 0.3]], b=[[0.0], [scale]], c=[[scale, 0.0]])
+        assert controllability_rank(system) == 2
+        assert observability_rank(system) == 2
+
     def test_diagonal_probe(self):
         """Forty distinct eigenvalues 0.1..0.99, every mode driven by B = ones.
         Its Krylov matrix is a Vandermonde matrix whose smaller singular

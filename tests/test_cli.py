@@ -128,6 +128,15 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_steps_with_t_end_rejected_for_continuous(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--system", str(SAMPLES / "continuous_decay.json"),
+             "--out", str(tmp_path / "o.csv"), "--t-end", "1.0", "--steps", "3"]
+        )
+        assert code == 1
+        assert "simulate: --steps applies to discrete systems only" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("time, flags, message", [
         ("discrete", ["--steps", "5"], "error: state became non-finite at step 1\n"),

@@ -187,6 +187,29 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError, match="whens must increase"):
             Trajectory([0.0, 0.0], states, [[1.0], [2.0]], (2, 2), (1,))
 
+    def test_states_and_outputs_are_the_sample_tensors(self):
+        states = np.arange(8.0).reshape(2, 4)
+        traj = Trajectory([0.0, 0.5], states, [[1.0], [2.0]], (2, 2), (1,))
+        assert traj.states == [sample.state for sample in traj]
+        assert [x.tolist() for x in traj.states] == [[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, 7.0]]]
+        assert [y.tolist() for y in traj.outputs] == [[1.0], [2.0]]
+
+    def test_input_argument(self):
+        """u is an InputSignal: None on an input system is the zero signal,
+        a bare array is refused, and a system without input takes none but
+        the zero signal."""
+        system = r1_system(0.5 * np.eye(2), b=np.eye(2))
+        x0 = make_tensor([2], [1.0, -2.0])
+        implicit = simulate_discrete(system, x0, 3)
+        explicit = simulate_discrete(system, x0, 3, u=InputSignal.zero())
+        assert np.array_equal(implicit.state_matrix(), explicit.state_matrix())
+        with pytest.raises(TypeError, match="u must be an InputSignal"):
+            simulate_discrete(system, x0, 3, u=np.ones(2))
+        bare = r1_system(0.5 * np.eye(2))
+        assert len(simulate_discrete(bare, x0, 3, u=InputSignal.zero())) == 4
+        with pytest.raises(ValueError, match="system declares no input; u must be omitted"):
+            simulate_discrete(bare, x0, 3, u=InputSignal.constant(make_tensor([2], [1.0, 1.0])))
+
     def test_slice_builds_the_sliced_samples(self):
         system = r1_system(0.5 * np.eye(2))
         traj = simulate_discrete(system, make_tensor([2], [1, 1]), 6)
@@ -402,6 +425,21 @@ class TestMatrixExponential:
         assert np.array_equal(matrix_exponential([[-1e308]], t=t), [[0.0]])
         got = matrix_exponential([[-1e308, -1e308], [0.0, -1e308]], t=1.0)
         assert np.isfinite(got).all() and np.abs(got).max() < 1e-300
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_on_the_one_scaling_path(self):
+        """Products below 2^1022 take the same scaling as those past it: an
+        exponential past the double range is non-finite, a decaying one
+        finite, and neither warns."""
+        assert np.isposinf(matrix_exponential([[1000.0]], 10.0)).all()
+        assert np.isfinite(matrix_exponential([[-1000.0]], 10.0)).all()
+        got = matrix_exponential([[1000.0, 1.0], [0.0, 1000.0]], 10.0)
+        assert not np.isfinite(got).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite entries"):
+            matrix_exponential([[0.0, bad], [0.0, 0.0]])
 
     def test_scipy_expm_oracle(self):
         """Random 8x8 matrices with infinity norms up to 30 against scipy's

@@ -191,6 +191,17 @@ class TestLiftMatrixState:
         _, out = step_discrete(system, z)
         assert np.array_equal(out.array, c @ z.array)
 
+    def test_feedthrough(self):
+        """With D, each output column is C·z + D·u of its own columns."""
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+        c, d = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
+        system = lift_matrix_state(a, B=b, C=c, D=d, columns=4)
+        z, u = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        _, out = step_discrete(system, Tensor.from_array(z), Tensor.from_array(u))
+        for col in range(4):
+            assert np.allclose(out.array[:, col], c @ z[:, col] + d @ u[:, col], rtol=1e-14, atol=1e-14)
+
     def test_errors(self):
         with pytest.raises(ShapeError):
             lift_matrix_state(np.zeros((2, 3)), columns=2)
