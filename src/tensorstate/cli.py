@@ -8,6 +8,7 @@ numeric error (overflow, missing boundary data).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -82,6 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--out", required=True, help="CSV output path")
     multi.add_argument("--horizon", type=int, required=True, help="global ticks 0..K")
     return parser
+
+
+# parse_args leaves a parser as it found it, so one serves every main() call
+# in a process; it is built on the first call, not at import
+_parser = functools.cache(build_parser)
 
 
 def _write_text(path, text):
@@ -159,7 +165,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (NumericOverflowError, BoundaryDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,22 +87,30 @@ def _number(value, where) -> float:
     return number
 
 
-def _numbers(data, where) -> np.ndarray:
-    """A JSON number list as float64, every entry a finite double.
-
-    A list of plain ints and floats (bool excluded) converts in one numpy
-    call; any other entry, or one past the double range, sends the whole
-    list through _number so the error names the field as it always has.
-    """
+def _finite_array(data) -> np.ndarray | None:
+    """A list of plain ints and floats (bool excluded) as float64 in one
+    numpy call, or None when an entry is of another type, past the double
+    range or not finite."""
     if set(map(type, data)) <= {float, int}:
         try:
             values = np.array(data, dtype=float)
         except OverflowError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    return np.array([_number(v, where) for v in data], dtype=float)
+            return None
+        if np.isfinite(values).all():
+            return values
+    return None
+
+
+def _numbers(data, where) -> np.ndarray:
+    """A JSON number list as float64, every entry a finite double.
+
+    A list that _finite_array refuses goes entry by entry through _number,
+    so the error names the field as it always has.
+    """
+    values = _finite_array(data)
+    if values is None:
+        values = np.array([_number(v, where) for v in data], dtype=float)
+    return values
 
 
 def _parse_shape(value, where):
@@ -131,8 +139,8 @@ def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
             f"(expected {expected})"
         )
     values = _numbers(data, f"{where}.data")
-    try:
-        tensor = Tensor(shape, values)
+    try:  # the fresh array is the tensor's own: no second check, no copy
+        tensor = Tensor._wrap(values.reshape(shape))
     except ValueError as exc:  # numpy holds at most 64 modes
         raise ParseError(f"{where}: {exc}") from None
     if declared is not None and shape != declared:
@@ -176,14 +184,48 @@ def _parse_signal(obj, input_shape, where) -> InputSignal:
         return InputSignal.constant(
             _parse_tensor(arg, f"{where}.value", input_shape, "input_shape")
         )
-    entries = [
-        (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
-        for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair")
-    ]
+    entries = _table_entries(arg, input_shape)
+    if entries is None:
+        entries = [
+            (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
+            for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair")
+        ]
     try:
         return InputSignal.table(entries)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
+
+
+def _table_entries(samples, input_shape):
+    """(when, tensor) pairs of a table's samples in one numpy call for the
+    whens and one for the data, each tensor a read-only row of one block; or
+    None when any sample would fail a check, so that the per-sample path
+    raises its error for the first one."""
+    if not isinstance(samples, list) or not samples:
+        return None
+    shape, size = list(input_shape), math.prod(input_shape)
+    whens, data = [], []
+    for pair in samples:
+        if not isinstance(pair, list) or len(pair) != 2:
+            return None
+        when, value = pair
+        if not isinstance(value, dict) or value.keys() != {"shape", "data"}:
+            return None
+        # [true, 2] == [1, 2] in Python: every mode must be an int proper
+        if value["shape"] != shape or not all(type(m) is int for m in value["shape"]):
+            return None
+        entries = value["data"]
+        if not isinstance(entries, list) or len(entries) != size:
+            return None
+        whens.append(when)
+        data += entries
+    keys, values = _finite_array(whens), _finite_array(data)
+    if keys is None or values is None:
+        return None
+    # B holds state + input modes, so input_shape has at most 63 and the
+    # block fits numpy's 64 dimensions
+    block = values.reshape(len(samples), *input_shape)
+    return list(zip(keys.tolist(), map(Tensor._wrap, block)))
 
 
 def _parse_tensor_system(obj, path) -> SystemFile:

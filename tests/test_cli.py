@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensorstate import parse_system_file, step_discrete, vec
-from tensorstate.cli import main
+from tensorstate.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
 
@@ -401,6 +401,38 @@ class TestMultirate:
             "error: state of process 1 became non-finite at tick 1 (index 6)\n"
         )
         assert not out.exists()
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser; no call's flags leak into the next."""
+
+    def test_emit_output_does_not_stick(self, tmp_path):
+        pair = str(SAMPLES / "discrete_pair.json")
+        with_y, without_y = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["simulate", "--system", pair, "--steps", "2", "--out"]
+        assert main(argv + [str(with_y), "--emit-output"]) == 0
+        assert main(argv + [str(without_y)]) == 0
+        assert with_y.read_text(encoding="utf-8").startswith("t,x_0,x_1,y_0\n")
+        assert without_y.read_text(encoding="utf-8").startswith("t,x_0,x_1\n")
+
+    def test_good_call_after_bad_flag(self, tmp_path, capsys):
+        system = write_doc(tmp_path / "s.json", identity_doc())
+        argv = ["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "1"]
+        assert main(argv + ["--plot"]) == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "error: unrecognized arguments: --plot\n"
+
+    def test_analyze_then_multirate(self, tmp_path, capsys):
+        assert main(["analyze", "--system", str(SAMPLES / "discrete_pair.json")]) == 0
+        assert capsys.readouterr().out.startswith("state_dim=2\n")
+        out = tmp_path / "grid.csv"
+        assert main(["multirate", "--system", str(SAMPLES / "multirate_clocks.json"),
+                     "--out", str(out), "--horizon", "6"]) == 0
+        assert capsys.readouterr().out == "ticks=6 d=6\n"
+        assert out.read_text(encoding="utf-8").startswith("# d=6 f=3,2\n")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestBadInvocations:

@@ -1,7 +1,10 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_simulate import zoh_case
 
 from tensorstate import (
     MultirateFile,
@@ -21,7 +24,10 @@ from tensorstate import (
     trajectory_on_grid,
     write_system_file,
 )
+from tensorstate.fileio import _number, _pairs, _parse_tensor
 from tensorstate.systems import CoefficientSet, build_system
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
 
 
 def tensor_doc(shape, data):
@@ -192,6 +198,93 @@ class TestParse:
         parsed = parse_system_file(write_doc(tmp_path / "s.json", doc))
         assert parsed.x0.tolist() == [float(v) for v in data]
         assert np.signbit(parsed.x0.tolist()[4])
+
+
+def per_sample_table(samples, input_shape, where):
+    """The (when, tensor) pairs the per-sample path reads from `samples`."""
+    return [
+        (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
+        for at, when, value in _pairs(samples, f"{where}.samples", "a [when, tensor] pair")
+    ]
+
+
+def table_doc(samples, input_shape):
+    doc = minimal_doc()
+    doc["input_shape"] = list(input_shape)
+    doc["schedule"][0]["B"] = tensor_doc([2, *input_shape], [1] * (2 * math.prod(input_shape)))
+    doc["input"] = {"kind": "table", "samples": samples}
+    return doc
+
+
+class TestTableInput:
+    """A table's samples are read in one pass; a table that fails any check
+    is read sample by sample, which names the first bad field."""
+
+    def assert_matches_per_sample(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        signal = parse_system_file(path).input_signal
+        expected = per_sample_table(
+            doc["input"]["samples"], tuple(doc["input_shape"]), f"{path}.input"
+        )
+        assert signal.keys == tuple(when for when, _ in expected)
+        for value, (_, reference) in zip(signal.values, expected):
+            assert value.shape == reference.shape
+            assert value.array.tobytes() == reference.array.tobytes()
+            assert not value.array.flags.writeable
+            with pytest.raises(ValueError):
+                value.array[...] = 0.0
+        # every value is a row of one block: the one-pass path was taken
+        block = signal.values[0].array.base
+        assert block is not None and all(value.array.base is block for value in signal.values)
+        return signal
+
+    def test_sample_system(self):
+        self.assert_matches_per_sample(SAMPLES / "discrete_pair.json")
+
+    def test_zoh_case_table(self, tmp_path):
+        system, x0, signal, (_, _, _, breaks, inputs) = zoh_case("table")
+        path = tmp_path / "s.json"
+        write_system_file(SystemFile(system, Tensor.from_array(x0), signal), path)
+        parsed = self.assert_matches_per_sample(path)
+        assert parsed.keys == tuple(breaks)
+        assert np.array_equal([value.array for value in parsed.values], inputs)
+
+    def test_150_samples_of_ints_and_floats(self, tmp_path):
+        rng = np.random.default_rng(5)
+        entries = [2**60 + 1, 3, -(2**70) - 12345, 0.1, -0.0, 5e-324, 1.7976931348623157e308]
+        samples = []
+        for j in range(150):
+            data = [entries[(j + i) % len(entries)] if i % 2 else float(rng.normal())
+                    for i in range(6)]
+            samples.append([j if j % 3 else j + 0.5, tensor_doc([2, 3], data)])
+        samples[0][0] = 0
+        path = write_doc(tmp_path / "s.json", table_doc(samples, [2, 3]))
+        self.assert_matches_per_sample(path)
+
+    def test_first_of_two_faults_is_named(self, tmp_path):
+        samples = [[j, tensor_doc([2], [j, 1])] for j in range(4)]
+        samples[1][1]["data"][0] = "x"
+        samples[2][1]["shape"] = [1, 2]
+        path = write_doc(tmp_path / "s.json", table_doc(samples, [2]))
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}.input.samples[1].data: expected a number, got 'x'"
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ([1, {"shape": [True, 2], "data": [1, 1]}],
+             ".shape: mode sizes must be integers >= 1, got True"),
+            ([True, tensor_doc([1, 2], [1, 1])], ": expected a number, got True"),
+        ],
+        ids=["bool-mode", "bool-when"],
+    )
+    def test_bools_refused(self, tmp_path, sample, message):
+        samples = [[0, tensor_doc([1, 2], [0, 0])], sample, [2, tensor_doc([1, 2], [2, 2])]]
+        path = write_doc(tmp_path / "s.json", table_doc(samples, [1, 2]))
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}.input.samples[1]{message}"
 
 
 class TestParseMultirate:
