@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .fileio import (
 )
 from .multirate import BoundaryDataError, trajectory_on_grid
 from .simulate import NumericOverflowError, simulate_continuous, simulate_discrete
-from .tensors import ShapeError, vec
+from .tensors import ShapeError
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -125,12 +126,10 @@ def _cmd_simulate(args) -> int:
             method=args.method or "rk4",
         )
     _write_text(args.out, trajectory_csv(trajectory, emit_output=args.emit_output))
-    final = vec(trajectory.final_state)
-    with np.errstate(over="ignore"):  # squares overflow past about 1e154, underflow below 1e-154
-        norm = float(np.linalg.norm(final))
-    if norm in (0.0, np.inf) and final.any():
-        peak = float(np.abs(final).max())
-        norm = peak * float(np.linalg.norm(final / peak))
+    # scaled exactly to a peak in [0.5, 1), so no square overflows or underflows
+    final = trajectory.state_matrix()[-1]
+    e = math.frexp(float(np.abs(final).max()))[1]
+    norm = math.ldexp(float(np.linalg.norm(np.ldexp(final, -e))), e)
     print(f"steps={len(trajectory) - 1} terminal_norm={format(norm, '.17g')}")
     return 0
 

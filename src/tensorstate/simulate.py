@@ -51,10 +51,10 @@ def _refuse_large_grid(system, what, samples, formula):
 
 class InputSignal(Piecewise):
     """Forcing signal: zero, constant, or a breakpoint table, each a
-    Piecewise step function of tensors. Zero and constant are one piece at
-    0, whose value is None for zero. A table's keys strictly increase from 0
-    and sampling holds the value of the last key at or before the query
-    (zero-order hold), also beyond the final key.
+    Piecewise step function of tensors of one shape, checked here once.
+    Zero and constant are one piece at 0, whose value is None for zero. A
+    table's keys strictly increase from 0 and sampling holds the value of
+    the last key at or before the query (zero-order hold), also past the end.
     """
 
     __slots__ = ("kind",)
@@ -62,6 +62,9 @@ class InputSignal(Piecewise):
     def __init__(self, kind, pairs):
         super().__init__(pairs, "input table" if kind == "table" else f"{kind} input")
         self.kind = kind
+        if kind != "zero":
+            shape = _as_tensor(self.values[0]).shape
+            self.values = tuple(_coerce(v, shape, "input table value at key {}", key) for key, v in self)
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -69,14 +72,11 @@ class InputSignal(Piecewise):
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls("constant", [(0, _as_tensor(value))])
+        return cls("constant", [(0, value)])
 
     @classmethod
     def table(cls, samples) -> "InputSignal":
-        signal = cls("table", samples)
-        shape = _as_tensor(signal.values[0]).shape
-        signal.values = tuple(_coerce(value, shape, f"input table value at key {when}") for when, value in signal)
-        return signal
+        return cls("table", samples)
 
     @property
     def breakpoints(self) -> tuple:
@@ -178,10 +178,10 @@ class Trajectory:
         )
 
 
-def _coerce(value, shape, what) -> Tensor:
+def _coerce(value, shape, what, *args) -> Tensor:
     value = _as_tensor(value)
-    if value.shape != shape:
-        raise ShapeError(f"{what} has shape {list(value.shape)}, expected {list(shape)}")
+    if value.shape != shape:  # the name is formatted only on a mismatch: tables check every value
+        raise ShapeError(f"{what.format(*args)} has shape {list(value.shape)}, expected {list(shape)}")
     return value
 
 
@@ -200,15 +200,17 @@ def _input_vec(system, u) -> np.ndarray | None:
 
 
 def _as_signal(system, u) -> InputSignal | None:
-    """Normalize the trajectory-level input argument to a signal or None."""
+    """Normalize the trajectory-level input argument to a signal or None, with
+    None and the zero signal as zeros; checks the signal's shape once per run."""
     if not system.has_input:
         if u is not None and not (isinstance(u, InputSignal) and u.kind == "zero"):
             raise ValueError("system declares no input; u must be omitted")
         return None
-    if u is None:
-        return InputSignal.zero()
-    if not isinstance(u, InputSignal):
+    if u is not None and not isinstance(u, InputSignal):
         raise TypeError("u must be an InputSignal (zero/constant/table)")
+    if u is None or u.kind == "zero":
+        return InputSignal.constant(Tensor.zeros(system.input_shape))
+    _coerce(u.values[0], system.input_shape, "input sample")  # all values share this shape
     return u
 
 
@@ -224,7 +226,7 @@ def _timeline(system, signal, grid=()) -> Piecewise:
         i = bisect.bisect_left(grid, key)
         near = [g for g in grid[max(i - 1, 0):i + 1] if abs(g - key) <= 4 * math.ulp(g)]
         pieces[near[0] if near else key] = (
-            system.unfolded_at(key), None if signal is None else vec(signal.sample(key, system.input_shape))
+            system.unfolded_at(key), None if signal is None else signal.at(key).data
         )
     return Piecewise(pieces.items(), "timeline")
 
@@ -399,15 +401,14 @@ def _zoh_pair(m, dt):
     """Unfolded matrices m discretized over a step dt, as m with a = Φ and
     b = Γ, so _advance takes the step: Φ = exp(M_A·dt) and
     Γ = ∫_0^dt exp(M_A·s) ds·M_B, both blocks of the exponential of
-    [[M_A, M_B], [0, 0]]·dt (Van Loan 1978); Γ is None without input."""
-    if m.b is None:
-        return m._replace(a=matrix_exponential(m.a, dt))
-    q, p = m.b.shape
-    aug = np.zeros((q + p, q + p))
-    aug[:q, :q] = m.a
-    aug[:q, q:] = m.b
+    [[M_A, M_B], [0, 0]]·dt (Van Loan 1978); without input M_B has no
+    columns and Γ is None."""
+    q = m.a.shape[0]
+    b = np.empty((q, 0)) if m.b is None else m.b
+    aug = np.zeros((q + b.shape[1],) * 2)
+    aug[:q] = np.hstack((m.a, b))
     big = matrix_exponential(aug, dt)
-    return m._replace(a=big[:q, :q], b=big[:q, q:])
+    return m._replace(a=big[:q, :q], b=None if m.b is None else big[:q, q:])
 
 
 def _rk4_map(m_a, m_mid, m_b, dt):
@@ -437,13 +438,13 @@ def _rk4_map(m_a, m_mid, m_b, dt):
 
 
 def _grid_size(t_end, h):
-    """(n, samples) of the grid 0, h, ..., n·h, t_end: n whole steps, and
-    t_end appended unless n·h is already within 1e-9·h of it. Floats, so a
-    huge count is measured without building anything; n may be inf."""
+    """Sample count of the grid 0, h, ..., n·h, t_end: n whole steps, and
+    t_end appended unless n·h is already within 1e-9·h of it. Counted in
+    floats, so a huge grid is measured without building it; may be inf."""
     n = t_end / h + 1e-9
     if n < math.inf:
         n = math.floor(n)
-    return n, n + (2 if t_end - n * h > 1e-9 * h else 1)
+    return n + (2 if t_end - n * h > 1e-9 * h else 1)
 
 
 def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Trajectory:
@@ -479,7 +480,7 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"h must be positive and finite, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
-    samples = _grid_size(t_end, h)[1]
+    samples = _grid_size(t_end, h)
     _refuse_large_grid(system, f"h {h!r}", samples, "(grid samples)")
     times = [k * h for k in range(samples - 1)] + [t_end]
     timeline = _timeline(system, _as_signal(system, u), times)

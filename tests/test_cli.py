@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,29 @@ class TestSimulate:
         assert main(["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "2"]) == 0
         fields = dict(item.split("=") for item in capsys.readouterr().out.split())
         assert float(fields["terminal_norm"]) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0, expected", [
+        ([3e-162, 4e-162], "steps=1 terminal_norm=5.0000000000000001e-162\n"),
+        ([1e-160, 1e-160], math.sqrt(2) * 1e-160),
+    ], ids=["3-4-5", "sqrt2"])
+    def test_terminal_norm_of_partly_underflowing_squares(self, tmp_path, capsys, x0, expected):
+        """Squares near 1e-320 are subnormal and lose digits, so the plain
+        2-norm of these states is wrong from the second and the sixth digit
+        on, though it is neither 0 nor inf."""
+        doc = {
+            "time": "discrete",
+            "state_shape": [2],
+            "schedule": [{"start": 0, "A": tensor_doc([2, 2], [1, 0, 0, 1])}],
+            "x0": tensor_doc([2], x0),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        assert main(["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "1"]) == 0
+        out = capsys.readouterr().out
+        if isinstance(expected, str):
+            assert out == expected
+        else:
+            assert float(out.split("terminal_norm=")[1]) == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("flags, message", [
         (["--steps", str(10**12)], "error: steps 1000000000000 needs "),

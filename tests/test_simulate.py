@@ -97,6 +97,41 @@ class TestInputSignal:
             lookup(when)
 
 
+@pytest.mark.parametrize("run", ["discrete", "closed-form", "rk4", "exact"])
+class TestRunChecksTheSignal:
+    """A signal checks its own values when it is built; a run checks the
+    signal's one shape against the system's input shape once."""
+
+    @staticmethod
+    def go(run, u):
+        """States of a run of a 2-state, 2-input system under the signal u."""
+        time_kind = "continuous" if run in ("rk4", "exact") else "discrete"
+        system = r1_system([[0.5, 0.1], [0.0, -0.3]], b=np.eye(2), time_kind=time_kind)
+        x0 = make_tensor([2], [1.0, -2.0])
+        if run == "discrete":
+            return simulate_discrete(system, x0, 4, u=u).state_matrix()
+        if run == "closed-form":
+            return solve_discrete_closed_form(system, x0, 4, u=u).array
+        return simulate_continuous(system, x0, 1.0, h=0.25, u=u, method=run).state_matrix()
+
+    @pytest.mark.parametrize("signal", [
+        InputSignal.constant(make_tensor([3], [1.0, 2.0, 3.0])),
+        InputSignal.table([(0, [1.0, 2.0, 3.0]), (0.5, [4.0, 5.0, 6.0])]),
+    ], ids=["constant", "table"])
+    def test_wrong_shape_refused(self, run, signal):
+        with pytest.raises(ShapeError, match=r"^input sample has shape \[3\], expected \[2\]$"):
+            self.go(run, signal)
+
+    def test_none_and_zero_signal_agree(self, run):
+        assert np.array_equal(self.go(run, None), self.go(run, InputSignal.zero()))
+
+    def test_run_does_not_sample_per_key(self, run, monkeypatch):
+        signal = InputSignal.table([(0, [1.0, 2.0]), (0.5, [3.0, 4.0]), (2, [5.0, 6.0])])
+        expected = self.go(run, signal)
+        monkeypatch.setattr(InputSignal, "sample", None)
+        assert np.array_equal(self.go(run, signal), expected)
+
+
 class TestStepDiscrete:
     def test_identity(self):
         system = build_system("discrete", (2, 2), CoefficientSet(A=Tensor.identity([2, 2])))
