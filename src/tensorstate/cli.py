@@ -126,10 +126,12 @@ def _cmd_simulate(args) -> int:
             method=args.method or "rk4",
         )
     _write_text(args.out, trajectory_csv(trajectory, emit_output=args.emit_output))
-    # scaled exactly to a peak in [0.5, 1), so no square overflows or underflows
     final = trajectory.state_matrix()[-1]
     e = math.frexp(float(np.abs(final).max()))[1]
-    norm = math.ldexp(float(np.linalg.norm(np.ldexp(final, -e))), e)
+    try:  # scaled exactly to a peak in [0.5, 1), so no square overflows or underflows
+        norm = math.ldexp(float(np.linalg.norm(np.ldexp(final, -e))), e)
+    except OverflowError:  # a finite state whose norm is past the largest double
+        norm = math.inf
     print(f"steps={len(trajectory) - 1} terminal_norm={format(norm, '.17g')}")
     return 0
 

@@ -63,8 +63,9 @@ class InputSignal(Piecewise):
         super().__init__(pairs, "input table" if kind == "table" else f"{kind} input")
         self.kind = kind
         if kind != "zero":
-            shape = _as_tensor(self.values[0]).shape
-            self.values = tuple(_coerce(v, shape, "input table value at key {}", key) for key, v in self)
+            first = _as_tensor(self.values[0])
+            rest = zip(self.keys[1:], self.values[1:])
+            self.values = (first, *(_coerce(v, first.shape, "input table value at key {}", k) for k, v in rest))
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -200,8 +201,7 @@ def _input_vec(system, u) -> np.ndarray | None:
 
 
 def _as_signal(system, u) -> InputSignal | None:
-    """Normalize the trajectory-level input argument to a signal or None, with
-    None and the zero signal as zeros; checks the signal's shape once per run."""
+    """Input signal of one run, shape-checked once: zeros for None or zero, None without input."""
     if not system.has_input:
         if u is not None and not (isinstance(u, InputSignal) and u.kind == "zero"):
             raise ValueError("system declares no input; u must be omitted")
@@ -353,9 +353,8 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     m = system.unfolded[0]
     acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
     if system.has_input:
-        for k in range(n):
-            _, u_k = timeline.at(k)
-            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ u_k)
+        for k in range(n):  # each piece of the timeline is (matrices, vec'd input)
+            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ timeline.at(k)[1])
     return devec(acc, system.state_shape)
 
 
@@ -399,16 +398,16 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
 
 def _zoh_pair(m, dt):
     """Unfolded matrices m discretized over a step dt, as m with a = Φ and
-    b = Γ, so _advance takes the step: Φ = exp(M_A·dt) and
-    Γ = ∫_0^dt exp(M_A·s) ds·M_B, both blocks of the exponential of
-    [[M_A, M_B], [0, 0]]·dt (Van Loan 1978); without input M_B has no
-    columns and Γ is None."""
+    b = Γ for _advance: Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B, both
+    blocks of the exponential of [[M_A, M_B], [0, 0]]·dt (Van Loan 1978), in
+    which M_B has no columns without input; Γ is then None."""
     q = m.a.shape[0]
-    b = np.empty((q, 0)) if m.b is None else m.b
-    aug = np.zeros((q + b.shape[1],) * 2)
-    aug[:q] = np.hstack((m.a, b))
+    p = 0 if m.b is None else m.b.shape[1]
+    aug = np.zeros((q + p,) * 2)
+    aug[:q, :q] = m.a
+    aug[:q, q:] = m.b if p else 0
     big = matrix_exponential(aug, dt)
-    return m._replace(a=big[:q, :q], b=None if m.b is None else big[:q, q:])
+    return m._replace(a=big[:q, :q], b=big[:q, q:] if p else None)
 
 
 def _rk4_map(m_a, m_mid, m_b, dt):
@@ -442,8 +441,7 @@ def _grid_size(t_end, h):
     t_end appended unless n·h is already within 1e-9·h of it. Counted in
     floats, so a huge grid is measured without building it; may be inf."""
     n = t_end / h + 1e-9
-    if n < math.inf:
-        n = math.floor(n)
+    n = math.floor(n) if n < math.inf else n
     return n + (2 if t_end - n * h > 1e-9 * h else 1)
 
 

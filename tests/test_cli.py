@@ -206,6 +206,18 @@ class TestSimulate:
         fields = dict(item.split("=") for item in capsys.readouterr().out.split())
         assert float(fields["terminal_norm"]) == 1e308
 
+    def test_terminal_norm_past_the_double_range_is_inf(self, tmp_path, capsys):
+        """Each entry is finite, but the 2-norm, about 2.1e308, is not a double."""
+        doc = {
+            "time": "discrete",
+            "state_shape": [2],
+            "schedule": [{"start": 0, "A": tensor_doc([2, 2], [1, 0, 0, 1])}],
+            "x0": tensor_doc([2], [1.5e308, 1.5e308]),
+        }
+        system = write_doc(tmp_path / "s.json", doc)
+        assert main(["simulate", "--system", system, "--out", str(tmp_path / "o.csv"), "--steps", "1"]) == 0
+        assert capsys.readouterr().out == "steps=1 terminal_norm=inf\n"
+
     @pytest.mark.parametrize("x0, expected", [([1e-200], 1e-200), ([3e-170, 4e-170], 5e-170)])
     def test_terminal_norm_of_tiny_nonzero_state(self, tmp_path, capsys, x0, expected):
         """Squares of entries below about 1e-154 underflow to 0, so the
