@@ -3,11 +3,16 @@ plain-text analysis report.
 
 Tensors on disk are {"shape": [...], "data": [...]} with row-major flat
 data. Numbers in CSV output carry 17 significant digits so parsing them
-back reproduces the exact doubles.
+back reproduces the exact doubles. They are the bytes Python's '%.17g'
+writes, computed in numpy for a block of cells at once (_csv_rows): each
+cell's 17 digits and decimal exponent come from a double-double product
+with a power of ten (_decimal17), and the rare cell that product cannot
+decide, or that is not finite, is formatted by '%.17g' itself.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -441,12 +446,155 @@ def _columns(prefix, shape):
     return [f"{prefix}_" + "_".join(str(i) for i in idx) for idx in np.ndindex(*shape)]
 
 
+# 10^k for k = 16 - E, E the decimal exponent of a finite nonzero double
+# (-324 for 5e-324 up to 308)
+_K_MIN, _K_MAX = -292, 340
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
+# cells per block of _csv_rows: bounds its temporaries at about 1.3 MB
+_BLOCK_CELLS = 8192
+# byte slots of one cell: sign, "0.000", 17 digits with a point among them,
+# "e+308", separator
+_SLOTS = 30
+
+
+@functools.cache
+def _pow10():
+    """For each k in [_K_MIN, _K_MAX], 10^k = (hi + lo)·2^b with hi in
+    [0.5, 1] and |lo| < 2^-53·hi: hi, Dekker's halves of hi, lo and b, as
+    arrays indexed by k - _K_MIN. Built from exact Python ints on first use."""
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        shift = 128 - num.bit_length() + den.bit_length()
+        q = (num << shift) // den if shift >= 0 else num >> -shift  # 10^k·2^shift, 128 bits
+        bits = q.bit_length()
+        hi = float(q)
+        lo = math.ldexp(float(q - int(hi)), -bits)
+        hi = math.ldexp(hi, -bits)
+        c = _SPLIT * hi
+        hi_high = c - (c - hi)
+        rows.append((hi, hi_high, hi - hi_high, lo, bits - shift))
+    hi, hi_high, hi_low, lo, b = np.array(rows, dtype=np.float64).T.copy()
+    return hi, hi_high, hi_low, lo, b.astype(np.int32)
+
+
+def _decimal17(x):
+    """(digits, e10, decided) for a float64 array: |x| = digits·10^(e10 - 16)
+    rounded to nearest, 10^16 <= digits < 10^17 (0 for a zero), where
+    `decided` holds; elsewhere (not finite, or too near a rounding tie or a
+    power of ten to decide) the other two are meaningless.
+
+    |x|·10^(16 - E), E = floor(log10|x|), is formed as a double-double from
+    Dekker's exact product of frexp's mantissa with hi, plus mantissa·lo; its
+    error is below 2^-44, so a fraction more than 2^-32 from 1/2 rounds right.
+    """
+    finite = np.isfinite(x)
+    ax = np.abs(x)
+    zero = ax == 0
+    ax[~finite | zero] = 1.0  # quiet log10 and casts; a zero keeps e10 = 0
+    e10 = np.floor(np.log10(ax)).astype(np.int16)
+    idx = (16 - _K_MIN) - e10.astype(np.intp)
+    hi, hi_high, hi_low, lo, b = (column[idx] for column in _pow10())
+    m, e2 = np.frexp(ax)
+    c = _SPLIT * m
+    m_high = c - (c - m)
+    m_low = m - m_high
+    p = m * hi
+    tail = ((m_high * hi_high - p) + m_high * hi_low + m_low * hi_high) + m_low * hi_low + m * lo
+    e2 += b
+    y = np.ldexp(p, e2)  # an integer wherever it is >= 10^16 > 2^53
+    y_low = np.ldexp(tail, e2)
+    whole = np.floor(y_low)
+    frac = y_low - whole
+    digits = y.astype(np.int64) + whole.astype(np.int64)
+    # the range is checked before rounding, and its top integer is left out:
+    # E one too large (9999999999999999.5 rounds up into range) and, where
+    # log10 rounds one ulp low, a carry to 10^17 both go to the fallback
+    decided = (digits >= 10**16) & (digits < 10**17 - 1) & (np.abs(frac - 0.5) > 2.0**-32)
+    digits += frac > 0.5
+    digits[zero] = 0
+    return digits, e10, decided & finite
+
+
+def _csv_rows(block) -> str:
+    """The CSV lines of `block` (2-D float64), every cell as Python's
+    '%.17g' writes it.
+
+    Each cell gets _SLOTS byte slots, filled as one row per slot across all
+    cells; a slot the cell does not use holds 0, and one transpose and one
+    delete of the zero bytes give the text. A cell _decimal17 leaves
+    undecided is formatted by '%.17g' itself.
+    """
+    x = block.ravel()
+    n = x.size
+    digits, e10, decided = _decimal17(x)
+    # the 17 digits, most significant first, in rows 1..17 of a zero-padded
+    # array, so that rows [0:18] and [1:19] are the digits shifted right or not;
+    # rows 0..8 and 9..17 take the top 8 (after a 0) and the low 9 digits
+    padded = np.zeros((19, n), dtype=np.uint8)
+    halves = padded[:18].reshape(2, 9, n)
+    high = digits // 10**9
+    part = np.stack([high, digits - high * 10**9]).astype(np.uint32)
+    for row in range(8, -1, -1):
+        quotient = part // np.uint32(10)
+        halves[:, row] = part - quotient * np.uint32(10)
+        part = quotient
+    rank = np.arange(1, 18, dtype=np.uint8)[:, None]
+    shown = ((padded[1:18] != 0) * rank).max(axis=0)  # digits up to the last nonzero
+    padded[1:18] += ord("0")
+
+    expo = (e10 < -4) | (e10 > 16)
+    small = (e10 < 0) & ~expo  # 0.0001 <= |x| < 1: "0.", then zeros
+    # where the point goes among the digits: 17 (none) when the prefix has it
+    point = np.where(expo, 1, np.where(small, 17, e10 + 1)).astype(np.int8)
+    width = np.where(expo | small, shown, np.maximum(shown, e10 + 1)).astype(np.int8)
+
+    out = np.empty((_SLOTS, n), dtype=np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[0])
+    np.multiply(small, np.uint8(ord("0")), out=out[1])
+    np.multiply(small, np.uint8(ord(".")), out=out[2])
+    for slot, power in ((3, -2), (4, -3), (5, -4)):
+        np.multiply(small & (e10 <= power), np.uint8(ord("0")), out=out[slot])
+    # slot j of the 18 holds digit j before the point, the point at j = point,
+    # and digit j - 1 after it; digits past `width` are dropped. uint8
+    # arithmetic wraps, so unshifted + (shifted - unshifted)·after is exact.
+    j = np.arange(18, dtype=np.int8)[:, None]
+    after = j > point
+    region = out[6:24]
+    np.subtract(padded[0:18], padded[1:19], out=region)
+    region *= after
+    region += padded[1:19]
+    region[point, np.arange(n)] = ord(".")
+    region *= (j - after) < width
+    magnitude = np.abs(e10)
+    out[24] = ord("e")
+    np.multiply(e10 < 0, np.uint8(2), out=out[25])
+    out[25] += ord("+")  # "-" is "+" + 2
+    out[26] = magnitude // 100 + ord("0")
+    out[26] *= magnitude >= 100
+    out[27] = magnitude // 10 % 10 + ord("0")
+    out[28] = magnitude % 10 + ord("0")
+    out[24:29] *= expo
+    out[29] = ord(",")
+    out[29, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        texts = [_fmt(v).encode("ascii") for v in x[undecided].tolist()]
+        out[: _SLOTS - 1, undecided] = (
+            np.array(texts, dtype=f"S{_SLOTS - 1}").view(np.uint8).reshape(-1, _SLOTS - 1).T
+        )
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv(header_lines, table) -> str:
-    """CSV text: the header lines, then one line per row of `table` (a
-    non-empty list of equal-length lists of numbers), every number with 17
-    significant digits."""
-    template = ",".join(["%.17g"] * len(table[0]))
-    return "\n".join([*header_lines, *(template % tuple(row) for row in table)]) + "\n"
+    """CSV text: the header lines, then one line per row of `table` (a 2-D
+    float array), every number with 17 significant digits, formatted in
+    blocks of about _BLOCK_CELLS cells."""
+    table = np.asarray(table, dtype=np.float64)
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    blocks = (_csv_rows(table[k : k + step]) for k in range(0, len(table), step))
+    return "".join(["\n".join([*header_lines, ""]), *blocks])
 
 
 def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
@@ -457,7 +605,7 @@ def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
     if emit_output:
         header += _columns("y", trajectory.output_shape)
         columns.append(trajectory.output_matrix())
-    return _csv([",".join(header)], np.hstack(columns).tolist())
+    return _csv([",".join(header)], np.hstack(columns))
 
 
 def multirate_csv(values, clock) -> str:
@@ -467,7 +615,7 @@ def multirate_csv(values, clock) -> str:
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
     ticks = np.array([float(k * clock.d) for k in range(len(values))])
-    return _csv([header, columns], np.hstack([ticks[:, None], values]).tolist())
+    return _csv([header, columns], np.hstack([ticks[:, None], values]))
 
 
 def render_report(report) -> str:

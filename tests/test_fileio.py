@@ -11,6 +11,7 @@ from tensorstate import (
     ParseError,
     SystemFile,
     Tensor,
+    Trajectory,
     analyze,
     eval_state,
     global_clock,
@@ -24,10 +25,44 @@ from tensorstate import (
     trajectory_on_grid,
     write_system_file,
 )
-from tensorstate.fileio import _number, _pairs, _parse_tensor
+from tensorstate.cli import main
+from tensorstate.fileio import _BLOCK_CELLS, _csv, _decimal17, _number, _pairs, _parse_tensor
 from tensorstate.systems import CoefficientSet, build_system
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def template_csv(header_lines, table):
+    """The CSV writer as one '%.17g' template per row: Python's own number
+    formatting, the oracle for every byte `_csv` writes."""
+    template = ",".join(["%.17g"] * len(table[0]))
+    return "\n".join([*header_lines, *(template % tuple(row) for row in table)]) + "\n"
+
+
+def edge_cells():
+    """Doubles at every switch of the 17-digit form: the ends of the double
+    range, both neighbours of each power of ten, exact ties past 17 digits,
+    integers past 2^53 and the exponents where %g changes notation.
+
+    The nearest double to a power of ten can lie just below it: 1e-299 is
+    written 9.9999999999999999e-300, and 1e-305, a hair closer, rounds up
+    to 1e-305."""
+    cells = [5e-324, -5e-324, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        cells += [math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)]
+    # 18 significant digits ending in 5: %.17g rounds these ties to even
+    cells += [562949953421312.125, 1234567890123456.25, -1125899906842624.25]
+    cells += [2.0**53 + 2, 2.0**60 + 2**8, 2.0**63, 2.0**64 - 2**11, 9007199254740993.0 * 8]
+    for e in (-5, -4, 16, 17):
+        cells += [1.5 * 10.0**e, 9.5 * 10.0**e, -1.25 * 10.0**e]
+    return cells
+
+
+def edge_table():
+    cells = edge_cells()
+    return np.array(cells[: len(cells) // 7 * 7]).reshape(-1, 7)
 
 
 def tensor_doc(shape, data):
@@ -497,6 +532,89 @@ class TestCsv:
         twice = ["%.17g" % t for t in np.arange(5) * float(clock.d)]
         lines = multirate_csv(np.zeros((5, 2)), clock).splitlines()[2:]
         assert [line.split(",")[0] for line in lines] != twice
+
+
+class TestCsvNumbers:
+    """`_csv` writes the bytes of the row template for every double."""
+
+    def test_edge_cells(self):
+        table = edge_table()
+        assert _csv(["h"], table) == template_csv(["h"], table.tolist())
+
+    def test_edge_cells_reach_the_fallback(self):
+        cells = edge_cells()
+        decided = _decimal17(np.array(cells))[2]
+        assert not decided[cells.index(562949953421312.125)]
+        assert 0 < np.count_nonzero(~decided) < len(cells) // 2
+
+    def test_log10_one_ulp_low(self, monkeypatch):
+        """A log10 rounded one ulp low makes E one too small at exact powers
+        of ten, and sends a double a hair below one, such as 1e-305, to a
+        carry into 10^17: both reach the fallback. numpy's log10 need not
+        be correctly rounded."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+        table = edge_table()
+        assert _csv(["h"], table) == template_csv(["h"], table.tolist())
+
+    def test_blocks_span_a_long_table(self):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((700, 37)) * 10.0 ** rng.integers(-30, 30, (700, 37))
+        assert table.size > 3 * _BLOCK_CELLS
+        assert _csv(["a", "b"], table) == template_csv(["a", "b"], table.tolist())
+
+    def test_row_wider_than_a_block(self):
+        table = np.linspace(-1.0, 1.0, 2 * (_BLOCK_CELLS + 5)).reshape(2, -1)
+        assert _csv(["h"], table) == template_csv(["h"], table.tolist())
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(4).integers(0, 2**64, 60000, dtype=np.uint64)
+        cells = bits.view(np.float64)
+        table = cells[np.isfinite(cells)][:54000].reshape(-1, 9)
+        assert _csv([], table) == template_csv([], table.tolist())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_and_signed_zero_in_a_trajectory(self):
+        traj = Trajectory(
+            [0.0, 0.5, 1.0],
+            [[math.nan, math.inf], [-math.inf, -0.0], [0.0, -1.5]],
+            [[-0.0], [math.nan], [1e-300]],
+            (2,),
+            (1,),
+        )
+        text = trajectory_csv(traj, emit_output=True)
+        assert text == "t,x_0,x_1,y_0\n0,nan,inf,-0\n0.5,-inf,-0,nan\n1,0,-1.5,1e-300\n"
+        rows = np.hstack([traj.times[:, None], traj.state_matrix(), traj.output_matrix()])
+        assert text == template_csv(["t,x_0,x_1,y_0"], rows.tolist())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_and_signed_zero_in_a_multirate_grid(self):
+        values = np.array([[math.nan, -0.0, math.inf], [-math.inf, 0.0, -2.5e-7]])
+        text = multirate_csv(values, global_clock((2, 3)))
+        assert text == "# d=6 f=3,2\nt,x_1,x_2,x_3\n0,nan,-0,inf\n6,-inf,0,-2.4999999999999999e-07\n"
+
+
+# the sample commands: golden CSV files written by the row-template writer
+GOLDEN = [
+    ("discrete_pair.json", ["simulate", "--steps", "20"], "discrete_pair_steps20.csv"),
+    ("discrete_pair.json", ["simulate", "--steps", "20", "--emit-output"],
+     "discrete_pair_steps20_output.csv"),
+    ("matrix_state.json", ["simulate", "--steps", "20", "--emit-output"],
+     "matrix_state_steps20_output.csv"),
+    ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "rk4"],
+     "continuous_decay_rk4.csv"),
+    ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact"],
+     "continuous_decay_exact.csv"),
+    ("multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
+]
+
+
+@pytest.mark.parametrize("sample, args, golden", GOLDEN, ids=[g for _, _, g in GOLDEN])
+def test_sample_csv_matches_golden_bytes(tmp_path, capsys, sample, args, golden):
+    out = tmp_path / "out.csv"
+    argv = [args[0], "--system", str(SAMPLES / sample), "--out", str(out), *args[1:]]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestRenderReport:

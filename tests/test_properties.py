@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +25,8 @@ from tensorstate import (
     trajectory_on_grid,
 )
 from tensorstate.cli import main
+from tensorstate.fileio import _csv
+from test_fileio import edge_cells, template_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -216,3 +219,24 @@ def test_huge_clocks_columns_match_values(clocks, horizon):
     system = MultirateSystem(A=[[0.5, 0.25], [0.1, 0.3]], B=np.eye(2), clocks=clocks,
                              boundary=index_function(), input=constant_function(0.5))
     _assert_columns_match_values(system, horizon)
+
+
+# any finite double: hypothesis' own floats (subnormals included) and raw bit patterns
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+    .filter(math.isfinite),
+    st.sampled_from(edge_cells()),
+)
+
+
+@hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(1, 6), st.lists(_FINITE, min_size=1, max_size=60))
+def test_csv_numbers_match_the_row_template(width, cells):
+    """The block formatter writes every finite double as the per-row '%.17g'
+    template does."""
+    rows = [cells[k : k + width] for k in range(0, len(cells) - width + 1, width)] or [cells]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _csv(["t"], np.array(rows, dtype=np.float64)) == template_csv(["t"], rows)
