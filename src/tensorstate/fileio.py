@@ -614,7 +614,10 @@ def multirate_csv(values, clock) -> str:
     values = np.asarray(values, dtype=float)
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
-    ticks = np.array([float(k * clock.d) for k in range(len(values))])
+    if max(len(values) - 1, 1) * clock.d < 2**53:  # d and every k*d are then exact doubles
+        ticks = np.arange(len(values)) * float(clock.d)
+    else:  # each exact k*d rounded once
+        ticks = np.array([float(k * clock.d) for k in range(len(values))])
     return _csv([header, columns], np.hstack([ticks[:, None], values]))
 
 

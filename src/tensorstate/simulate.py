@@ -243,57 +243,107 @@ def _advance(piece, v) -> np.ndarray:
     return nxt
 
 
-def _output(piece, v) -> np.ndarray:
-    """M_C·v + M_D·u for a piece (m, u), where an absent C passes the state through."""
+def _output(piece, rows, out) -> np.ndarray:
+    """Write M_C·x + M_D·u for each row x of `rows` into `out` and return it,
+    for a piece (m, u) where an absent C passes the state through. C is
+    applied row by row (a bulk rows @ C.T rounds differently); D·u once."""
     m, u = piece
-    out = v if m.c is None else m.c @ v
+    if m.c is None:
+        out[:] = rows
+    else:
+        for x, y in zip(rows, out):
+            np.matmul(m.c, x, out=y)
     if m.d is not None and u is not None:
-        out = out + m.d @ u
+        out += m.d @ u
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
 def _sweep(system, timeline, v, times, where, method="discrete", h=None):
-    """Sample state and output at each of `times`, moving the state over each
-    interval by one affine map from the pieces in force over it: for
-    "discrete" the piece's M_A and M_B, for "exact" and "rk4" the memoized
-    maps of simulate_continuous. `where` formats the time of an error."""
+    """Sample state and output at each of `times`, piece by piece of the
+    timeline. The intervals that start in a piece and read only that piece
+    share one affine map v <- P·v + Q·u, and its input term c = Q·u is
+    computed once per piece: for "discrete" the piece's M_A and M_B, for
+    "exact" the pair _zoh_pair(m, h), for "rk4" the held map of
+    _rk4_map(m, m, m, h), both kept in a per-run memo. A discrete step reads
+    the piece at its start only. A continuous run steps three kinds of
+    interval one at a time, from the pieces in force over it: an exact
+    interval cut by a key, an RK4 step into the next piece, and an interval
+    whose length is not within 4 ulps (of its end) of h. Where C is absent
+    the state rows are copied once as outputs; elsewhere C·x is taken row by
+    row and D·u once per piece. `where` formats the time of an error."""
     keys, pieces = timeline.keys, timeline.values
+    n = len(times)
     starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
-    at = np.repeat(np.arange(len(keys)), np.diff([*starts, len(times)])).tolist()
-    states = np.empty((len(times), system.state_dim))
-    states[0] = v
+    spans = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], n])) if lo < hi]
     memo = {}
-    for i in range(len(times) - 1):
-        a, b, j, k = times[i], times[i + 1], at[i], at[i + 1]
-        m, u = pieces[j]
-        if method != "discrete":
-            dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a  # k*h stands for k·h
-            cuts = keys[j + 1:k if keys[k] == b else k + 1]
+
+    def kept(key, build, *args):
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+
+    if method == "discrete":
+        slow = []
+    else:
+        grid = np.asarray(times)
+        nominal = np.abs(np.diff(grid) - h) <= 4 * np.spacing(grid[1:])  # k*h stands for k·h
+        # the step into the next sampled piece k: RK4 reads k at its end; an exact
+        # step is cut unless it ends on k's key with no piece in between
+        leaving = [lo - 1 for (j, *_), (k, lo, _) in zip(spans, spans[1:])
+                   if method == "rk4" or k > j + 1 or keys[k] != times[lo]]
+        slow = sorted({*np.flatnonzero(~nominal).tolist(), *leaving})
+        nominal = nominal.tolist()
+
+    def held(m, dt):  # the map of an interval of length dt inside a piece with matrices m
         if method == "discrete":
-            v = _advance((m, u), v)
-        elif method == "rk4":
-            mid = j if j == k else bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
+            return m
+        if method == "exact":
+            return kept((id(m), dt), _zoh_pair, m, dt)  # the segments' matrices live on the system
+        return kept((id(m), id(m), id(m), dt), _rk4_map, m, m, m, dt)[0]
+
+    def step(i, j, v):  # interval i from piece j, by the pieces in force over it
+        a, b, k = times[i], times[i + 1], bisect.bisect_right(starts, i + 1) - 1
+        (m, u), dt = pieces[j], h if nominal[i] else b - a
+        if method == "rk4" and j != k:
+            mid = bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
             (m_mid, u_mid), (m_b, u_b) = pieces[mid], pieces[k]
-            key = (id(m), id(m_mid), id(m_b), dt)  # the segments' matrices live on the system
-            if key not in memo:
-                memo[key] = _rk4_map(m, m_mid, m_b, dt)
-            held, split = memo[key]
-            if j != k and u is not None:  # the stages read the inputs at a, the midpoint and b
-                held, u = split, np.concatenate((u, u_mid, u_b))
-            v = _advance((held, u), v)
-        elif cuts:  # the exact pairs of a cut interval's pieces are not kept
-            for n, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):
-                v = _advance((_zoh_pair(pieces[n][0], r - p), pieces[n][1]), v)
-        else:
-            key = (id(m), dt)
-            if key not in memo:
-                memo[key] = _zoh_pair(m, dt)
-            v = _advance((memo[key], u), v)
-        states[i + 1] = v
-    outputs = np.empty((len(times), system.output_dim))
-    for i, j in enumerate(at):
-        outputs[i] = _output(pieces[j], states[i])
+            maps = kept((id(m), id(m_mid), id(m_b), dt), _rk4_map, m, m_mid, m_b, dt)
+            if u is None:
+                return _advance((maps[0], u), v)
+            return _advance((maps[1], np.concatenate((u, u_mid, u_b))), v)  # inputs at a, mid, b
+        cuts = keys[j + 1:k if keys[k] == b else k + 1]
+        if not cuts:
+            return _advance((held(m, dt), u), v)
+        for s, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):  # these pairs are not kept
+            v = _advance((_zoh_pair(pieces[s][0], r - p), pieces[s][1]), v)
+        return v
+
+    states = np.empty((n, system.state_dim))
+    states[0] = v
+    for j, lo, hi in spans:
+        (m, u), stop = pieces[j], min(hi, n - 1)  # the intervals lo..stop-1 start in piece j
+        cut = slow[bisect.bisect_left(slow, lo):bisect.bisect_left(slow, stop)]
+        p = c = None
+        if len(cut) < stop - lo:  # some interval takes the piece's own map
+            p = held(m, h)
+            p, c = p.a, None if u is None else p.b @ u
+        for g in (*cut, stop):
+            for r in range(lo + 1, g + 1):  # v <- P·v + c over the intervals lo..g-1
+                v_next = states[r]
+                np.matmul(p, v, out=v_next)
+                if c is not None:
+                    v_next += c
+                v = v_next
+            if g < stop:
+                v = states[g + 1] = step(g, j, v)
+            lo = g + 1
+    same = system.output_shape == system.state_shape  # else every segment has C
+    outputs = states.copy() if same else np.empty((n, system.output_dim))
+    for j, lo, hi in spans:
+        m, u = pieces[j]
+        if m.c is not None or m.d is not None and u is not None:
+            _output(pieces[j], states[lo:hi], outputs[lo:hi])
     for name, rows in (("state", states), ("output", outputs)):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
@@ -317,7 +367,8 @@ def step_discrete(system, state, u=None, n=0):
     u = _input_vec(system, u)
     piece = (system.unfolded_at(n), u)
     nxt = Tensor._wrap(_advance(piece, v).reshape(system.state_shape))
-    return nxt, Tensor._wrap(_output(piece, v).reshape(system.output_shape))
+    out = _output(piece, v[None], np.empty((1, system.output_dim)))
+    return nxt, Tensor._wrap(out.reshape(system.output_shape))
 
 
 def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
@@ -450,11 +501,15 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
 
     The final step is truncated to land exactly on t_end; h defaults to
     t_end/1000. One sweep moves the state over each grid interval by one
-    affine map v <- P·v + Q·u. Timeline keys (schedule starts and input
-    breakpoints) within 4 ulps of a grid time are moved onto it, so k*h
-    stands for the nominal k·h and the state and output there read the piece
-    the key starts; an interval within 4 ulps (of its end) of h is stepped
-    with dt = h. method="rk4" runs classical Runge-Kutta on the unfolded
+    affine map v <- P·v + Q·u. The intervals inside one timeline piece share
+    one map and one input term Q·u, both computed once per piece; only an
+    exact interval cut by a key, an RK4 step into the next piece and an
+    interval not within rounding of h (the truncated last step) are stepped
+    from the pieces in force over them. Timeline keys (schedule starts and input breakpoints) within 4
+    ulps of a grid time are moved onto it, so k*h stands for the nominal k·h
+    and the state and output there read the piece the key starts; an
+    interval within 4 ulps (of its end) of h is stepped with dt = h.
+    method="rk4" runs classical Runge-Kutta on the unfolded
     field, its four stages composed into v <- P·v + Q_a·u_a + Q_mid·u_mid +
     Q_b·u_b (the inputs at the step's start, midpoint and end) once per run
     for each (segment at the start, at the midpoint, at the end, dt).

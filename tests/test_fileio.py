@@ -527,6 +527,15 @@ class TestCsv:
         lines = multirate_csv(np.zeros((5, 2)), clock).splitlines()[2:]
         assert [line.split(",")[0] for line in lines] == ["%.17g" % (k * clock.d) for k in range(5)]
 
+    @pytest.mark.parametrize("clocks", [(2**51,), (3 * 2**50 + 1,), (2, 3)])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 6])
+    def test_multirate_ticks_either_side_of_2_53(self, clocks, rows):
+        """Where (rows-1)*d reaches 2^53 or stays below, the tick column is
+        the exact k*d rounded once: d=2^51 switches at 5 rows, 3*2^50+1 at 4."""
+        clock = global_clock(clocks)
+        lines = multirate_csv(np.zeros((rows, 1)), clock).splitlines()[2:]
+        assert [line.split(",")[0] for line in lines] == ["%.17g" % (k * clock.d) for k in range(rows)]
+
     def test_multirate_ticks_not_rounded_twice(self):
         clock = global_clock((2**27 - 1, 2**28 + 3))
         twice = ["%.17g" % t for t in np.arange(5) * float(clock.d)]

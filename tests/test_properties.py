@@ -15,18 +15,22 @@ import pytest
 
 from tensorstate import (
     BoundaryDataError,
+    InputSignal,
     MultirateSystem,
+    Tensor,
     constant_function,
     eval_state,
     global_clock,
     index_function,
     parse_system_file,
+    simulate_discrete,
     table_function,
     trajectory_on_grid,
 )
 from tensorstate.cli import main
 from tensorstate.fileio import _csv
 from test_fileio import edge_cells, template_csv
+from test_simulate import layout_system, same_bits, step_by_step
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -240,3 +244,35 @@ def test_csv_numbers_match_the_row_template(width, cells):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _csv(["t"], np.array(rows, dtype=np.float64)) == template_csv(["t"], rows)
+
+
+@st.composite
+def _discrete_run(draw):
+    """Schedule starts on whole steps and input keys on quarter steps, up to
+    past the last step, so pieces may hold one sample or none; C and D in
+    any segments; a table, zero or no input."""
+    steps = draw(st.integers(0, 25))
+    ends = range(1, steps + 5)
+    starts = sorted({0, *draw(st.lists(st.sampled_from(ends), max_size=6))})
+    keys = sorted({0.0, *draw(st.lists(st.sampled_from([k / 4 for k in range(1, 4 * len(ends))]), max_size=10))})
+    parts = draw(st.lists(st.sampled_from(["", "C", "D", "CD"]), min_size=len(starts), max_size=len(starts)))
+    return starts, parts, keys, steps, draw(st.sampled_from(["table", "zero", "no input"])), draw(st.integers(0, 2**16))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_discrete_run())
+def test_discrete_run_matches_step_by_step(run):
+    """simulate_discrete gives the bits of one step_discrete call per step."""
+    starts, parts, keys, steps, kind, seed = run
+    rng = np.random.default_rng(seed)
+    system = layout_system(rng, starts, parts, None if kind == "no input" else (2,))
+    signal = {
+        "table": InputSignal.table([(key, rng.uniform(-1.0, 1.0, 2)) for key in keys]),
+        "zero": InputSignal.zero(),
+        "no input": None,
+    }[kind]
+    x0 = Tensor.from_array(rng.normal(size=(2, 2)))
+    traj = simulate_discrete(system, x0, steps, u=signal)
+    states, outputs = step_by_step(system, x0, steps, signal)
+    assert same_bits(traj.state_matrix(), states)
+    assert same_bits(traj.output_matrix(), outputs)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 import warnings
@@ -342,6 +343,80 @@ def test_discrete_matches_tensordot_reference_loop():
         assert np.array_equal(vec(state), traj.state_matrix()[n])
         assert np.array_equal(vec(y), traj.output_matrix()[n])
         state = nxt
+
+
+def same_bits(a, b):
+    """Equal arrays whose zeros also carry the same signs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def step_by_step(system, x0, steps, signal):
+    """States and outputs at n = 0..steps from one step_discrete call per
+    step, the input of step n read as signal.sample(n): the per-step oracle
+    of simulate_discrete. A None signal is the zero signal."""
+    signal = InputSignal.zero() if signal is None else signal
+    state, states, outputs = x0, [], []
+    for n in range(steps + 1):
+        u = signal.sample(n, system.input_shape) if system.has_input else None
+        nxt, y = step_discrete(system, state, u, n)
+        states.append(vec(state))
+        outputs.append(vec(y))
+        state = nxt
+    return np.array(states), np.array(outputs)
+
+
+def layout_system(rng, starts, parts, input_shape=(2,), time_kind="discrete"):
+    """A system with state and output shape (2, 2) and one segment per
+    start, segment s holding A, B when there is an input, and the
+    coefficients named in parts[s] ("C", "D" or both)."""
+    shape = (2, 2)
+    sets = []
+    for names in parts:
+        coeffs = {"A": 0.4 * rng.normal(size=shape + shape)}
+        if input_shape is not None:
+            coeffs["B"] = rng.normal(size=shape + input_shape)
+            if "D" in names:
+                coeffs["D"] = rng.normal(size=shape + input_shape)
+        if "C" in names:
+            coeffs["C"] = rng.normal(size=shape + shape)
+        sets.append(CoefficientSet(**{k: Tensor.from_array(m) for k, m in coeffs.items()}))
+    return build_system(time_kind, shape, list(zip(starts, sets)), input_shape=input_shape)
+
+
+# name: (schedule starts, coefficients beside A and B per segment, input keys, steps)
+DISCRETE_LAYOUTS = {
+    "zero steps": ([0, 1], ["C", ""], [0, 1], 0),
+    "one step": ([0, 1], ["", "CD"], [0, 1], 1),
+    "one-step pieces": (list(range(12)), ["C", "", "CD", "D"] * 3, list(range(13)), 12),
+    "keys at and past the last step": ([0, 3, 9, 12], ["CD", "", "D", "C"], [0, 2.5, 2.75, 9, 10, 11.5], 9),
+    "C in some segments": ([0, 4, 7], ["C", "", "CD"], [0, 5], 15),
+    "D without C": ([0, 6], ["D", "D"], [0, 3, 8], 15),
+}
+
+
+class TestDiscreteAgainstStepByStep:
+    """simulate_discrete against one step_discrete call per step, bit for
+    bit, signs of zero included, over layouts of pieces and inputs."""
+
+    @pytest.mark.parametrize("layout", DISCRETE_LAYOUTS)
+    @pytest.mark.parametrize("kind", ["table", "zero", "no input"])
+    def test_layout(self, layout, kind):
+        starts, parts, keys, steps = DISCRETE_LAYOUTS[layout]
+        rng = np.random.default_rng(len(layout))
+        system = layout_system(rng, starts, parts, None if kind == "no input" else (2,))
+        signal = {
+            "table": InputSignal.table([(key, rng.uniform(-1.0, 1.0, 2)) for key in keys]),
+            "zero": InputSignal.zero(),
+            "no input": None,
+        }[kind]
+        # a zero state stays zero under a zero input, so the signs of its zeros are compared
+        x0 = Tensor.from_array(rng.normal(size=(2, 2)) if kind == "table" else np.full((2, 2), -0.0))
+        traj = simulate_discrete(system, x0, steps, u=signal)
+        states, outputs = step_by_step(system, x0, steps, signal)
+        assert len(traj) == steps + 1
+        assert same_bits(traj.state_matrix(), states)
+        assert same_bits(traj.output_matrix(), outputs)
 
 
 class TestClosedForm:
@@ -1072,6 +1147,113 @@ class TestRk4Memo:
         expected = rk4_run(system, x0, signal, 3.0, 0.01).state_matrix()
         moved = rk4_run(system, x0, zoh_signal(breaks, inputs, shift), 3.0, 0.01)
         assert np.array_equal(moved.state_matrix(), expected)
+
+
+def edge_case(kind):
+    """A continuous layout_system run to t_end=1.05: for h=0.1 a truncated
+    last step of 0.05. Schedule starts 0.32 (strictly inside a grid
+    interval), 1 ulp above the grid point 5*0.1, 0.62 and 0.64 (so the piece
+    from 0.62 holds no grid sample) and 0.97; C in some segments only. With
+    kind "table", input keys 0.25 (near a midpoint), 1 ulp below 7*0.1, 0.72
+    and 0.78 (either side of a midpoint), 0.82 and 0.84, 1.02 (inside the
+    truncated step) and 1.2 (past t_end); "zero" drives the input with the
+    zero signal, "none" has no input and no D."""
+    rng = np.random.default_rng(113)
+    starts = [0.0, 0.32, math.nextafter(5 * 0.1, math.inf), 0.62, 0.64, 0.97]
+    system = layout_system(rng, starts, ["C", "D", "", "CD", "C", "D"],
+                           None if kind == "none" else (2,), "continuous")
+    keys = [0.0, 0.25, math.nextafter(7 * 0.1, -math.inf), 0.72, 0.78, 0.82, 0.84, 1.02, 1.2]
+    signal = {
+        "table": InputSignal.table([(key, rng.uniform(-1.0, 1.0, 2)) for key in keys]),
+        "zero": InputSignal.zero(),
+        "none": None,
+    }[kind]
+    return system, rng.normal(size=(2, 2)), signal
+
+
+def per_interval_reference(system, x0, times, h, signal, method):
+    """States and outputs on `times`, every grid interval stepped on its own
+    by the per-interval rule, on the program's own snapped timeline: dt = h
+    for an interval within 4 ulps (of its end) of h, else its length. Exact:
+    the pair of (segment, dt) when no key lies strictly inside the interval,
+    else one pair per piece between those keys, not kept. RK4: the map of
+    (segments at a, the midpoint and b, dt), on the inputs at those three
+    times when the pieces at a and b differ and the system has an input,
+    else on the input at a held. Returns the states, the outputs and the
+    number of maps built, each kept one once."""
+    timeline = simulate._timeline(system, simulate._as_signal(system, signal), times)
+    keys, pieces = timeline.keys, timeline.values
+    at = [bisect.bisect_right(keys, t) - 1 for t in times]
+    kept = {}
+    unkept = 0
+
+    def build(key, make, *args):
+        if key not in kept:
+            kept[key] = make(*args)
+        return kept[key]
+
+    def advance(m, u, v):
+        return m.a @ v if u is None else m.a @ v + m.b @ u
+
+    v, states = x0, [x0]
+    for i, (a, b) in enumerate(zip(times, times[1:])):
+        (m, u), j, k = pieces[at[i]], at[i], at[i + 1]
+        dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a
+        if method == "rk4":
+            (m_mid, u_mid), (m_b, u_b) = pieces[bisect.bisect_right(keys, a + (b - a) / 2) - 1], pieces[k]
+            held, split = build((id(m), id(m_mid), id(m_b), dt), simulate._rk4_map, m, m_mid, m_b, dt)
+            if j != k and u is not None:
+                v = advance(split, np.concatenate((u, u_mid, u_b)), v)
+            else:
+                v = advance(held, u, v)
+        else:
+            inside = [key for key in keys if a < key < b]
+            if not inside:
+                v = advance(build((id(m), dt), simulate._zoh_pair, m, dt), u, v)
+            for p, r in zip([a, *inside], [*inside, b]) if inside else ():
+                m_p, u_p = pieces[bisect.bisect_right(keys, p) - 1]
+                v = advance(simulate._zoh_pair(m_p, r - p), u_p, v)
+                unkept += 1
+        states.append(v)
+    outputs = []
+    for x, j in zip(states, at):
+        m, u = pieces[j]
+        y = x if m.c is None else m.c @ x
+        outputs.append(y if m.d is None or u is None else y + m.d @ u)
+    return np.array(states), np.array(outputs), len(kept) + unkept
+
+
+class TestContinuousEdges:
+    """simulate_continuous against per_interval_reference, bit for bit, with
+    the same number of maps built."""
+
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    @pytest.mark.parametrize("kind", ["table", "zero", "none"])
+    @pytest.mark.parametrize("h", [0.1, 0.01])
+    def test_against_the_per_interval_rule(self, monkeypatch, method, kind, h):
+        system, x0, signal = edge_case(kind)
+        times = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=h, u=signal).times.tolist()
+        states, outputs, built = per_interval_reference(system, x0.reshape(-1), times, h, signal, method)
+        name = "_zoh_pair" if method == "exact" else "_rk4_map"
+        calls = []
+        make = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *args: calls.append(args) or make(*args))
+        traj = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=h, u=signal, method=method)
+        assert same_bits(traj.state_matrix(), states)
+        assert same_bits(traj.output_matrix(), outputs)
+        assert len(calls) == built
+
+    def test_the_case_has_its_edges(self):
+        """h=0.1: the last step is truncated, a key lies 1 ulp off a grid
+        point, two keys lie strictly inside one interval, and the pieces
+        from 0.62 and 0.82 hold no grid sample."""
+        system, x0, signal = edge_case("table")
+        times = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=0.1, u=signal).times
+        assert times[-1] - times[-2] < 0.06 and times[5] == 5 * 0.1 and times[7] == 7 * 0.1
+        keys = sorted({*system.schedule.starts, *signal.breakpoints})
+        assert {5 * 0.1, 7 * 0.1}.isdisjoint(keys)
+        for first, second in ((0.62, 0.64), (0.82, 0.84)):
+            assert not any(first <= t < second for t in times)
 
 
 class TestTensorVectorEquivalence:
