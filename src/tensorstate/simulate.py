@@ -261,39 +261,31 @@ def _output(piece, rows, out) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
 def _sweep(system, timeline, v, times, where, method="discrete", h=None):
     """Sample state and output at each of `times`, piece by piece of the
-    timeline. The intervals that start in a piece and read only that piece
-    share one affine map v <- P·v + Q·u, and its input term c = Q·u is
-    computed once per piece: for "discrete" the piece's M_A and M_B, for
-    "exact" the pair _zoh_pair(m, h), for "rk4" the held map of
-    _rk4_map(m, m, m, h), both kept in a per-run memo. A discrete step reads
-    the piece at its start only. A continuous run steps three kinds of
-    interval one at a time, from the pieces in force over it: an exact
-    interval cut by a key, an RK4 step into the next piece, and an interval
-    whose length is not within 4 ulps (of its end) of h. Where C is absent
-    the state rows are copied once as outputs; elsewhere C·x is taken row by
+    timeline. The intervals that start in a piece share one affine map
+    v <- P·v + Q·u, and its input term c = Q·u is computed once per piece:
+    for "discrete" the piece's M_A and M_B, for "exact" the pair
+    _zoh_pair(m, h), for "rk4" the held map of _rk4_map(m, m, m, h), both
+    kept in a per-run memo. Only a piece's last interval may be stepped on
+    its own, from the pieces in force over it: an RK4 step into the next
+    sampled piece, an exact step cut by a key, or the grid's last interval
+    when it is not within 4 ulps (of its end) of h. Where C is absent the
+    state rows are copied once as outputs; elsewhere C·x is taken row by
     row and D·u once per piece. `where` formats the time of an error."""
     keys, pieces = timeline.keys, timeline.values
     n = len(times)
     starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
     spans = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], n])) if lo < hi]
     memo = {}
+    # times[k] = k*h before t_end, so for k >= 2 times[k] - times[k-1] is exact (Sterbenz)
+    # and within ulp(times[k]) of h: only the grid's last interval can be off h
+    last = h
+    if method != "discrete" and n > 1 and abs(times[-1] - times[-2] - h) > 4 * math.ulp(times[-1]):
+        last = times[-1] - times[-2]
 
     def kept(key, build, *args):
         if key not in memo:
             memo[key] = build(*args)
         return memo[key]
-
-    if method == "discrete":
-        slow = []
-    else:
-        grid = np.asarray(times)
-        nominal = np.abs(np.diff(grid) - h) <= 4 * np.spacing(grid[1:])  # k*h stands for k·h
-        # the step into the next sampled piece k: RK4 reads k at its end; an exact
-        # step is cut unless it ends on k's key with no piece in between
-        leaving = [lo - 1 for (j, *_), (k, lo, _) in zip(spans, spans[1:])
-                   if method == "rk4" or k > j + 1 or keys[k] != times[lo]]
-        slow = sorted({*np.flatnonzero(~nominal).tolist(), *leaving})
-        nominal = nominal.tolist()
 
     def held(m, dt):  # the map of an interval of length dt inside a piece with matrices m
         if method == "discrete":
@@ -302,9 +294,9 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
             return kept((id(m), dt), _zoh_pair, m, dt)  # the segments' matrices live on the system
         return kept((id(m), id(m), id(m), dt), _rk4_map, m, m, m, dt)[0]
 
-    def step(i, j, v):  # interval i from piece j, by the pieces in force over it
-        a, b, k = times[i], times[i + 1], bisect.bisect_right(starts, i + 1) - 1
-        (m, u), dt = pieces[j], h if nominal[i] else b - a
+    def step(i, j, k, v):  # interval i from piece j to piece k, by the pieces in force over it
+        a, b = times[i], times[i + 1]
+        (m, u), dt = pieces[j], last if i == n - 2 else h
         if method == "rk4" and j != k:
             mid = bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
             (m_mid, u_mid), (m_b, u_b) = pieces[mid], pieces[k]
@@ -321,23 +313,24 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
 
     states = np.empty((n, system.state_dim))
     states[0] = v
-    for j, lo, hi in spans:
+    for (j, lo, hi), (k, *_) in zip(spans, [*spans[1:], spans[-1]]):  # k: the next sampled piece, or j
         (m, u), stop = pieces[j], min(hi, n - 1)  # the intervals lo..stop-1 start in piece j
-        cut = slow[bisect.bisect_left(slow, lo):bisect.bisect_left(slow, stop)]
-        p = c = None
-        if len(cut) < stop - lo:  # some interval takes the piece's own map
+        # the last of them goes alone when RK4 reads piece k at its end, when an
+        # exact step is cut (it does not end on k's key, or a piece lies between),
+        # or when it is the grid's last interval and off h
+        leaves = j != k and (method == "rk4" or method == "exact" and (k > j + 1 or keys[k] != times[hi]))
+        end = stop - (lo < stop and (leaves or stop == n - 1 and last != h))
+        if lo < end:  # v <- P·v + c over the intervals lo..end-1
             p = held(m, h)
             p, c = p.a, None if u is None else p.b @ u
-        for g in (*cut, stop):
-            for r in range(lo + 1, g + 1):  # v <- P·v + c over the intervals lo..g-1
+            for r in range(lo + 1, end + 1):
                 v_next = states[r]
                 np.matmul(p, v, out=v_next)
                 if c is not None:
                     v_next += c
                 v = v_next
-            if g < stop:
-                v = states[g + 1] = step(g, j, v)
-            lo = g + 1
+        if end < stop:
+            v = states[stop] = step(end, j, k, v)
     same = system.output_shape == system.state_shape  # else every segment has C
     outputs = states.copy() if same else np.empty((n, system.output_dim))
     for j, lo, hi in spans:
@@ -400,12 +393,12 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    timeline = _timeline(system, _as_signal(system, u))
+    signal = _as_signal(system, u)  # read by lookup, not through the sweep's timeline
     m = system.unfolded[0]
     acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
     if system.has_input:
-        for k in range(n):  # each piece of the timeline is (matrices, vec'd input)
-            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ timeline.at(k)[1])
+        for k in range(n):
+            acc = acc + np.linalg.matrix_power(m.a, n - 1 - k) @ (m.b @ signal.at(k).data)
     return devec(acc, system.state_shape)
 
 
@@ -500,15 +493,17 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     """Integrate dX/dt = A(t)·X + B(t)·U(t) on the grid t = 0, h, 2h, ..., t_end.
 
     The final step is truncated to land exactly on t_end; h defaults to
-    t_end/1000. One sweep moves the state over each grid interval by one
-    affine map v <- P·v + Q·u. The intervals inside one timeline piece share
-    one map and one input term Q·u, both computed once per piece; only an
-    exact interval cut by a key, an RK4 step into the next piece and an
-    interval not within rounding of h (the truncated last step) are stepped
-    from the pieces in force over them. Timeline keys (schedule starts and input breakpoints) within 4
-    ulps of a grid time are moved onto it, so k*h stands for the nominal k·h
-    and the state and output there read the piece the key starts; an
-    interval within 4 ulps (of its end) of h is stepped with dt = h.
+    t_end/1000, and ValueError names a t_end for which that is 0. Timeline
+    keys (schedule starts and input breakpoints) within 4 ulps of a grid
+    time are moved onto it, so k*h stands for the nominal k·h and the state
+    and output there read the piece the key starts. Every grid interval but
+    the last, to t_end, is within 4 ulps (of its end) of h and is stepped
+    with dt = h; the last takes its own length when it is not. One sweep
+    moves the state by one affine map v <- P·v + Q·u per interval, shared
+    with its input term Q·u by the intervals of a timeline piece; only a
+    piece's last interval is stepped from the pieces in force over it: an
+    exact one cut by a key, an RK4 step into the next piece, or the grid's
+    last interval off h.
     method="rk4" runs classical Runge-Kutta on the unfolded
     field, its four stages composed into v <- P·v + Q_a·u_a + Q_mid·u_mid +
     Q_b·u_b (the inputs at the step's start, midpoint and end) once per run
@@ -528,6 +523,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if h is None:
         h = t_end / 1000.0
+        if h == 0:
+            raise ValueError(f"t_end {t_end!r} makes the default step t_end/1000 underflow to 0; pass h")
     h = float(h)
     if not h > 0 or not math.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h}")

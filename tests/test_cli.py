@@ -269,6 +269,15 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_default_step_underflow_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--system", str(SAMPLES / "continuous_decay.json"), "--out", str(out),
+                     "--t-end", "5e-324"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: t_end 5e-324 makes the default step t_end/1000 underflow to 0; pass h\n")
+        assert not out.exists()
+
     def test_multirate_file_rejected(self, tmp_path, capsys):
         code = main(
             ["simulate", "--system", str(SAMPLES / "multirate_clocks.json"),

@@ -615,6 +615,7 @@ GOLDEN = [
     ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact"],
      "continuous_decay_exact.csv"),
     ("multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
+    ("discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
 ]
 
 

@@ -23,6 +23,7 @@ from tensorstate import (
     global_clock,
     index_function,
     parse_system_file,
+    simulate_continuous,
     simulate_discrete,
     table_function,
     trajectory_on_grid,
@@ -30,7 +31,7 @@ from tensorstate import (
 from tensorstate.cli import main
 from tensorstate.fileio import _csv
 from test_fileio import edge_cells, template_csv
-from test_simulate import layout_system, same_bits, step_by_step
+from test_simulate import layout_system, r1_system, same_bits, step_by_step
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -276,3 +277,21 @@ def test_discrete_run_matches_step_by_step(run):
     states, outputs = step_by_step(system, x0, steps, signal)
     assert same_bits(traj.state_matrix(), states)
     assert same_bits(traj.output_matrix(), outputs)
+
+
+@hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@hypothesis.given(
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-1074, 996),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+)
+def test_grid_intervals_but_the_last_are_h(mantissa, exponent, steps, fraction):
+    """Every interval of a continuous grid but the last, up to t_end, is
+    within 4 ulps (of its end) of h, for h from subnormal to 1e300: the
+    sweep steps only the last one with its own length."""
+    h = math.ldexp(mantissa, exponent)
+    system = r1_system([[0.0]], time_kind="continuous")  # the state stays x0, so nothing overflows
+    times = simulate_continuous(system, Tensor.zeros([1]), h * (steps + fraction), h=h).times.tolist()
+    for a, b in zip(times[:-2], times[1:-1]):
+        assert abs(b - a - h) <= 4 * math.ulp(b)

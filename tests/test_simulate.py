@@ -617,6 +617,15 @@ class TestSimulateContinuous:
         traj = simulate_continuous(system, make_tensor([1], [1.0]), 2.0)
         assert len(traj) == 1001
 
+    def test_default_h_underflow_names_t_end(self):
+        """The default step t_end/1000 is 0 for t_end below about 2.5e-321;
+        at 1000 times the least subnormal it is that subnormal."""
+        system = scalar_system(-1.0)
+        with pytest.raises(ValueError, match=r"^t_end 5e-324 makes the default step t_end/1000 underflow"):
+            simulate_continuous(system, make_tensor([1], [1.0]), 5e-324)
+        traj = simulate_continuous(system, make_tensor([1], [1.0]), 1000 * 5e-324)
+        assert len(traj) == 1001 and traj.times[1] == 5e-324
+
     def test_rk4_fourth_order(self):
         """Halving h divides the terminal error by roughly 16."""
         rng = np.random.default_rng(61)
@@ -1229,16 +1238,23 @@ class TestContinuousEdges:
 
     @pytest.mark.parametrize("method", ["exact", "rk4"])
     @pytest.mark.parametrize("kind", ["table", "zero", "none"])
-    @pytest.mark.parametrize("h", [0.1, 0.01])
-    def test_against_the_per_interval_rule(self, monkeypatch, method, kind, h):
+    @pytest.mark.parametrize("h, t_end", [
+        pytest.param(h, t_end, id=str(h) if t_end == 1.05 else f"{h}-t_end={t_end!r}")
+        for t_end in (1.05, 1.0 + 1e-12, 0.97) for h in (0.1, 0.01)
+    ])
+    def test_against_the_per_interval_rule(self, monkeypatch, method, kind, h, t_end):
+        """For h=0.1, t_end 1.05 truncates the last step. t_end 1 + 1e-12
+        makes the last step 1e-12 longer than h: within the grid's 1e-9·h,
+        not within 4 ulps; for h=0.1 the schedule start 0.97 cuts it. At
+        t_end 0.97 a piece starts on the last sample."""
         system, x0, signal = edge_case(kind)
-        times = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=h, u=signal).times.tolist()
+        times = simulate_continuous(system, Tensor.from_array(x0), t_end, h=h, u=signal).times.tolist()
         states, outputs, built = per_interval_reference(system, x0.reshape(-1), times, h, signal, method)
         name = "_zoh_pair" if method == "exact" else "_rk4_map"
         calls = []
         make = getattr(simulate, name)
         monkeypatch.setattr(simulate, name, lambda *args: calls.append(args) or make(*args))
-        traj = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=h, u=signal, method=method)
+        traj = simulate_continuous(system, Tensor.from_array(x0), t_end, h=h, u=signal, method=method)
         assert same_bits(traj.state_matrix(), states)
         assert same_bits(traj.output_matrix(), outputs)
         assert len(calls) == built
