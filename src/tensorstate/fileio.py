@@ -516,14 +516,16 @@ def _decimal17(x):
     return digits, e10, decided & finite
 
 
-def _csv_rows(block) -> str:
+def _csv_rows(block, again=0) -> str:
     """The CSV lines of `block` (2-D float64), every cell as Python's
-    '%.17g' writes it.
+    '%.17g' writes it, each line ending with its row's last `again` cells
+    written a second time.
 
     Each cell gets _SLOTS byte slots, filled as one row per slot across all
     cells; a slot the cell does not use holds 0, and one transpose and one
     delete of the zero bytes give the text. A cell _decimal17 leaves
-    undecided is formatted by '%.17g' itself.
+    undecided is formatted by '%.17g' itself. A repeated cell is its slots
+    copied, so it is formatted once.
     """
     x = block.ravel()
     n = x.size
@@ -584,28 +586,41 @@ def _csv_rows(block) -> str:
         out[: _SLOTS - 1, undecided] = (
             np.array(texts, dtype=f"S{_SLOTS - 1}").view(np.uint8).reshape(-1, _SLOTS - 1).T
         )
-    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+    text = out.T.tobytes()
+    if again:  # the first copy of a line's last cell now ends in "," where "\n" was
+        lines = np.frombuffer(text, np.uint8).reshape(len(block), -1)
+        lines = np.concatenate((lines, lines[:, -again * _SLOTS :]), axis=1)
+        lines[:, block.shape[1] * _SLOTS - 1] = ord(",")
+        text = lines.tobytes()
+    return text.translate(None, b"\0").decode("ascii")
 
 
-def _csv(header_lines, table) -> str:
+def _csv(header_lines, table, again=0) -> str:
     """CSV text: the header lines, then one line per row of `table` (a 2-D
-    float array), every number with 17 significant digits, formatted in
-    blocks of about _BLOCK_CELLS cells."""
+    float array) followed by the row's last `again` numbers once more, every
+    number with 17 significant digits, formatted in blocks of about
+    _BLOCK_CELLS cells."""
     table = np.asarray(table, dtype=np.float64)
     step = max(1, _BLOCK_CELLS // table.shape[1])
-    blocks = (_csv_rows(table[k : k + step]) for k in range(0, len(table), step))
+    blocks = (_csv_rows(table[k : k + step], again) for k in range(0, len(table), step))
     return "".join(["\n".join([*header_lines, ""]), *blocks])
 
 
 def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
     """CSV text: column t, then the vec'd state entries in row-major column
-    order, then (with emit_output) the vec'd output entries."""
+    order, then (with emit_output) the vec'd output entries. Outputs that are
+    the state array itself (a run without C or D·u) are the state cells'
+    bytes written again, not formatted a second time."""
     header = ["t"] + _columns("x", trajectory.state_shape)
-    columns = [trajectory.times[:, None], trajectory.state_matrix()]
+    states, outputs = trajectory.state_matrix(), trajectory.output_matrix()
+    columns, again = [trajectory.times[:, None], states], 0
     if emit_output:
         header += _columns("y", trajectory.output_shape)
-        columns.append(trajectory.output_matrix())
-    return _csv([",".join(header)], np.hstack(columns))
+        if outputs is states:
+            again = states.shape[1]
+        else:
+            columns.append(outputs)
+    return _csv([",".join(header)], np.hstack(columns), again)
 
 
 def multirate_csv(values, clock) -> str:

@@ -116,8 +116,9 @@ class Trajectory:
     """Ordered (when, state, output) samples from one simulation run.
 
     Stored as read-only arrays: `times` of shape (N,), and the vec'd states
-    and outputs as rows of (N, q) and (N, s) matrices. Samples and tensors
-    are built on demand as views of those rows.
+    and outputs as rows of (N, q) and (N, s) matrices. Outputs passed as the
+    states object itself stay one array with them. Samples and tensors are
+    built on demand as views of those rows.
     """
 
     __slots__ = ("_times", "_states", "_outputs", "state_shape", "output_shape")
@@ -131,6 +132,8 @@ class Trajectory:
             raise ValueError("trajectory needs at least one sample")
         self._states = _frozen(states, (n, math.prod(self.state_shape)))
         self._outputs = _frozen(outputs, (n, math.prod(self.output_shape)))
+        if outputs is states:
+            self._outputs = self._states
         bad = np.flatnonzero(~(self._times[1:] > self._times[:-1]))
         if bad.size:
             a, b = self._times[bad[0]:bad[0] + 2]
@@ -245,14 +248,15 @@ def _advance(piece, v) -> np.ndarray:
 
 def _output(piece, rows, out) -> np.ndarray:
     """Write M_C·x + M_D·u for each row x of `rows` into `out` and return it,
-    for a piece (m, u) where an absent C passes the state through. C is
-    applied row by row (a bulk rows @ C.T rounds differently); D·u once."""
+    for a piece (m, u) where an absent C passes the state through. C·x is
+    one stacked matmul over the rows, which runs one matrix-vector product
+    per row, the same as C @ x (a bulk rows @ C.T rounds differently); D·u
+    is one product, added after."""
     m, u = piece
     if m.c is None:
         out[:] = rows
     else:
-        for x, y in zip(rows, out):
-            np.matmul(m.c, x, out=y)
+        np.matmul(m.c, rows[:, :, None], out=out[:, :, None])
     if m.d is not None and u is not None:
         out += m.d @ u
     return out
@@ -268,9 +272,11 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
     kept in a per-run memo. Only a piece's last interval may be stepped on
     its own, from the pieces in force over it: an RK4 step into the next
     sampled piece, an exact step cut by a key, or the grid's last interval
-    when it is not within 4 ulps (of its end) of h. Where C is absent the
-    state rows are copied once as outputs; elsewhere C·x is taken row by
-    row and D·u once per piece. `where` formats the time of an error."""
+    when it is not within 4 ulps (of its end) of h. When no sampled piece
+    has C or D·u, the outputs are the state array itself; else each piece
+    writes its rows of a fresh array by _output: the states where C is
+    absent, else one stacked C·x product, plus D·u once per piece. `where`
+    formats the time of an error."""
     keys, pieces = timeline.keys, timeline.values
     n = len(times)
     starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
@@ -331,11 +337,11 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
                 v = v_next
         if end < stop:
             v = states[stop] = step(end, j, k, v)
-    same = system.output_shape == system.state_shape  # else every segment has C
-    outputs = states.copy() if same else np.empty((n, system.output_dim))
-    for j, lo, hi in spans:
-        m, u = pieces[j]
-        if m.c is not None or m.d is not None and u is not None:
+    sampled = [pieces[j] for j, *_ in spans]
+    outputs = states  # unless a sampled piece has C or D·u
+    if any(m.c is not None or m.d is not None and u is not None for m, u in sampled):
+        outputs = np.empty((n, system.output_dim))
+        for j, lo, hi in spans:
             _output(pieces[j], states[lo:hi], outputs[lo:hi])
     for name, rows in (("state", states), ("output", outputs)):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -482,11 +488,12 @@ def _rk4_map(m_a, m_mid, m_b, dt):
 
 def _grid_size(t_end, h):
     """Sample count of the grid 0, h, ..., n·h, t_end: n whole steps, and
-    t_end appended unless n·h is already within 1e-9·h of it. Counted in
+    t_end appended unless n·h is already within 1e-9·h of it and is not 0,
+    so a t_end at most 1e-9·h still gets the grid [0, t_end]. Counted in
     floats, so a huge grid is measured without building it; may be inf."""
     n = t_end / h + 1e-9
     n = math.floor(n) if n < math.inf else n
-    return n + (2 if t_end - n * h > 1e-9 * h else 1)
+    return n + (2 if n == 0 or t_end - n * h > 1e-9 * h else 1)
 
 
 def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Trajectory:

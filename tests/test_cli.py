@@ -61,6 +61,16 @@ class TestSimulate:
         assert t == 1.0
         assert abs(x - 0.36787944117144233) < 1e-15
 
+    def test_t_end_below_1e_9_h_writes_two_rows(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", "--system", str(SAMPLES / "continuous_decay.json"), "--out", str(out),
+                "--t-end", "1e-10", "--h", "1", "--method", "exact"]
+        assert main(argv) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["t,x_0", "0,1"] and len(lines) == 3
+        t, x = (float(v) for v in lines[2].split(","))
+        assert t == 1e-10 and x == pytest.approx(math.exp(-1e-10), rel=1e-12, abs=0)
+
     def test_matrix_state_matches_library(self, tmp_path):
         """CSV from the CLI equals five manual step_discrete applications."""
         sample = SAMPLES / "matrix_state.json"

@@ -603,6 +603,62 @@ class TestCsvNumbers:
         assert text == "# d=6 f=3,2\nt,x_1,x_2,x_3\n0,nan,-0,inf\n6,-inf,0,-2.4999999999999999e-07\n"
 
 
+class TestOutputsThatAreTheStates:
+    """A trajectory whose outputs are its state array writes each y cell as
+    the bytes of its x cell, formatted once: the same text as the explicit
+    table [t | x | x] cell by cell."""
+
+    @staticmethod
+    def shared(times, states):
+        states = np.asarray(states, dtype=np.float64)
+        traj = Trajectory(times, states, states, (states.shape[1],), (states.shape[1],))
+        assert traj.output_matrix() is traj.state_matrix()
+        return traj
+
+    @staticmethod
+    def assert_cells_written_again(traj):
+        q = traj.state_matrix().shape[1]
+        header = ",".join(["t", *(f"x_{i}" for i in range(q)), *(f"y_{i}" for i in range(q))])
+        table = np.hstack([traj.times[:, None], traj.state_matrix(), traj.state_matrix()])
+        text = trajectory_csv(traj, emit_output=True)
+        assert text == _csv([header], table) == template_csv([header], table.tolist())
+
+    def test_across_blocks(self):
+        rng = np.random.default_rng(8)
+        states = rng.standard_normal((3000, 5)) * 10.0 ** rng.integers(-30, 30, (3000, 5))
+        assert 3000 * 6 > 2 * _BLOCK_CELLS
+        self.assert_cells_written_again(self.shared(np.arange(3000.0), states))
+
+    def test_one_state_value(self):
+        self.assert_cells_written_again(self.shared([0.0, 0.5, 1.0], [[-0.0], [1.5], [1e-300]]))
+
+    def test_signed_zeros_and_undecided_cells(self):
+        """Ties past 17 digits and neighbours of powers of ten in the
+        subnormal range go to the '%.17g' fallback, and are written again as
+        they were written the first time; beside them the least subnormal."""
+        cells = [5e-324, -0.0, 562949953421312.125, 1e-310, -1125899906842624.25, 1e-305, 0.0]
+        assert not _decimal17(np.array(cells))[2][[2, 3, 4, 5]].any()
+        states = np.array([cells, cells[::-1], cells[1:] + cells[:1]])
+        self.assert_cells_written_again(self.shared([0.0, 1.0, 2.0], states))
+
+    def test_simulated_run_without_c(self):
+        system = build_system("discrete", (2, 2), CoefficientSet(A=make_tensor([2, 2, 2, 2], [0.5] * 16)))
+        traj = simulate_discrete(system, make_tensor([2, 2], [1.0, -0.0, 3.0, 1e-310]), 4)
+        assert traj.output_matrix() is traj.state_matrix()
+        text = trajectory_csv(traj, emit_output=True)
+        table = np.hstack([traj.times[:, None], traj.state_matrix(), traj.state_matrix()])
+        assert text.split("\n", 1)[1] == template_csv([], table.tolist())
+
+    def test_equal_but_other_zero_signs_are_formatted(self):
+        """Outputs == the states but held apart, +0.0 against -0.0: each y
+        cell is formatted from the outputs."""
+        states = np.array([[0.0, 1.0], [-0.0, 0.0]])
+        outputs = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        assert np.array_equal(states, outputs)
+        traj = Trajectory([0.0, 1.0], states, outputs, (2,), (2,))
+        assert trajectory_csv(traj, emit_output=True) == "t,x_0,x_1,y_0,y_1\n0,0,1,-0,1\n1,-0,0,0,-0\n"
+
+
 # the sample commands: golden CSV files written by the row-template writer
 GOLDEN = [
     ("discrete_pair.json", ["simulate", "--steps", "20"], "discrete_pair_steps20.csv"),
@@ -614,6 +670,9 @@ GOLDEN = [
      "continuous_decay_rk4.csv"),
     ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact"],
      "continuous_decay_exact.csv"),
+    ("continuous_decay.json",
+     ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact", "--emit-output"],
+     "continuous_decay_exact_output.csv"),
     ("multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
     ("discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
 ]

@@ -30,6 +30,8 @@ from tensorstate import (
 )
 from tensorstate.cli import main
 from tensorstate.fileio import _csv
+from tensorstate.simulate import _output
+from tensorstate.systems import UnfoldedSystem
 from test_fileio import edge_cells, template_csv
 from test_simulate import layout_system, r1_system, same_bits, step_by_step
 
@@ -277,6 +279,49 @@ def test_discrete_run_matches_step_by_step(run):
     states, outputs = step_by_step(system, x0, steps, signal)
     assert same_bits(traj.state_matrix(), states)
     assert same_bits(traj.output_matrix(), outputs)
+
+
+# values beside the normal ones: signed zeros, subnormals and products past the double range
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.5e-315, 1e300, -1e300])
+
+
+@st.composite
+def _output_case(draw):
+    """(C, rows): C of s x q, C-ordered, F-ordered or a strided view, and
+    1-12 rows of q, s and q from 1..9 or 27 and 256, with every entry
+    sometimes one of _SPECIAL."""
+    dims = st.integers(1, 9) | st.sampled_from([27, 256])
+    s, q = draw(dims), draw(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+    def values(shape):
+        a = rng.normal(size=shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        pick = rng.random(shape) < share
+        a[pick] = rng.choice(_SPECIAL, np.count_nonzero(pick))
+        return a
+
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        c = values((2 * s, 3 * q))[::2, 1::3]
+    else:
+        c = np.asarray(values((s, q)), order=layout)
+    return c, values((draw(st.integers(1, 12)), q))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_output_case())
+def test_stacked_output_matches_per_row_matmul(case):
+    """_output's one stacked C·x product writes, bit for bit and signs of
+    zero included, what one np.matmul(C, x) per row writes."""
+    c, rows = case
+    expected = np.empty((len(rows), c.shape[0]))
+    got = np.empty_like(expected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in zip(rows, expected):
+            np.matmul(c, x, out=y)
+        _output((UnfoldedSystem(None, None, c, None), None), rows, got)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)

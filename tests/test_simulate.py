@@ -392,6 +392,7 @@ DISCRETE_LAYOUTS = {
     "keys at and past the last step": ([0, 3, 9, 12], ["CD", "", "D", "C"], [0, 2.5, 2.75, 9, 10, 11.5], 9),
     "C in some segments": ([0, 4, 7], ["C", "", "CD"], [0, 5], 15),
     "D without C": ([0, 6], ["D", "D"], [0, 3, 8], 15),
+    "C in every segment": ([0, 3, 8], ["C", "CD", "C"], [0, 2.5, 6, 11], 15),
 }
 
 
@@ -611,6 +612,15 @@ class TestSimulateContinuous:
         traj = simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.25)
         assert len(traj) == 5
         assert traj.times[-1] == 1.0
+
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_t_end_within_1e_9_h_keeps_the_t0_row(self, method):
+        """No whole step fits in t_end = 1e-10 with h = 1: the grid is
+        [0, t_end], stepped once over t_end, not x0 placed at t_end."""
+        traj = simulate_continuous(scalar_system(-1.0), make_tensor([1], [2.0]), 1e-10, h=1.0, method=method)
+        assert traj.times.tolist() == [0.0, 1e-10]
+        assert traj.state_matrix()[0, 0] == 2.0
+        np.testing.assert_allclose(traj.state_matrix()[:, 0], 2.0 * np.exp(-traj.times), rtol=1e-12, atol=0)
 
     def test_default_h(self):
         system = scalar_system(-1.0)
@@ -1339,6 +1349,15 @@ class TestGridLimit:
         monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 9)
         with pytest.raises(ValueError, match=r"^h 0.3 needs 10 output cells"):
             simulate_continuous(system, make_tensor([1], [1.0]), 1.0, h=0.3)
+
+    def test_tiny_t_end_counts_two_samples(self, monkeypatch):
+        """t_end = 1e-10 with h = 1 samples 0 and t_end."""
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 4)
+        system = scalar_system(-1.0)
+        assert len(simulate_continuous(system, make_tensor([1], [1.0]), 1e-10, h=1.0)) == 2
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 3)
+        with pytest.raises(ValueError, match=r"^h 1.0 needs 4 output cells"):
+            simulate_continuous(system, make_tensor([1], [1.0]), 1e-10, h=1.0)
 
     @pytest.mark.parametrize("run, message", [
         (lambda x0: simulate_discrete(scalar_system(0.5, "discrete"), x0, 10**15),
