@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulate import MAX_GRID_CELLS, NumericOverflowError
+from .tensors import _as_axis
 
 __all__ = [
     "GlobalClock",
@@ -40,7 +41,7 @@ class GlobalClock:
 
 
 def global_clock(clocks) -> GlobalClock:
-    clocks = tuple(int(c) for c in clocks)
+    clocks = tuple(_as_axis(c, "clock") for c in clocks)
     if not clocks:
         raise ValueError("need at least one clock")
     for c in clocks:
@@ -98,7 +99,7 @@ class MultirateSystem:
                 raise TypeError("input must be callable (process, index) -> real")
         self.A = A
         self.B = B
-        self.clocks = tuple(int(c) for c in clocks)
+        self.clocks = tuple(clock.d // f for f in clock.factors)  # clocks may be a one-shot iterator
         self.clock = clock
         self.boundary = boundary
         self.input = input
@@ -146,8 +147,8 @@ def eval_state(system, i, n, cache=None) -> float:
     including n = 0, is boundary data. Pass the same dict as `cache` across
     calls to share the memo.
     """
-    i = int(i)
-    n = int(n)
+    i = _as_axis(i, "process")
+    n = _as_axis(n, "index")
     if not 1 <= i <= system.process_count:
         raise ValueError(f"process must be in 1..{system.process_count}, got {i}")
     if n < 0:
@@ -219,7 +220,7 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     double. A non-finite state raises NumericOverflowError naming the first
     tick and process where it appears.
     """
-    horizon = int(horizon)
+    horizon = _as_axis(horizon, "horizon")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     d = system.clock.d
@@ -311,7 +312,7 @@ def table_function(entries):
     """
     tables = {}
     for (i, n), v in dict(entries).items():
-        tables.setdefault(int(i), {})[int(n)] = float(v)
+        tables.setdefault(_as_axis(i, "table process"), {})[_as_axis(n, "table index")] = float(v)
     return _columns(
         lambda i, n: tables[i][n],
         lambda i, indices: np.array([tables[i][n] for n in indices.tolist()], dtype=float),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import Piecewise
-from .tensors import ShapeError, Tensor, _as_tensor, _normalize_shape, devec, vec
+from .tensors import ShapeError, Tensor, _as_axis, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
     "NumericOverflowError",
@@ -234,16 +234,20 @@ def _timeline(system, signal, grid=()) -> Piecewise:
     return Piecewise(pieces.items(), "timeline")
 
 
-def _advance(piece, v) -> np.ndarray:
-    """P·v + Q·u for a piece (m, u) with P = m.a and Q = m.b: the discrete
-    step, an exact pair (Φ, Γ) or a composed RK4 map. The input term is added
-    whenever the system has one, even when it is zero, so signed zeros come
-    out the same on every route."""
-    m, u = piece
-    nxt = m.a @ v
-    if u is not None:
-        nxt = nxt + m.b @ u
-    return nxt
+def _advance(m, u, v, out, lo, hi) -> np.ndarray:
+    """Step v <- P·v + Q·u through rows lo..hi-1 of `out` and return the last
+    row, for a map m with P = m.a and Q = m.b: a discrete step, an exact pair
+    (Φ, Γ) or a composed RK4 map. c = Q·u is computed once, and added to P·v
+    in each row whenever the system has an input, even a zero one, so signed
+    zeros agree on every route. v may be a row of `out`: numpy buffers it."""
+    p, c = m.a, None if u is None else m.b @ u
+    for r in range(lo, hi):
+        row = out[r]
+        np.matmul(p, v, out=row)
+        if c is not None:
+            row += c
+        v = row
+    return v
 
 
 def _output(piece, rows, out) -> np.ndarray:
@@ -265,18 +269,16 @@ def _output(piece, rows, out) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
 def _sweep(system, timeline, v, times, where, method="discrete", h=None):
     """Sample state and output at each of `times`, piece by piece of the
-    timeline. The intervals that start in a piece share one affine map
-    v <- P·v + Q·u, and its input term c = Q·u is computed once per piece:
-    for "discrete" the piece's M_A and M_B, for "exact" the pair
-    _zoh_pair(m, h), for "rk4" the held map of _rk4_map(m, m, m, h), both
-    kept in a per-run memo. Only a piece's last interval may be stepped on
-    its own, from the pieces in force over it: an RK4 step into the next
-    sampled piece, an exact step cut by a key, or the grid's last interval
-    when it is not within 4 ulps (of its end) of h. When no sampled piece
-    has C or D·u, the outputs are the state array itself; else each piece
-    writes its rows of a fresh array by _output: the states where C is
-    absent, else one stacked C·x product, plus D·u once per piece. `where`
-    formats the time of an error."""
+    timeline, every step by _advance. The intervals that start in a piece
+    share one map v <- P·v + Q·u, stepped as one run: the piece's M_A and M_B
+    for "discrete", the memoized _zoh_pair(m, h) for "exact", the memoized
+    held map of _rk4_map(m, m, m, h) for "rk4". Only a piece's last interval
+    may go alone, from the pieces in force over it: an RK4 step into the next
+    sampled piece, an exact step cut by a key (each cut piece into the same
+    row in turn), or the grid's last interval when not within 4 ulps (of its
+    end) of h. The outputs are the states unless a sampled piece has C or D·u,
+    else _output writes them piece by piece. A non-finite state, else output,
+    raises NumericOverflowError naming its time formatted by `where`."""
     keys, pieces = timeline.keys, timeline.values
     n = len(times)
     starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
@@ -300,21 +302,20 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
             return kept((id(m), dt), _zoh_pair, m, dt)  # the segments' matrices live on the system
         return kept((id(m), id(m), id(m), dt), _rk4_map, m, m, m, dt)[0]
 
-    def step(i, j, k, v):  # interval i from piece j to piece k, by the pieces in force over it
+    def step(i, j, k, v):  # row i+1 from v over interval i, by the pieces j..k in force over it
         a, b = times[i], times[i + 1]
         (m, u), dt = pieces[j], last if i == n - 2 else h
         if method == "rk4" and j != k:
             mid = bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
             (m_mid, u_mid), (m_b, u_b) = pieces[mid], pieces[k]
             maps = kept((id(m), id(m_mid), id(m_b), dt), _rk4_map, m, m_mid, m_b, dt)
-            if u is None:
-                return _advance((maps[0], u), v)
-            return _advance((maps[1], np.concatenate((u, u_mid, u_b))), v)  # inputs at a, mid, b
+            u = u if u is None else np.concatenate((u, u_mid, u_b))  # the inputs at a, mid, b
+            return _advance(maps[1], u, v, states, i + 1, i + 2)
         cuts = keys[j + 1:k if keys[k] == b else k + 1]
         if not cuts:
-            return _advance((held(m, dt), u), v)
-        for s, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):  # these pairs are not kept
-            v = _advance((_zoh_pair(pieces[s][0], r - p), pieces[s][1]), v)
+            return _advance(held(m, dt), u, v, states, i + 1, i + 2)
+        for s, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):  # each into row i+1; pairs not kept
+            v = _advance(_zoh_pair(pieces[s][0], r - p), pieces[s][1], v, states, i + 1, i + 2)
         return v
 
     states = np.empty((n, system.state_dim))
@@ -326,28 +327,27 @@ def _sweep(system, timeline, v, times, where, method="discrete", h=None):
         # or when it is the grid's last interval and off h
         leaves = j != k and (method == "rk4" or method == "exact" and (k > j + 1 or keys[k] != times[hi]))
         end = stop - (lo < stop and (leaves or stop == n - 1 and last != h))
-        if lo < end:  # v <- P·v + c over the intervals lo..end-1
-            p = held(m, h)
-            p, c = p.a, None if u is None else p.b @ u
-            for r in range(lo + 1, end + 1):
-                v_next = states[r]
-                np.matmul(p, v, out=v_next)
-                if c is not None:
-                    v_next += c
-                v = v_next
+        if lo < end:  # the shared-map run over the intervals lo..end-1
+            v = _advance(held(m, h), u, v, states, lo + 1, end + 1)
         if end < stop:
-            v = states[stop] = step(end, j, k, v)
+            v = step(end, j, k, v)
     sampled = [pieces[j] for j, *_ in spans]
     outputs = states  # unless a sampled piece has C or D·u
     if any(m.c is not None or m.d is not None and u is not None for m, u in sampled):
         outputs = np.empty((n, system.output_dim))
         for j, lo, hi in spans:
             _output(pieces[j], states[lo:hi], outputs[lo:hi])
-    for name, rows in (("state", states), ("output", outputs)):
+    _require_finite(where, ("state", states, times), ("output", outputs, times))
+    return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
+
+
+def _require_finite(where, *named):
+    """Raise NumericOverflowError for the first (name, rows, times) with a
+    non-finite row, naming its time formatted by `where`."""
+    for name, rows, times in named:
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
             raise NumericOverflowError(f"{name} became non-finite at {where.format(times[bad[0]])}")
-    return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
 
 
 def _require_kind(system, kind, what):
@@ -355,19 +355,22 @@ def _require_kind(system, kind, what):
         raise ValueError(f"{what} needs a {kind}-time system, got {system.time_kind}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is raised below
 def step_discrete(system, state, u=None, n=0):
     """One update X(n+1) = A(n)·X(n) + B(n)·U(n); returns (next_state, output).
 
     The output is Y(n) = C(n)·X(n) + D(n)·U(n) for the *current* sample, with
     an absent C meaning the output is the state and an absent D no feedthrough.
+    The step is one _advance row, as in simulate_discrete, so a loop of these
+    gives its bits; a non-finite state at step n+1, else output at step n,
+    raises its NumericOverflowError.
     """
     _require_kind(system, "discrete", "step_discrete")
-    v = _state_vec(system, state)
-    u = _input_vec(system, u)
-    piece = (system.unfolded_at(n), u)
-    nxt = Tensor._wrap(_advance(piece, v).reshape(system.state_shape))
-    out = _output(piece, v[None], np.empty((1, system.output_dim)))
-    return nxt, Tensor._wrap(out.reshape(system.output_shape))
+    v, u, m = _state_vec(system, state), _input_vec(system, u), system.unfolded_at(n)
+    nxt = _advance(m, u, v, np.empty((1, system.state_dim)), 0, 1)
+    out = _output((m, u), v[None], np.empty((1, system.output_dim)))
+    _require_finite("step {}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
+    return Tensor._wrap(nxt.reshape(system.state_shape)), Tensor._wrap(out.reshape(system.output_shape))
 
 
 def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
@@ -375,11 +378,11 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
 
     `u` is an InputSignal sampled at integer steps; None means zero input.
     Raises NumericOverflowError naming the step if the state or an output
-    leaves the finite range, and ValueError when the samples would exceed
-    MAX_GRID_CELLS.
+    leaves the finite range, and ValueError when `steps` is not an integer
+    or the samples would exceed MAX_GRID_CELLS.
     """
     _require_kind(system, "discrete", "simulate_discrete")
-    steps = int(steps)
+    steps = _as_axis(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
@@ -396,7 +399,7 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     _require_kind(system, "discrete", "solve_discrete_closed_form")
     if not system.is_time_invariant:
         raise ValueError("closed form needs a time-invariant system; use simulate_discrete")
-    n = int(n)
+    n = _as_axis(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     signal = _as_signal(system, u)  # read by lookup, not through the sweep's timeline
@@ -447,8 +450,8 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
 
 
 def _zoh_pair(m, dt):
-    """Unfolded matrices m discretized over a step dt, as m with a = Φ and
-    b = Γ for _advance: Φ = exp(M_A·dt) and Γ = ∫_0^dt exp(M_A·s) ds·M_B, both
+    """m discretized over a step dt: m with a = Φ = exp(M_A·dt) and
+    b = Γ = ∫_0^dt exp(M_A·s) ds·M_B, the P and Q that _advance steps, both
     blocks of the exponential of [[M_A, M_B], [0, 0]]·dt (Van Loan 1978), in
     which M_B has no columns without input; Γ is then None."""
     q = m.a.shape[0]
@@ -463,9 +466,9 @@ def _zoh_pair(m, dt):
 def _rk4_map(m_a, m_mid, m_b, dt):
     """Classical RK4 over dt, with the field M_A·v + M_B·u read from m_a, m_mid
     and m_b at the step's start, midpoint and end, run on the columns of
-    [v; u_a; u_mid; u_b] and returned as two maps for _advance:
-    (P, Q_a + Q_mid + Q_b) for one input held over the step, and
-    (P, [Q_a Q_mid Q_b]); Q is None without input."""
+    [v; u_a; u_mid; u_b] and returned as two maps (a = P, b = Q) that _advance
+    steps: Q = Q_a + Q_mid + Q_b for one input held over the step, and
+    Q = [Q_a Q_mid Q_b] for [u_a; u_mid; u_b]; without input Q is None in both."""
     q = m_a.a.shape[0]
     p = 0 if m_a.b is None else m_a.b.shape[1]
     eye = np.eye(q, q + 3 * p)

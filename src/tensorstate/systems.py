@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensors import ShapeError, Tensor, _normalize_shape, unfold
+from .tensors import ShapeError, Tensor, _as_axis, _normalize_shape, unfold
 
 __all__ = [
     "CoefficientSet",
@@ -289,7 +289,7 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
     coupling matrices (homogeneous coupling); the lifted order-4 tensors act
     column by column, so one step equals the matrix equation exactly.
     """
-    columns = int(columns)
+    columns = _as_axis(columns, "columns")
     if columns < 1:
         raise ValueError(f"columns must be >= 1, got {columns}")
     A = np.asarray(A, dtype=float)

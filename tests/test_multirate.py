@@ -64,6 +64,11 @@ class TestGlobalClock:
         with pytest.raises(ValueError):
             global_clock((0, 3))
 
+    def test_non_integer_clock_refused(self):
+        with pytest.raises(ValueError, match="^clock must be an integer, got 2.5$"):
+            global_clock([2.5, 3])
+        assert global_clock([np.int64(2), 3]).d == 6
+
 
 class TestEvalState:
     def test_identity_forwards_boundary(self):
@@ -143,6 +148,20 @@ class TestEvalState:
         with pytest.raises(ValueError):
             eval_state(docs_system(), 1, -6)
 
+    def test_non_integer_arguments_refused(self):
+        with pytest.raises(ValueError, match="^index must be an integer, got 2.5$"):
+            eval_state(docs_system(), 1, 2.5)
+        with pytest.raises(ValueError, match="^process must be an integer, got 1.5$"):
+            eval_state(docs_system(), 1.5, 2)
+        assert eval_state(docs_system(), np.int64(1), np.int64(2)) == 2.0
+
+    def test_table_function_refuses_non_integer_keys(self):
+        with pytest.raises(ValueError, match="^table index must be an integer, got 2.5$"):
+            table_function({(1, 2.5): 7.0})
+        with pytest.raises(ValueError, match="^table process must be an integer, got 1.0$"):
+            table_function({(1.0, 2): 7.0})
+        assert table_function({(np.int64(1), np.int64(2)): 7.0})(1, 2) == 7.0
+
     def test_missing_boundary_reported(self):
         system = MultirateSystem(
             A=[[1.0, 1.0], [0.0, 1.0]],
@@ -205,6 +224,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             MultirateSystem(A=np.eye(1), clocks=(2,), boundary=3.0)
 
+    def test_non_integer_clock_refused(self):
+        with pytest.raises(ValueError, match="^clock must be an integer, got 2.5$"):
+            MultirateSystem(A=np.eye(2), clocks=(2.5, 3), boundary=index_function())
+
+    def test_clocks_read_once(self):
+        system = MultirateSystem(A=np.eye(2), clocks=(c for c in [np.int64(4), 6]), boundary=index_function())
+        assert system.clocks == (4, 6) and all(type(c) is int for c in system.clocks)
+        assert trajectory_on_grid(system, 2).shape == (3, 2)
+
 
 class TestTrajectoryOnGrid:
     def test_docs_grid(self):
@@ -220,6 +248,11 @@ class TestTrajectoryOnGrid:
     def test_negative_horizon(self):
         with pytest.raises(ValueError):
             trajectory_on_grid(docs_system(), -1)
+
+    def test_non_integer_horizon_refused(self):
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 2.9$"):
+            trajectory_on_grid(docs_system(), 2.9)
+        assert trajectory_on_grid(docs_system(), np.int64(2)).shape == (3, 2)
 
     def test_matches_standalone_eval(self):
         system = docs_system()

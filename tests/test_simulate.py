@@ -184,6 +184,20 @@ class TestStepDiscrete:
         with pytest.raises(ValueError):
             step_discrete(system, make_tensor([1], [1.0]))
 
+    @pytest.mark.parametrize("coeffs, x, message", [
+        ({"A": [10.0]}, 1e308, "^state became non-finite at step 4$"),
+        ({"A": [1.0], "C": [1e300]}, 1e10, "^output became non-finite at step 3$"),
+    ], ids=["state", "output"])
+    def test_overflow_names_the_step(self, coeffs, x, message):
+        """A state past the double range is the state at step n+1, an output
+        past it the output at step n; no numpy warning escapes."""
+        coeffs = CoefficientSet(**{k: make_tensor([1, 1], v) for k, v in coeffs.items()})
+        system = build_system("discrete", (1,), coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=message):
+                step_discrete(system, make_tensor([1], [x]), n=3)
+
 
 class TestSimulateDiscrete:
     def test_telescoping(self):
@@ -263,6 +277,13 @@ class TestSimulateDiscrete:
         system = r1_system(np.eye(2))
         with pytest.raises(ValueError):
             simulate_discrete(system, make_tensor([2], [1, 2]), -1)
+
+    def test_non_integer_steps_refused(self):
+        system = r1_system(np.eye(2))
+        x0 = make_tensor([2], [1, 2])
+        with pytest.raises(ValueError, match="^steps must be an integer, got 2.7$"):
+            simulate_discrete(system, x0, 2.7)
+        assert len(simulate_discrete(system, x0, np.int64(2))) == 3
 
     def test_time_varying_switch(self):
         early = CoefficientSet(A=Tensor.from_array(2.0 * np.eye(1)))
@@ -366,14 +387,14 @@ def step_by_step(system, x0, steps, signal):
     return np.array(states), np.array(outputs)
 
 
-def layout_system(rng, starts, parts, input_shape=(2,), time_kind="discrete"):
+def layout_system(rng, starts, parts, input_shape=(2,), time_kind="discrete", scale=0.4):
     """A system with state and output shape (2, 2) and one segment per
-    start, segment s holding A, B when there is an input, and the
-    coefficients named in parts[s] ("C", "D" or both)."""
+    start, segment s holding A (normal entries times `scale`), B when there
+    is an input, and the coefficients named in parts[s] ("C", "D" or both)."""
     shape = (2, 2)
     sets = []
     for names in parts:
-        coeffs = {"A": 0.4 * rng.normal(size=shape + shape)}
+        coeffs = {"A": scale * rng.normal(size=shape + shape)}
         if input_shape is not None:
             coeffs["B"] = rng.normal(size=shape + input_shape)
             if "D" in names:
@@ -418,6 +439,24 @@ class TestDiscreteAgainstStepByStep:
         assert len(traj) == steps + 1
         assert same_bits(traj.state_matrix(), states)
         assert same_bits(traj.output_matrix(), outputs)
+
+    @pytest.mark.parametrize("kind", ["table", "no input"])
+    def test_overflow(self, kind):
+        """A layout with neither C nor D whose states leave the double range
+        in its third segment: the sweep and the step_discrete loop raise the
+        same error at the same step, and no numpy warning escapes."""
+        rng = np.random.default_rng(5)
+        system = layout_system(rng, [0, 4, 9], ["", "", ""], None if kind == "no input" else (2,), scale=40.0)
+        keys = [0, 2.5, 6, 11]
+        signal = InputSignal.table([(key, rng.uniform(-1.0, 1.0, 2)) for key in keys]) if kind == "table" else None
+        x0 = Tensor.from_array(1e280 * rng.normal(size=(2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as swept:
+                simulate_discrete(system, x0, 20, u=signal)
+            with pytest.raises(NumericOverflowError) as stepped:
+                step_by_step(system, x0, 20, signal)
+        assert str(swept.value) == str(stepped.value) == "state became non-finite at step 15"
 
 
 class TestClosedForm:
@@ -482,6 +521,13 @@ class TestClosedForm:
         for n in (0, 1, 2, 7, 8, 9, 1999, 2000):
             closed = vec(solve_discrete_closed_form(system, x0, n, u=u))
             assert np.max(np.abs(closed - states[n])) < 1e-12 * scale
+
+    def test_non_integer_n_refused(self):
+        system = r1_system(np.eye(2))
+        x0 = make_tensor([2], [1, 2])
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.7$"):
+            solve_discrete_closed_form(system, x0, 2.7)
+        assert solve_discrete_closed_form(system, x0, np.int64(2)) == x0
 
     def test_time_varying_rejected(self):
         coeffs = CoefficientSet(A=Tensor.identity([2]))

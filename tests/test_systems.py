@@ -207,6 +207,8 @@ class TestLiftMatrixState:
             lift_matrix_state(np.zeros((2, 3)), columns=2)
         with pytest.raises(ValueError):
             lift_matrix_state(np.eye(2), columns=0)
+        with pytest.raises(ValueError, match="^columns must be an integer, got 2.5$"):
+            lift_matrix_state(np.eye(2), columns=2.5)
         with pytest.raises(ShapeError):
             lift_matrix_state(np.eye(2), B=np.zeros((3, 1)), columns=2)
         with pytest.raises(ShapeError):
