@@ -5,7 +5,7 @@ path for piecewise-constant coefficients and inputs).
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,17 +55,20 @@ class InputSignal(Piecewise):
     Zero and constant are one piece at 0, whose value is None for zero. A
     table's keys strictly increase from 0 and sampling holds the value of
     the last key at or before the query (zero-order hold), also past the end.
+    The vec'd values are also kept stacked, one row per key, for the runs.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "_rows")
 
     def __init__(self, kind, pairs):
         super().__init__(pairs, "input table" if kind == "table" else f"{kind} input")
         self.kind = kind
+        self._rows = None
         if kind != "zero":
             first = _as_tensor(self.values[0])
             rest = zip(self.keys[1:], self.values[1:])
             self.values = (first, *(_coerce(v, first.shape, "input table value at key {}", k) for k, v in rest))
+            self._rows = np.array([v.array for v in self.values]).reshape(len(self.values), -1)
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -217,30 +220,39 @@ def _as_signal(system, u) -> InputSignal | None:
     return u
 
 
-def _timeline(system, signal, grid=()) -> Piecewise:
-    """Coefficients and input of one run as one step function, keyed by the
-    schedule starts and the input breakpoints together. Each piece holds the
-    unfolded matrices and the vec'd input (None without an input) in force
-    until the next key, so both are sampled once per piece. A key within 4
-    ulps of a time of the sorted `grid` is moved onto it; of keys that land
-    on one time, the last piece holds."""
-    pieces = {}
-    for key in sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints)):
-        i = bisect.bisect_left(grid, key)
-        near = [g for g in grid[max(i - 1, 0):i + 1] if abs(g - key) <= 4 * math.ulp(g)]
-        pieces[near[0] if near else key] = (
-            system.unfolded_at(key), None if signal is None else signal.at(key).data
-        )
-    return Piecewise(pieces.items(), "timeline")
+def _timeline(system, signal, grid=None):
+    """Where the keys of one run land and what each holds, in a fixed number
+    of numpy calls: the schedule starts and the input keys together, sorted;
+    a key within 4 ulps of a time of the sorted array `grid` moves onto it
+    (the lower of two such times), and of keys that land on one time the
+    last holds. Returns the landing times, strictly increasing, and per
+    landing time the index into system.unfolded of its segment and into the
+    signal's rows of its input (None without a signal), both read at the key
+    that holds there."""
+    starts = np.array(system.schedule.starts)
+    breaks = None if signal is None else np.array(signal.keys)
+    keys = starts if signal is None else np.concatenate((starts, breaks))
+    keys.sort()
+    at = keys
+    if grid is not None:
+        i = grid.searchsorted(keys)
+        near = grid.take((i - 1, i), mode="clip")  # the times below and above; past an end, that end twice
+        close = abs(near - keys) <= 4 * np.spacing(near)
+        at = np.where(close[0], near[0], np.where(close[1], near[1], keys))
+    last = np.empty(at.size, bool)  # equal keys, and keys that land on one time, are neighbours
+    last[:-1] = at[1:] != at[:-1]
+    last[-1] = True
+    at, keys = at[last], keys[last]
+    inp = None if signal is None else breaks.searchsorted(keys, "right") - 1
+    return at, starts.searchsorted(keys, "right") - 1, inp
 
 
-def _advance(m, u, v, out, lo, hi) -> np.ndarray:
-    """Step v <- P·v + Q·u through rows lo..hi-1 of `out` and return the last
-    row, for a map m with P = m.a and Q = m.b: a discrete step, an exact pair
-    (Φ, Γ) or a composed RK4 map. c = Q·u is computed once, and added to P·v
-    in each row whenever the system has an input, even a zero one, so signed
+def _advance(p, c, v, out, lo, hi) -> np.ndarray:
+    """Step v <- P·v + c through rows lo..hi-1 of `out` and return the last
+    row, for P a discrete step's M_A, an exact pair's Φ or a composed RK4
+    map, and c its input term Q·u (None without input). c is added to P·v in
+    each row whenever the system has an input, even a zero one, so signed
     zeros agree on every route. v may be a row of `out`: numpy buffers it."""
-    p, c = m.a, None if u is None else m.b @ u
     for r in range(lo, hi):
         row = out[r]
         np.matmul(p, v, out=row)
@@ -250,103 +262,164 @@ def _advance(m, u, v, out, lo, hi) -> np.ndarray:
     return v
 
 
-def _output(piece, rows, out) -> np.ndarray:
+def _output(m, rows, out, inputs) -> np.ndarray:
     """Write M_C·x + M_D·u for each row x of `rows` into `out` and return it,
-    for a piece (m, u) where an absent C passes the state through. C·x is
-    one stacked matmul over the rows, which runs one matrix-vector product
-    per row, the same as C @ x (a bulk rows @ C.T rounds differently); D·u
-    is one product, added after."""
-    m, u = piece
+    for rows in force under one segment's matrices m, where an absent C
+    passes the state through, and `inputs` yields (lo, hi, u): rows lo..hi-1
+    hold the input u, None without one. C·x is one stacked matmul over the
+    rows, which runs one matrix-vector product per row, the same as C @ x
+    (a bulk rows @ C.T rounds differently); D·u is one product per input,
+    added after. `inputs` is read only when there is a D."""
     if m.c is None:
         out[:] = rows
     else:
         np.matmul(m.c, rows[:, :, None], out=out[:, :, None])
-    if m.d is not None and u is not None:
-        out += m.d @ u
+    if m.d is not None:
+        for lo, hi, u in inputs:
+            if u is not None:
+                out[lo:hi] += m.d @ u
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
-def _sweep(system, timeline, v, times, where, method="discrete", h=None):
-    """Sample state and output at each of `times`, piece by piece of the
-    timeline, every step by _advance. The intervals that start in a piece
-    share one map v <- P·v + Q·u, stepped as one run: the piece's M_A and M_B
-    for "discrete", the memoized _zoh_pair(m, h) for "exact", the memoized
-    held map of _rk4_map(m, m, m, h) for "rk4". Only a piece's last interval
-    may go alone, from the pieces in force over it: an RK4 step into the next
-    sampled piece, an exact step cut by a key (each cut piece into the same
-    row in turn), or the grid's last interval when not within 4 ulps (of its
-    end) of h. The outputs are the states unless a sampled piece has C or D·u,
-    else _output writes them piece by piece. A non-finite state, else output,
-    raises NumericOverflowError naming its time formatted by `where`."""
-    keys, pieces = timeline.keys, timeline.values
-    n = len(times)
-    starts = [bisect.bisect_left(times, key) for key in keys]  # first sample of each piece
-    spans = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], n])) if lo < hi]
-    memo = {}
+def _runs(at, seg, times, method, h):
+    """The runs of one sweep in stepping order, built in numpy from the
+    landing times `at` and segments `seg` of _timeline. A run writes rows
+    lo..hi-1 of the states with one map v <- P·v + Q·u. The intervals that
+    start in one piece share a run, with the map of its segment for h, but
+    for the piece's last interval, which goes alone when RK4 steps into the
+    next piece (from the pieces at the step's start, midpoint and end, and
+    their inputs), when an exact step is cut by keys strictly inside (one run
+    per piece in force over it, each writing that row in turn), or when it
+    is the grid's last interval and not within 4 ulps (of its end) of h.
+    Returns per run lo, hi, its pieces (a row, or three for RK4), dt,
+    whether it is an RK4 step on three inputs, and the key of its map:
+    segment·2 + (dt is not h), or a negative key of its own for a map read
+    from two segments or for a cut piece's map, which is not kept."""
+    n = times.size
+    right = at.searchsorted(times, "right") - 1  # per sample, the piece in force
+    cross = right[1:] != right[:-1]  # per interval (a, b]: a key lies in it
+    if method == "exact":
+        before = at.searchsorted(times[1:]) - 1  # per interval, the last piece that starts before b
+        lone = before > right[:-1]
+    else:
+        lone = cross.copy() if method == "rk4" else np.zeros(n - 1, bool)
     # times[k] = k*h before t_end, so for k >= 2 times[k] - times[k-1] is exact (Sterbenz)
     # and within ulp(times[k]) of h: only the grid's last interval can be off h
-    last = h
-    if method != "discrete" and n > 1 and abs(times[-1] - times[-2] - h) > 4 * math.ulp(times[-1]):
-        last = times[-1] - times[-2]
+    off = method != "discrete" and abs(times[-1] - times[-2] - h) > 4 * math.ulp(times[-1])
+    if off:
+        lone[-1] = True
+    start = np.empty(n, bool)  # a run starts at a lone step and where a piece starts, which is
+    start[:-1] = lone  # also after every lone step but the grid's last: each one crosses a key
+    start[1:-1] |= cross[:-1]
+    start[0] = start[-1] = True  # the last "start" is the end of the grid
+    rows = start.nonzero()[0]
+    first, lo, hi = rows[:-1], rows[:-1] + 1, rows[1:] + 1  # the first interval of each run, its rows
+    pieces = right[first][None]
+    dt = np.empty(first.size)
+    dt.fill(h)
+    if off:
+        dt[-1] = times[-1] - times[-2]
+    own = np.zeros(first.size, bool)
+    if method == "rk4":  # the pieces at the midpoint and end of each run's first step
+        a, b = times[first], times[1:][first]
+        pieces = np.array((pieces[0], at.searchsorted(a + (b - a) / 2, "right") - 1, right[1:][first]))
+        own = seg[pieces[0]] != seg[pieces[2]]  # segments only increase: the midpoint's lies between
+    elif method == "exact" and (cut := lone[first] & (before[first] > pieces[0])).any():
+        count = np.where(cut, before[first] - pieces[0] + 1, 1)  # the pieces in force over each run's step
+        idx = np.arange(first.size).repeat(count)
+        o = np.arange(idx.size) - (count.cumsum() - count).repeat(count)
+        first, lo, hi, dt, own = first[idx], lo[idx], hi[idx], dt[idx], cut[idx]
+        pieces = pieces[:, idx] + o
+        s = pieces[0]
+        p = np.where(o == 0, times[first], at[s])
+        r = np.where(s < before[first], at.take(s + 1, mode="clip"), times[1:][first])
+        dt = np.where(own, r - p, dt)
+    key = seg[pieces[0]] * 2 + (dt != h)
+    key[own] = -1 - own.nonzero()[0]
+    split = cross[first] if method == "rk4" else np.zeros(first.size, bool)
+    return lo, hi, pieces, dt, split, key
 
-    def kept(key, build, *args):
-        if key not in memo:
-            memo[key] = build(*args)
-        return memo[key]
 
-    def held(m, dt):  # the map of an interval of length dt inside a piece with matrices m
-        if method == "discrete":
-            return m
-        if method == "exact":
-            return kept((id(m), dt), _zoh_pair, m, dt)  # the segments' matrices live on the system
-        return kept((id(m), id(m), id(m), dt), _rk4_map, m, m, m, dt)[0]
-
-    def step(i, j, k, v):  # row i+1 from v over interval i, by the pieces j..k in force over it
-        a, b = times[i], times[i + 1]
-        (m, u), dt = pieces[j], last if i == n - 2 else h
-        if method == "rk4" and j != k:
-            mid = bisect.bisect_right(keys, a + (b - a) / 2, j, k + 1) - 1
-            (m_mid, u_mid), (m_b, u_b) = pieces[mid], pieces[k]
-            maps = kept((id(m), id(m_mid), id(m_b), dt), _rk4_map, m, m_mid, m_b, dt)
-            u = u if u is None else np.concatenate((u, u_mid, u_b))  # the inputs at a, mid, b
-            return _advance(maps[1], u, v, states, i + 1, i + 2)
-        cuts = keys[j + 1:k if keys[k] == b else k + 1]
-        if not cuts:
-            return _advance(held(m, dt), u, v, states, i + 1, i + 2)
-        for s, (p, r) in enumerate(zip((a, *cuts), (*cuts, b)), j):  # each into row i+1; pairs not kept
-            v = _advance(_zoh_pair(pieces[s][0], r - p), pieces[s][1], v, states, i + 1, i + 2)
-        return v
-
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
+def _sweep(system, signal, v, times, where, method="discrete", h=1.0):
+    """Sample state and output at each of the sorted array `times` (h the
+    grid step, 1 for "discrete"), by a plan of the whole run (_timeline,
+    _runs) and one loop over its runs, each stepped by _advance. Each
+    distinct map is built once: the segment's M_A and M_B for "discrete",
+    _zoh_pair(m, dt) for "exact", _rk4_map for "rk4" (its held map, or its
+    split map on the three inputs of a step into the next piece). The input
+    terms c = Q·u of the runs that share P and Q are one stacked matmul. The
+    outputs are the states unless a sampled piece has C or D·u, else _output
+    writes them one segment's block of rows at a time. A non-finite state,
+    else output, raises NumericOverflowError naming its time formatted by
+    `where`."""
+    n, unfolded = times.size, system.unfolded
+    at, seg, inp = _timeline(system, signal, None if method == "discrete" else times)
+    lo, hi, pieces, dt, split, key = _runs(at, seg, times, method, h)
+    group = key * 2 + split  # runs that share P and Q
+    order = group.argsort(kind="stable")
+    ranked = group[order]
+    change = np.empty(order.size, bool)
+    change[:1] = True
+    change[1:] = ranked[1:] != ranked[:-1]
+    heads = [*change.nonzero()[0].tolist(), order.size]  # where each group starts in `order`, then the end
+    first = order[heads[:-1]]  # one run of each group
+    cs = itertools.repeat(None)
+    if signal is not None:  # the runs' inputs in group order, one row of one or three inputs each
+        rows = signal._rows
+        us = rows[inp[pieces[:, order].T]].reshape(order.size, len(pieces) * rows.shape[1])
+        cs = np.empty((order.size, system.state_dim))
+    maps = {}
+    for g, segs, step, a, b in zip(
+        ranked[heads[:-1]].tolist(), seg[pieces[:, first]].T.tolist(), dt[first].tolist(), heads, heads[1:]
+    ):
+        code, three = divmod(g, 2)
+        if code not in maps:
+            m = [unfolded[s] for s in segs]
+            if method == "discrete":
+                maps[code] = (m[0],) * 2
+            elif method == "exact":
+                maps[code] = (_zoh_pair(m[0], step),) * 2
+            else:
+                maps[code] = _rk4_map(*m, step)
+        q = maps[code][three].b
+        if signal is not None:
+            np.matmul(q, us[a:b, : q.shape[1], None], out=cs[a:b, :, None])
+    if signal is not None:
+        cs = cs[order.argsort()]
+    ps = {code: pair[0].a for code, pair in maps.items()}  # an RK4 map's two forms share P
     states = np.empty((n, system.state_dim))
     states[0] = v
-    for (j, lo, hi), (k, *_) in zip(spans, [*spans[1:], spans[-1]]):  # k: the next sampled piece, or j
-        (m, u), stop = pieces[j], min(hi, n - 1)  # the intervals lo..stop-1 start in piece j
-        # the last of them goes alone when RK4 reads piece k at its end, when an
-        # exact step is cut (it does not end on k's key, or a piece lies between),
-        # or when it is the grid's last interval and off h
-        leaves = j != k and (method == "rk4" or method == "exact" and (k > j + 1 or keys[k] != times[hi]))
-        end = stop - (lo < stop and (leaves or stop == n - 1 and last != h))
-        if lo < end:  # the shared-map run over the intervals lo..end-1
-            v = _advance(held(m, h), u, v, states, lo + 1, end + 1)
-        if end < stop:
-            v = step(end, j, k, v)
-    sampled = [pieces[j] for j, *_ in spans]
+    for code, c, a, b in zip(key.tolist(), cs, lo.tolist(), hi.tolist()):
+        v = _advance(ps[code], c, v, states, a, b)
     outputs = states  # unless a sampled piece has C or D·u
-    if any(m.c is not None or m.d is not None and u is not None for m, u in sampled):
-        outputs = np.empty((n, system.output_dim))
-        for j, lo, hi in spans:
-            _output(pieces[j], states[lo:hi], outputs[lo:hi])
-    _require_finite(where, ("state", states, times), ("output", outputs, times))
+    writes = {s for s, m in enumerate(unfolded) if m.c is not None or m.d is not None and signal is not None}
+    if writes:
+        bounds = np.concatenate((times.searchsorted(at), [n]))  # the first sample of each piece, then n
+        j = (bounds[:-1] < bounds[1:]).nonzero()[0]  # the pieces that hold a sample
+        segs = seg[j]
+        if writes.intersection(segs.tolist()):
+            outputs = np.empty((n, system.output_dim))
+            firsts, ends = bounds[j].tolist(), bounds[j + 1].tolist()
+            us = [None] * j.size if signal is None else signal._rows[inp[j]]
+            # segments only increase, so the samples of one segment are one block of rows
+            blocks = [0, *((segs[1:] != segs[:-1]).nonzero()[0] + 1).tolist(), j.size]
+            for x, y in zip(blocks, blocks[1:]):
+                a, b = firsts[x], ends[y - 1]
+                inputs = ((f - a, e - a, u) for f, e, u in zip(firsts[x:y], ends[x:y], us[x:y]))
+                _output(unfolded[segs[x]], states[a:b], outputs[a:b], inputs)
+    _require_finite(where, ("state", states, times), *[("output", outputs, times)] * (outputs is not states))
     return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
 
 
 def _require_finite(where, *named):
     """Raise NumericOverflowError for the first (name, rows, times) with a
-    non-finite row, naming its time formatted by `where`."""
+    non-finite row, naming its time formatted by `where`. The rows are read
+    by their min and max first, which allocate nothing: a NaN or infinity
+    makes one of them non-finite."""
     for name, rows, times in named:
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
+        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             raise NumericOverflowError(f"{name} became non-finite at {where.format(times[bad[0]])}")
 
 
@@ -363,13 +436,17 @@ def step_discrete(system, state, u=None, n=0):
     an absent C meaning the output is the state and an absent D no feedthrough.
     The step is one _advance row, as in simulate_discrete, so a loop of these
     gives its bits; a non-finite state at step n+1, else output at step n,
-    raises its NumericOverflowError.
+    raises its NumericOverflowError. The step index n is an integer >= 0,
+    else ValueError names it.
     """
     _require_kind(system, "discrete", "step_discrete")
+    n = _as_axis(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     v, u, m = _state_vec(system, state), _input_vec(system, u), system.unfolded_at(n)
-    nxt = _advance(m, u, v, np.empty((1, system.state_dim)), 0, 1)
-    out = _output((m, u), v[None], np.empty((1, system.output_dim)))
-    _require_finite("step {}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
+    nxt = _advance(m.a, None if u is None else m.b @ u, v, np.empty((1, system.state_dim)), 0, 1)
+    out = _output(m, v[None], np.empty((1, system.output_dim)), [(0, 1, u)])
+    _require_finite("step {:.0f}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
     return Tensor._wrap(nxt.reshape(system.state_shape)), Tensor._wrap(out.reshape(system.output_shape))
 
 
@@ -386,8 +463,8 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
-    timeline = _timeline(system, _as_signal(system, u))
-    return _sweep(system, timeline, _state_vec(system, x0), range(steps + 1), "step {}")
+    times = np.arange(steps + 1, dtype=float)
+    return _sweep(system, _as_signal(system, u), _state_vec(system, x0), times, "step {:.0f}")
 
 
 def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
@@ -542,6 +619,5 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     samples = _grid_size(t_end, h)
     _refuse_large_grid(system, f"h {h!r}", samples, "(grid samples)")
-    times = [k * h for k in range(samples - 1)] + [t_end]
-    timeline = _timeline(system, _as_signal(system, u), times)
-    return _sweep(system, timeline, _state_vec(system, x0), times, "t={:.17g}", method, h)
+    times = np.append(np.arange(samples - 1) * h, t_end)
+    return _sweep(system, _as_signal(system, u), _state_vec(system, x0), times, "t={:.17g}", method, h)

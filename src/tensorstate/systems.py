@@ -61,9 +61,8 @@ class UnfoldedSystem(NamedTuple):
 class Piecewise:
     """Right-continuous step function of a step index or time, built from
     (key, value) pairs with keys strictly increasing from 0: the value at
-    `when` is the one of the last key <= when. Schedules, input tables and
-    the simulators' timelines are all of this kind; `what` names the one at
-    hand in error messages.
+    `when` is the one of the last key <= when. Schedules and input signals
+    are of this kind; `what` names the one at hand in error messages.
     """
 
     __slots__ = ("keys", "values", "_what")

@@ -661,29 +661,49 @@ class TestOutputsThatAreTheStates:
 
 # the sample commands: golden CSV files written by the row-template writer
 GOLDEN = [
-    ("discrete_pair.json", ["simulate", "--steps", "20"], "discrete_pair_steps20.csv"),
-    ("discrete_pair.json", ["simulate", "--steps", "20", "--emit-output"],
+    (SAMPLES / "discrete_pair.json", ["simulate", "--steps", "20"], "discrete_pair_steps20.csv"),
+    (SAMPLES / "discrete_pair.json", ["simulate", "--steps", "20", "--emit-output"],
      "discrete_pair_steps20_output.csv"),
-    ("matrix_state.json", ["simulate", "--steps", "20", "--emit-output"],
+    (SAMPLES / "matrix_state.json", ["simulate", "--steps", "20", "--emit-output"],
      "matrix_state_steps20_output.csv"),
-    ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "rk4"],
+    (SAMPLES / "continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "rk4"],
      "continuous_decay_rk4.csv"),
-    ("continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact"],
+    (SAMPLES / "continuous_decay.json", ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact"],
      "continuous_decay_exact.csv"),
-    ("continuous_decay.json",
+    (SAMPLES / "continuous_decay.json",
      ["simulate", "--t-end", "1", "--h", "0.01", "--method", "exact", "--emit-output"],
      "continuous_decay_exact_output.csv"),
-    ("multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
-    ("discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
+    # 3 segments, C on the middle one; input keys on grid points, 1 ulp above 7*0.1, and
+    # 0.42 and 0.47 strictly inside (0.4, 0.5); a last step of 0.05
+    (DATA / "continuous_cuts.json", ["simulate", "--t-end", "1.05", "--h", "0.1", "--method", "rk4"],
+     "continuous_cuts_rk4.csv"),
+    (DATA / "continuous_cuts.json",
+     ["simulate", "--t-end", "1.05", "--h", "0.1", "--method", "exact", "--emit-output"],
+     "continuous_cuts_exact_output.csv"),
+    (SAMPLES / "multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
+    (SAMPLES / "discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
 ]
 
 
-@pytest.mark.parametrize("sample, args, golden", GOLDEN, ids=[g for _, _, g in GOLDEN])
-def test_sample_csv_matches_golden_bytes(tmp_path, capsys, sample, args, golden):
+@pytest.mark.parametrize("system, args, golden", GOLDEN, ids=[g for _, _, g in GOLDEN])
+def test_sample_csv_matches_golden_bytes(tmp_path, capsys, system, args, golden):
     out = tmp_path / "out.csv"
-    argv = [args[0], "--system", str(SAMPLES / sample), "--out", str(out), *args[1:]]
+    argv = [args[0], "--system", str(system), "--out", str(out), *args[1:]]
     assert main(argv) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_cut_golden_has_its_edges():
+    """continuous_cuts.json reaches the sweep paths no sample file does: two
+    input keys strictly inside the grid interval (0.4, 0.5), one 1 ulp above
+    the grid point 7*0.1, and C on one of three segments."""
+    bundle = parse_system_file(DATA / "continuous_cuts.json")
+    keys = bundle.input_signal.breakpoints
+    assert [k for k in keys if 0.4 < k < 0.5] == [0.42, 0.47]
+    assert math.nextafter(7 * 0.1, math.inf) in keys and 7 * 0.1 not in keys
+    assert 2 * 0.1 in keys and 9 * 0.1 in keys  # on grid points
+    assert [m.c is not None for m in bundle.system.unfolded] == [False, True, False]
+    assert bundle.system.schedule.starts == (0.0, 0.5, 0.8)
 
 
 class TestRenderReport:

@@ -15,9 +15,11 @@ import pytest
 
 from tensorstate import (
     BoundaryDataError,
+    CoefficientSet,
     InputSignal,
     MultirateSystem,
     Tensor,
+    build_system,
     constant_function,
     eval_state,
     global_clock,
@@ -30,10 +32,10 @@ from tensorstate import (
 )
 from tensorstate.cli import main
 from tensorstate.fileio import _csv
-from tensorstate.simulate import _output
+from tensorstate.simulate import _grid_size, _output, _timeline
 from tensorstate.systems import UnfoldedSystem
 from test_fileio import edge_cells, template_csv
-from test_simulate import layout_system, r1_system, same_bits, step_by_step
+from test_simulate import landed_keys, layout_system, r1_system, same_bits, step_by_step
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -320,7 +322,7 @@ def test_stacked_output_matches_per_row_matmul(case):
     with np.errstate(over="ignore", invalid="ignore"):
         for x, y in zip(rows, expected):
             np.matmul(c, x, out=y)
-        _output((UnfoldedSystem(None, None, c, None), None), rows, got)
+        _output(UnfoldedSystem(None, None, c, None), rows, got, ())
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -340,3 +342,67 @@ def test_grid_intervals_but_the_last_are_h(mantissa, exponent, steps, fraction):
     times = simulate_continuous(system, Tensor.zeros([1]), h * (steps + fraction), h=h).times.tolist()
     for a, b in zip(times[:-2], times[1:-1]):
         assert abs(b - a - h) <= 4 * math.ulp(b)
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _landing_case(draw):
+    """(schedule starts, input kind, table keys, grid) for _timeline. The grid
+    is k*h then t_end, as simulate_continuous builds it; or times with
+    neighbours 1 to 8 ulps apart, so a key can lie within 4 ulps of two; or
+    None, with integer keys, as for a discrete run. Continuous keys lie on
+    grid times or 1 to 8 ulps off them either way, anywhere, or past the
+    grid's end."""
+    shape = draw(st.sampled_from(["uniform", "clustered", "discrete"]))
+    if shape == "discrete":
+        grid, keys = None, st.integers(1, 40).map(float)
+    else:
+        if shape == "uniform":
+            h = draw(st.sampled_from([0.1, 0.01, 1 / 3, 0.07, 2.5, 1e-3]))
+            t_end = h * draw(st.floats(0.5, 40.0))
+            grid = np.append(np.arange(_grid_size(t_end, h) - 1) * h, t_end)
+        else:
+            bases = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+            gaps = st.lists(st.integers(1, 8), max_size=3)
+            times = {0.0}
+            for base in bases:
+                for gap in [0, *draw(gaps)]:
+                    times.add(_nudged(base, gap))
+            grid = np.array(sorted(times))
+        near = st.tuples(st.sampled_from(grid.tolist()), st.integers(-8, 8)).map(lambda p: _nudged(*p))
+        keys = (near | st.floats(0.0, 1.5 * grid[-1])).filter(lambda k: k > 0)
+    starts = sorted({0.0, *draw(st.lists(keys, max_size=6))})
+    kind = draw(st.sampled_from(["none", "constant", "table"]))
+    return starts, kind, sorted({0.0, *draw(st.lists(keys, max_size=12))}), grid
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_landing_case())
+def test_timeline_lands_keys_by_the_per_key_rule(case):
+    """_timeline's landing times, and the segment and input that hold at
+    each, are those of the per-key rule (landed_keys): a bisect per key, its
+    two grid neighbours within 4 ulps, the last key landing on a time holding."""
+    starts, kind, table_keys, grid = case
+    system = build_system(
+        "discrete" if grid is None else "continuous", (1,),
+        [(start, CoefficientSet(A=Tensor.from_array([[float(s)]]), B=Tensor.from_array([[1.0]])))
+         for s, start in enumerate(starts)],
+        input_shape=(1,),
+    )
+    signal = {
+        "none": None,
+        "constant": InputSignal.constant([1.0]),
+        "table": InputSignal.table([(key, [float(k)]) for k, key in enumerate(table_keys)]),
+    }[kind]
+    at, seg, inp = _timeline(system, signal, grid)
+    landed = landed_keys(system, signal, () if grid is None else grid.tolist())
+    assert at.tolist() == [time for time, _ in landed]
+    assert seg.tolist() == [system.schedule.index(key) for _, key in landed]
+    assert (inp is None) == (signal is None)
+    if signal is not None:
+        assert inp.tolist() == [signal.index(key) for _, key in landed]

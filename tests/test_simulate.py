@@ -184,6 +184,31 @@ class TestStepDiscrete:
         with pytest.raises(ValueError):
             step_discrete(system, make_tensor([1], [1.0]))
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "^n must be an integer, got 2.5$"),
+        (3.0, "^n must be an integer, got 3.0$"),
+        (-1, "^n must be >= 0, got -1$"),
+    ])
+    def test_step_index_is_an_integer_from_0(self, n, message):
+        """n is read like every integer argument: a float is not truncated
+        or used as a time, and a negative n is refused by name."""
+        system = build_system("discrete", (1,), [(0, CoefficientSet(A=make_tensor([1, 1], [2.0]))),
+                                                 (2, CoefficientSet(A=make_tensor([1, 1], [3.0])))])
+        with pytest.raises(ValueError, match=message):
+            step_discrete(system, make_tensor([1], [1.0]), n=n)
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(1), np.uint8(0)])
+    def test_numpy_integer_step_index(self, n):
+        """A numpy integer gives the bits of the plain int, in the segment
+        it indexes."""
+        rng = np.random.default_rng(5)
+        system = layout_system(rng, [0, 2], ["CD", "C"])
+        x, u = Tensor.from_array(rng.normal(size=(2, 2))), Tensor.from_array(rng.normal(size=2))
+        got, want = step_discrete(system, x, u, n), step_discrete(system, x, u, int(n))
+        assert all(same_bits(a.array, b.array) for a, b in zip(got, want))
+        other = step_discrete(system, x, u, 2 if n < 2 else 0)  # a step in the other segment
+        assert not np.array_equal(got[0].array, other[0].array)
+
     @pytest.mark.parametrize("coeffs, x, message", [
         ({"A": [10.0]}, 1e308, "^state became non-finite at step 4$"),
         ({"A": [1.0], "C": [1e300]}, 1e10, "^output became non-finite at step 3$"),
@@ -1236,9 +1261,24 @@ def edge_case(kind):
     return system, rng.normal(size=(2, 2)), signal
 
 
+def landed_keys(system, signal, grid=()):
+    """Where the keys of a run land, by the per-key rule, an oracle for
+    simulate._timeline: the schedule starts and input breakpoints together,
+    in order; each key moves onto the first of its two grid neighbours (found
+    by bisect) within 4 ulps of that neighbour, and of keys that land on one
+    time the last holds. Returns (time, key) pairs with the times increasing,
+    each key the one whose segment and input hold from that time."""
+    landed = {}
+    for key in sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints)):
+        i = bisect.bisect_left(grid, key)
+        near = [g for g in grid[max(i - 1, 0):i + 1] if abs(g - key) <= 4 * math.ulp(g)]
+        landed[near[0] if near else key] = key
+    return list(landed.items())
+
+
 def per_interval_reference(system, x0, times, h, signal, method):
     """States and outputs on `times`, every grid interval stepped on its own
-    by the per-interval rule, on the program's own snapped timeline: dt = h
+    by the per-interval rule, on the keys as landed_keys places them: dt = h
     for an interval within 4 ulps (of its end) of h, else its length. Exact:
     the pair of (segment, dt) when no key lies strictly inside the interval,
     else one pair per piece between those keys, not kept. RK4: the map of
@@ -1246,8 +1286,10 @@ def per_interval_reference(system, x0, times, h, signal, method):
     times when the pieces at a and b differ and the system has an input,
     else on the input at a held. Returns the states, the outputs and the
     number of maps built, each kept one once."""
-    timeline = simulate._timeline(system, simulate._as_signal(system, signal), times)
-    keys, pieces = timeline.keys, timeline.values
+    signal = simulate._as_signal(system, signal)
+    landed = landed_keys(system, signal, times)
+    keys = [at for at, _ in landed]
+    pieces = [(system.unfolded_at(key), None if signal is None else signal.at(key).data) for _, key in landed]
     at = [bisect.bisect_right(keys, t) - 1 for t in times]
     kept = {}
     unkept = 0
@@ -1367,6 +1409,33 @@ class TestTensorVectorEquivalence:
         t_tensor = simulate_continuous(system, x0, 1.0, h=0.25, method="exact")
         t_vector = simulate_continuous(twin, devec(vec(x0), (4,)), 1.0, h=0.25, method="exact")
         assert np.max(np.abs(t_tensor.state_matrix() - t_vector.state_matrix())) < 1e-12
+
+
+class TestPlanMemory:
+    @pytest.mark.parametrize("method", ["discrete", "rk4", "exact"])
+    def test_peak_is_the_trajectory_and_a_small_bound(self, method):
+        """A 3-key, q=4 run over 200 000 samples: the traced peak stays below
+        the trajectory's own arrays (times and states, which are also the
+        outputs) plus 1 MiB, so the plan holds nothing of the states' size."""
+        rng = np.random.default_rng(131)
+        kind, at = ("discrete", 70_000) if method == "discrete" else ("continuous", 0.7)
+        a = 0.05 * rng.normal(size=(4, 4)) + (0.5 if kind == "discrete" else -0.5) * np.eye(4)
+        segments = [(start, CoefficientSet(A=Tensor.from_array(a), B=Tensor.from_array(rng.normal(size=(4, 1)))))
+                    for start in (0, at)]
+        system = build_system(kind, (4,), segments, input_shape=(1,))
+        signal = InputSignal.table([(0, [1.0]), (at * 12 / 7, [-1.0])])
+        x0 = Tensor.from_array(rng.normal(size=4))
+        tracemalloc.start()
+        try:
+            if kind == "discrete":
+                traj = simulate_discrete(system, x0, 199_999, u=signal)
+            else:
+                traj = simulate_continuous(system, x0, 2.0, h=1e-5, u=signal, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) >= 200_000 and traj.output_matrix() is traj.state_matrix()
+        assert peak < traj.times.nbytes + traj.state_matrix().nbytes + 2**20
 
 
 class TestGridLimit:

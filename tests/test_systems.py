@@ -248,5 +248,5 @@ def test_shape_soundness():
     system = build_system("discrete", (2, 3), segments)
     state = Tensor.from_array(rng.normal(size=(2, 3)))
     for start, _ in system.schedule:
-        nxt, _ = step_discrete(system, state, n=start)
+        nxt, _ = step_discrete(system, state, n=int(start))  # schedule starts are floats
         assert nxt.shape == (2, 3)
