@@ -13,6 +13,7 @@ decide, or that is not finite, is formatted by '%.17g' itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -189,48 +190,43 @@ def _parse_signal(obj, input_shape, where) -> InputSignal:
         return InputSignal.constant(
             _parse_tensor(arg, f"{where}.value", input_shape, "input_shape")
         )
-    entries = _table_entries(arg, input_shape)
-    if entries is None:
-        entries = [
+    table = _table_entries(arg, input_shape)
+    if table is None:  # read sample by sample, which raises for the first that fails a check
+        pairs = [
             (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
             for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair")
         ]
     try:
-        return InputSignal.table(entries)
+        return InputSignal.table(pairs) if table is None else InputSignal("table", *table)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
 def _table_entries(samples, input_shape):
-    """(when, tensor) pairs of a table's samples in one numpy call for the
-    whens and one for the data, each tensor a read-only row of one block; or
-    None when any sample would fail a check, so that the per-sample path
-    raises its error for the first one."""
+    """A table's keys and values as one (K,) and one (K, *input_shape) float
+    array, checked by a few passes over its fields, each array read in one
+    numpy call; or None when any sample would fail a check, so that the
+    per-sample path raises its error for the first one."""
     if not isinstance(samples, list) or not samples:
         return None
-    shape, size = list(input_shape), math.prod(input_shape)
-    whens, data = [], []
-    for pair in samples:
-        if not isinstance(pair, list) or len(pair) != 2:
-            return None
-        when, value = pair
-        if not isinstance(value, dict) or value.keys() != {"shape", "data"}:
-            return None
-        # [true, 2] == [1, 2] in Python: every mode must be an int proper
-        if value["shape"] != shape or not all(type(m) is int for m in value["shape"]):
-            return None
-        entries = value["data"]
-        if not isinstance(entries, list) or len(entries) != size:
-            return None
-        whens.append(when)
-        data += entries
-    keys, values = _finite_array(whens), _finite_array(data)
+    if set(map(type, samples)) != {list} or set(map(len, samples)) != {2}:
+        return None
+    whens, tensors = zip(*samples)
+    if set(map(type, tensors)) != {dict} or set(map(len, tensors)) != {2}:
+        return None
+    # a dict of two fields holds exactly "shape" and "data" when both are lists
+    shape, shapes, data = list(input_shape), [t.get("shape") for t in tensors], [t.get("data") for t in tensors]
+    # [true, 2] == [1, 2] in Python: every mode must be an int proper
+    if shapes.count(shape) != len(shapes) or set(map(type, itertools.chain.from_iterable(shapes))) != {int}:
+        return None
+    if set(map(type, data)) != {list} or set(map(len, data)) != {math.prod(input_shape)}:
+        return None
+    keys, values = _finite_array(whens), _finite_array(list(itertools.chain.from_iterable(data)))
     if keys is None or values is None:
         return None
     # B holds state + input modes, so input_shape has at most 63 and the
     # block fits numpy's 64 dimensions
-    block = values.reshape(len(samples), *input_shape)
-    return list(zip(keys.tolist(), map(Tensor._wrap, block)))
+    return keys, values.reshape(len(samples), *input_shape)
 
 
 def _parse_tensor_system(obj, path) -> SystemFile:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import Piecewise
+from .systems import Piecewise, _split_pairs
 from .tensors import ShapeError, Tensor, _as_axis, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
@@ -55,32 +55,43 @@ class InputSignal(Piecewise):
     Zero and constant are one piece at 0, whose value is None for zero. A
     table's keys strictly increase from 0 and sampling holds the value of
     the last key at or before the query (zero-order hold), also past the end.
-    The vec'd values are also kept stacked, one row per key, for the runs.
+    The values are one read-only (K, *shape) block, one row per key: the
+    runs read its vec'd rows, and values are Tensor views of rows, on demand.
     """
 
-    __slots__ = ("kind", "_rows")
+    __slots__ = ("kind", "_block", "_rows")
 
-    def __init__(self, kind, pairs):
-        super().__init__(pairs, "input table" if kind == "table" else f"{kind} input")
+    def __init__(self, kind, keys, values):
+        """`values`: None for zero, the block itself as a float array, or K
+        tensor-likes, each checked against the first's shape and stacked."""
+        super().__init__(keys, "input table" if kind == "table" else f"{kind} input")
         self.kind = kind
-        self._rows = None
-        if kind != "zero":
-            first = _as_tensor(self.values[0])
-            rest = zip(self.keys[1:], self.values[1:])
-            self.values = (first, *(_coerce(v, first.shape, "input table value at key {}", k) for k, v in rest))
-            self._rows = np.array([v.array for v in self.values]).reshape(len(self.values), -1)
+        if kind != "zero" and not isinstance(values, np.ndarray):
+            first, rest = _as_tensor(values[0]), zip(self.keys[1:], values[1:])
+            rest = [_coerce(v, first.shape, "input table value at key {}", k).array for k, v in rest]
+            values = np.array([first.array, *rest])
+        if values is not None:
+            values.flags.writeable = False  # before its views are taken
+        self._block, self._rows = values, None if values is None else values.reshape(len(values), -1)
 
     @classmethod
     def zero(cls) -> "InputSignal":
-        return cls("zero", [(0, None)])
+        return cls("zero", np.zeros(1), None)
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls("constant", [(0, value)])
+        return cls("constant", np.zeros(1), [value])
 
     @classmethod
     def table(cls, samples) -> "InputSignal":
-        return cls("table", samples)
+        return cls("table", *_split_pairs(samples, "input table"))
+
+    @property
+    def values(self) -> tuple:
+        return tuple(map(self.at, self.keys))
+
+    def at(self, when) -> Tensor | None:
+        return None if self._block is None else Tensor._wrap(self._block[self.index(when), ...])
 
     @property
     def breakpoints(self) -> tuple:
@@ -89,7 +100,7 @@ class InputSignal(Piecewise):
 
     @property
     def constant_value(self) -> Tensor | None:
-        return self.values[0] if self.kind == "constant" else None
+        return self.at(0) if self.kind == "constant" else None
 
     @property
     def table_samples(self) -> tuple:
@@ -216,7 +227,7 @@ def _as_signal(system, u) -> InputSignal | None:
         raise TypeError("u must be an InputSignal (zero/constant/table)")
     if u is None or u.kind == "zero":
         return InputSignal.constant(Tensor.zeros(system.input_shape))
-    _coerce(u.values[0], system.input_shape, "input sample")  # all values share this shape
+    _coerce(u.at(0), system.input_shape, "input sample")  # all values share this shape
     return u
 
 
@@ -488,38 +499,86 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     return devec(acc, system.state_shape)
 
 
-def matrix_exponential(m, t=1.0) -> np.ndarray:
-    """exp(m*t) by scaling-and-squaring over a truncated power series.
+# The Padé degrees m of Higham's scaling and squaring (SIAM J. Matrix Anal.
+# Appl. 26(4), 2005), each with θ_m, the largest 1-norm of a matrix whose
+# [m/m] approximant of exp is accurate to the unit roundoff (his Table 2.3).
+_PADE_THETA = (
+    (3, 1.495585217958292e-2),
+    (5, 2.539398330063230e-1),
+    (7, 9.504178996162932e-1),
+    (9, 2.097847961257068e0),
+    (13, 5.371920351148152e0),
+)
 
-    The scaled matrix m*t/2^s has infinity norm <= 0.5, so the series reaches
-    machine precision in well under the 40-term cap. The series and the
-    squarings carry R = exp(m*t/2^s) - I (R <- 2R + R²), and I is added at
-    the end, so a slow mode of a stiff matrix does not round away against 1.
+
+def _pade_rows(m):
+    """The coefficients b_j = (2m-j)!/(j!·(m-j)!) of the numerator Σ_j b_j·x^j
+    of the [m/m] approximant of exp, whose denominator is the same sum at -x,
+    as the rows that weigh the powers I, x², x⁴, ... into its odd part over
+    x and its even part; for m = 13, Higham's split: the odd and even parts
+    of weight x⁸ and above over x⁶, then those below. Each b_j is an exact
+    integer rounded once to a double."""
+    b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)]
+    rows = [b[1::2], b[::2]] if m < 13 else [[0, *b[9::2]], [0, *b[8::2]], b[1:8:2], b[0:7:2]]
+    return np.array(rows, dtype=float)
+
+
+_PADE_ROWS = {m: _pade_rows(m) for m, _ in _PADE_THETA}
+
+
+def _pade_minus_eye(a, degree) -> np.ndarray:
+    """r(a) - I for the [degree/degree] Padé approximant r = (V-U)⁻¹·(V+U)
+    of exp(a), with U its odd part and V its even part: (V-U)⁻¹·2U, one
+    solve that never forms I + R, so a slow mode's R keeps its own digits.
+    The parts weigh the stacked even powers of a in one product; degree 13
+    takes Higham's 6 products, up to a⁶."""
+    rows = _PADE_ROWS[degree]
+    n = a.shape[0]
+    powers = np.empty((rows.shape[1], n, n))  # I, a², a⁴, ...
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    parts = (rows @ powers.reshape(len(powers), n * n)).reshape(len(rows), n, n)
+    if degree == 13:
+        parts = powers[3] @ parts[:2] + parts[2:]
+    odd, v = parts
+    u = a @ odd
+    return np.linalg.solve(v - u, 2 * u)
+
+
+def matrix_exponential(m, t=1.0) -> np.ndarray:
+    """exp(m*t) by Higham's scaling and squaring (SIAM J. Matrix Anal.
+    Appl. 26(4), 2005) over a Padé approximant.
+
+    The degree is the least of 3, 5, 7, 9 and 13 whose θ bounds the 1-norm of
+    m*t; past θ₁₃ the matrix is scaled by 2^-s to a 1-norm at most θ₁₃ and
+    the degree-13 approximant is squared s times. The approximant and the
+    squarings carry R = exp(m*t/2^s) - I: R comes from one solve
+    (V - U)·R = 2U, then R <- 2R + R² per squaring, and I is added at the
+    end, so a slow mode of a stiff matrix does not round away against 1.
     One power-of-two scaling serves every magnitude: m and t are first
     brought below 1 by their binary exponents, so neither m*t nor its norm
-    can overflow, and s is read exactly from the norm's exponent. An
-    exponential past the double range comes back non-finite without a numpy
-    warning.
+    can overflow, and s is read exactly from the exponent of the norm over
+    θ₁₃. An exponential past the double range comes back non-finite without
+    a numpy warning; a 0x0 matrix gives the 0x0 identity.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix_exponential needs a square matrix, got shape {list(m.shape)}")
     t = float(t)
-    peak = float(np.abs(m).max())  # nan or inf when an entry is
+    peak = float(np.abs(m).max(initial=0.0))  # nan or inf when an entry is
     if not math.isfinite(peak) or not math.isfinite(t):
         raise ValueError("matrix_exponential needs finite entries and finite t")
     e_m, e_t = math.frexp(peak)[1], math.frexp(t)[1]
     a = np.ldexp(m, -e_m) * math.ldexp(t, -e_t)  # m*t/2^(e_m+e_t), entries below 1
-    frac, e_a = math.frexp(float(np.linalg.norm(a, np.inf)))
-    # ceil(log2(norm of m*t / 0.5)) from norm = frac*2^(e_a+e_m+e_t), 0.5 <= frac < 1
-    squarings = max(e_a + e_m + e_t + (frac > 0.5), 0) if frac else 0
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    # s = ceil(log2(1-norm of m*t / θ13)) from that ratio = frac*2^(e+e_m+e_t), 0.5 <= frac < 1
+    frac, e = math.frexp(norm / _PADE_THETA[-1][1])
+    squarings = max(e + e_m + e_t - (frac == 0.5), 0) if frac else 0
     a = np.ldexp(a, e_m + e_t - squarings)
-    r = term = a  # exp(a) - I
-    for k in range(2, 41):
-        term = term @ a / k
-        r = r + term
-        if np.linalg.norm(term, np.inf) <= 1e-17 * np.linalg.norm(r, np.inf):
-            break
+    norm = math.ldexp(norm, e_m + e_t - squarings)  # of a, at most θ13 up to rounding
+    r = _pade_minus_eye(a, next((d for d, theta in _PADE_THETA[:-1] if norm <= theta), 13))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
             r = 2 * r + r @ r  # (I + r)^2 - I

@@ -58,33 +58,47 @@ class UnfoldedSystem(NamedTuple):
     d: np.ndarray | None
 
 
+def _split_pairs(pairs, what):
+    """The keys of (key, value) `pairs` as a float array, unchecked, and their
+    values as a list. A key must be a Python or numpy int or float within the
+    double range, else ValueError names its entry."""
+    keys, values = [], []
+    for k, entry in enumerate(pairs):
+        try:
+            key, value = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} entries must be (key, value) pairs") from None
+        if isinstance(key, bool) or not isinstance(key, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{what} entry {k}: key must be a real number, got {key!r}")
+        try:
+            keys.append(float(key))
+        except OverflowError:
+            raise ValueError(f"{what} entry {k}: key is past the double range") from None
+        values.append(value)
+    return np.array(keys, dtype=float), values
+
+
 class Piecewise:
-    """Right-continuous step function of a step index or time, built from
-    (key, value) pairs with keys strictly increasing from 0: the value at
-    `when` is the one of the last key <= when. Schedules and input signals
-    are of this kind; `what` names the one at hand in error messages.
+    """Right-continuous step function of a step index or time, with real keys
+    strictly increasing from 0: the value at `when` is the one of the last
+    key <= when. Schedules and input signals are of this kind; each holds
+    its `values`, one per key, and `what` names the one at hand in error
+    messages.
     """
 
-    __slots__ = ("keys", "values", "_what")
+    __slots__ = ("keys", "_what")
 
-    def __init__(self, pairs, what):
-        keys, values = [], []
-        for entry in pairs:
-            try:
-                key, value = entry
-            except (TypeError, ValueError):
-                raise ValueError(f"{what} entries must be (key, value) pairs") from None
-            keys.append(float(key))
-            values.append(value)
-        if not keys:
+    def __init__(self, keys, what):
+        """Check `keys`, a float array, and keep them as a tuple of floats."""
+        if not keys.size:
             raise ValueError(f"{what} must contain at least one entry")
         if keys[0] != 0:
-            raise ValueError(f"{what} must start at 0, got first key {keys[0]}")
-        for a, b in zip(keys, keys[1:]):
-            if not b > a:  # also rejects NaN, which bisect cannot order
-                raise ValueError(f"{what} keys must be strictly increasing ({a} then {b})")
-        self.keys = tuple(keys)
-        self.values = tuple(values)
+            raise ValueError(f"{what} must start at 0, got first key {keys[0].item()}")
+        bad = np.flatnonzero(~(keys[1:] > keys[:-1]))  # also NaN, which bisect cannot order
+        if bad.size:
+            a, b = keys[bad[0] : bad[0] + 2].tolist()
+            raise ValueError(f"{what} keys must be strictly increasing ({a} then {b})")
+        self.keys = tuple(keys.tolist())
         self._what = what
 
     def index(self, when) -> int:
@@ -109,14 +123,16 @@ class CoefficientSchedule(Piecewise):
     """Piecewise-constant assignment of coefficient sets to step/time intervals:
     a step function from segment starts to CoefficientSets."""
 
-    __slots__ = ()
+    __slots__ = ("values",)
 
     def __init__(self, segments):
         if isinstance(segments, CoefficientSet):
             segments = [(0, segments)]
-        super().__init__(segments, "schedule")
-        if not all(isinstance(coeffs, CoefficientSet) for coeffs in self.values):
+        starts, values = _split_pairs(segments, "schedule")
+        super().__init__(starts, "schedule")
+        if not all(isinstance(coeffs, CoefficientSet) for coeffs in values):
             raise ValueError("schedule segments must carry a CoefficientSet")
+        self.values = tuple(values)
 
     @property
     def segments(self) -> tuple:

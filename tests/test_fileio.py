@@ -271,6 +271,7 @@ class TestTableInput:
         # every value is a row of one block: the one-pass path was taken
         block = signal.values[0].array.base
         assert block is not None and all(value.array.base is block for value in signal.values)
+        assert signal._rows.base is block and not signal._rows.flags.writeable
         return signal
 
     def test_sample_system(self):
@@ -704,6 +705,45 @@ def test_cut_golden_has_its_edges():
     assert 2 * 0.1 in keys and 9 * 0.1 in keys  # on grid points
     assert [m.c is not None for m in bundle.system.unfolded] == [False, True, False]
     assert bundle.system.schedule.starts == (0.0, 0.5, 0.8)
+
+
+def scipy_zoh_states(doc, times):
+    """States of the continuous system file `doc` at `times` by an
+    independent zero-order hold: scipy's expm of [[A, B·u], [0, 0]]·dt on
+    each grid interval split at every schedule start and input key strictly
+    inside it, the segment and the input read at each piece's start."""
+    linalg = pytest.importorskip("scipy.linalg")
+    q = math.prod(doc["state_shape"])
+    segments = [(s["start"], np.reshape(s["A"]["data"], (q, q)),
+                 np.reshape(s["B"]["data"], (q, -1)) if "B" in s else None) for s in doc["schedule"]]
+    table = [(when, np.array(value["data"], dtype=float)) for when, value in doc["input"]["samples"]] \
+        if "input" in doc else []
+    keys = sorted({start for start, _, _ in segments} | {when for when, _ in table})
+    x = np.array(doc["x0"]["data"], dtype=float)
+    states = [x]
+    for a, b in zip(times, times[1:]):
+        cuts = [a, *(k for k in keys if a < k < b), b]
+        for p, r in zip(cuts, cuts[1:]):
+            _, m_a, m_b = [s for s in segments if s[0] <= p][-1]
+            aug = np.zeros((q + 1, q + 1))
+            aug[:q, :q] = m_a
+            if m_b is not None:
+                aug[:q, q] = m_b @ [u for when, u in table if when <= p][-1]
+            big = linalg.expm(aug * (r - p))
+            x = big[:q, :q] @ x + big[:q, q]
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("system, args, golden", [g for g in GOLDEN if "exact" in g[1]],
+                         ids=[g for _, args, g in GOLDEN if "exact" in args])
+def test_exact_golden_matches_a_scipy_zoh_loop(system, args, golden):
+    """Each exact golden's states agree with scipy_zoh_states at its own t
+    column, to 1e-12 relative and 1e-14 absolute."""
+    rows = np.loadtxt(DATA / golden, delimiter=",", skiprows=1, ndmin=2)
+    doc = json.loads(system.read_text(encoding="utf-8"))
+    expected = scipy_zoh_states(doc, rows[:, 0])
+    np.testing.assert_allclose(rows[:, 1:1 + expected.shape[1]], expected, rtol=1e-12, atol=1e-14)
 
 
 class TestRenderReport:

@@ -34,7 +34,7 @@ from tensorstate.cli import main
 from tensorstate.fileio import _csv
 from tensorstate.simulate import _grid_size, _output, _timeline
 from tensorstate.systems import UnfoldedSystem
-from test_fileio import edge_cells, template_csv
+from test_fileio import edge_cells, table_doc, template_csv, tensor_doc
 from test_simulate import landed_keys, layout_system, r1_system, same_bits, step_by_step
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -406,3 +406,51 @@ def test_timeline_lands_keys_by_the_per_key_rule(case):
     assert (inp is None) == (signal is None)
     if signal is not None:
         assert inp.tolist() == [signal.index(key) for _, key in landed]
+
+
+@st.composite
+def _table(draw):
+    """An input shape of 1-3 modes and a table of 1-200 keys, strictly
+    increasing from 0 as ints or floats, from subnormal to 1e293, whose
+    values hold ints, floats, -0.0, subnormals and ±1e308: a pool of cells
+    drawn by hypothesis, laid out by a seeded generator."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    count = draw(st.integers(1, 200))
+    scale = draw(st.sampled_from([5e-324, 1e-6, 1.0, 1e6, 1e290]))
+    pool = draw(st.lists(st.one_of(
+        st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308])), min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    later = np.cumsum(rng.integers(1, 1000, count - 1) * scale).tolist()
+    keys = [0, *(int(k) if k.is_integer() and rng.random() < 0.5 else k for k in later)]
+    size = math.prod(shape)
+    values = [[pool[i] for i in rng.integers(len(pool), size=size)] for _ in keys]
+    return shape, keys, values
+
+
+def _same_tensor(a, b):
+    return (a is None) == (b is None) and (a is None or a.shape == b.shape and a.array.tobytes() == b.array.tobytes())
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_table())
+def test_table_read_from_a_file_is_the_table_of_its_pairs(case):
+    """A table parsed from a file, one block from the numpy reader, equals
+    InputSignal.table of its (key, Tensor) pairs in keys, values, lookups
+    and the bytes of the rows the runs read."""
+    shape, keys, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        samples = [[key, tensor_doc(shape, data)] for key, data in zip(keys, values)]
+        path.write_text(json.dumps(table_doc(samples, shape)), encoding="utf-8")
+        parsed = parse_system_file(path).input_signal
+    built = InputSignal.table([(key, Tensor(shape, data)) for key, data in zip(keys, values)])
+    assert parsed.keys == built.keys == tuple(map(float, keys))
+    assert parsed.breakpoints == built.breakpoints
+    assert parsed._rows.shape == built._rows.shape and parsed._rows.tobytes() == built._rows.tobytes()
+    assert [k for k, _ in parsed.table_samples] == [k for k, _ in built.table_samples]
+    assert all(_same_tensor(a, b) for (_, a), (_, b) in zip(parsed.table_samples, built.table_samples))
+    ends = [*parsed.keys[1:], 2 * parsed.keys[-1] + 1]
+    for when in [*parsed.keys, *(a + (b - a) / 2 for a, b in zip(parsed.keys, ends))]:
+        assert _same_tensor(parsed.at(when), built.at(when))
+        assert _same_tensor(parsed.sample(when, shape), built.sample(when, shape))

@@ -26,6 +26,7 @@ from tensorstate import (
     vector_twin,
 )
 from tensorstate import simulate
+from tensorstate.systems import UnfoldedSystem
 
 
 def scalar_system(a, time_kind="continuous"):
@@ -43,6 +44,9 @@ def r1_system(a, b=None, time_kind="discrete"):
     return build_system(
         time_kind, (a.shape[0],), CoefficientSet(**coeffs), input_shape=input_shape
     )
+
+
+IDENTITY_1 = CoefficientSet(A=Tensor.identity([1]))
 
 
 class TestInputSignal:
@@ -68,6 +72,18 @@ class TestInputSignal:
         assert u.sample(42.0, (1,)).tolist() == [3.0]
         assert u.breakpoints == (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("signal", [
+        InputSignal.constant(make_tensor([2], [1, 2])),
+        InputSignal.table([(0, make_tensor([2], [1, 2])), (0.5, [3.0, -0.0])]),
+    ], ids=["constant", "table"])
+    def test_one_read_only_block(self, signal):
+        """The rows the runs read and every value are read-only views of one block."""
+        assert not signal._rows.flags.writeable
+        with pytest.raises(ValueError):
+            signal._rows[0, 0] = 5.0
+        assert all(np.shares_memory(v.array, signal._rows) for v in signal.values)
+        assert np.array_equal(signal._rows, [v.data for v in signal.values])
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             InputSignal.table([])
@@ -79,6 +95,27 @@ class TestInputSignal:
             InputSignal.table([(0, [1.0]), (float("nan"), [2.0])])
         with pytest.raises(ShapeError):
             InputSignal.table([(0, [1.0]), (1, [2.0, 3.0])])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda key: InputSignal.table([(0, [1.0]), (key, [2.0])]), "input table"),
+        (lambda key: CoefficientSchedule([(0, IDENTITY_1), (key, IDENTITY_1)]), "schedule"),
+    ], ids=["input_table", "schedule"])
+    @pytest.mark.parametrize("key, fault", [
+        ("1", "key must be a real number, got '1'"),
+        (True, "key must be a real number, got True"),
+        (np.bool_(True), f"key must be a real number, got {np.bool_(True)!r}"),
+        (None, "key must be a real number, got None"),
+        (10**400, "key is past the double range"),
+    ], ids=["str", "bool", "numpy-bool", "none", "huge-int"])
+    def test_keys_must_be_real_numbers(self, build, name, key, fault):
+        with pytest.raises(ValueError) as err:
+            build(key)
+        assert str(err.value) == f"{name} entry 1: {fault}"
+
+    @pytest.mark.parametrize("key", [1, 1.0, np.int64(1), np.int8(1), np.float32(1.0), np.float64(1.0)])
+    def test_python_and_numpy_numbers_are_keys(self, key):
+        assert InputSignal.table([(0, [1.0]), (key, [2.0])]).breakpoints == (0.0, 1.0)
+        assert CoefficientSchedule([(0, IDENTITY_1), (key, IDENTITY_1)]).starts == (0.0, 1.0)
 
     @pytest.mark.parametrize("when", [-1, float("nan")])
     @pytest.mark.parametrize(
@@ -634,6 +671,43 @@ class TestMatrixExponential:
             expected = linalg.expm(m)
             err = np.linalg.norm(matrix_exponential(m) - expected, np.inf)
             assert err <= 1e-11 * np.linalg.norm(expected, np.inf)
+
+    # θ_3, θ_5, θ_7, θ_9 and θ_13 of Higham (2005), Table 2.3
+    @pytest.mark.parametrize("theta", [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                                       2.097847961257068, 5.371920351148152])
+    def test_each_pade_degree_against_scipy(self, theta):
+        """Random n x n matrices, n from 2 to 18, at 1-norms just below and
+        just above each θ_m, so every degree and each switch to the next,
+        and past θ₁₃ the first squaring, are taken."""
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(2005)
+        for n in range(2, 19):
+            for side in (0.999, 1.001):
+                m = rng.normal(size=(n, n))
+                m *= side * theta / np.abs(m).sum(axis=0).max()
+                expected = linalg.expm(m)
+                err = np.linalg.norm(matrix_exponential(m) - expected, np.inf)
+                assert err <= 1e-12 * np.linalg.norm(expected, np.inf)
+
+    @pytest.mark.parametrize("side", [0.999, 1.001])
+    @pytest.mark.parametrize("k", range(6))
+    def test_squarings_are_enough(self, k, side):
+        """e^x at x just below and above θ₁₃·2^k takes k or k+1 squarings of
+        the degree-13 approximant. Each squaring doubles the relative error,
+        about 1e-14 at θ₁₃, so k = 5 reads 3.3e-13; one squaring fewer reads
+        1.7e-7 or more."""
+        x = side * 5.371920351148152 * 2.0**k
+        assert matrix_exponential([[x]])[0, 0] == pytest.approx(math.exp(x), rel=1e-11, abs=0.0)
+
+    def test_zoh_input_block_keeps_its_digits(self):
+        """Over dt = 1e-20 the input block Γ is dt·M_B to the last bits."""
+        m = UnfoldedSystem(np.array([[-1.0, 2.0], [0.5, -3.0]]), np.array([[1.5], [-0.25]]), None, None)
+        gamma = simulate._zoh_pair(m, 1e-20).b
+        assert np.abs(gamma - 1e-20 * m.b).max() <= 1e-15 * 1e-20 * np.abs(m.b).max()
+
+    def test_empty_matrix(self):
+        got = matrix_exponential(np.zeros((0, 0)), t=2.0)
+        assert got.shape == (0, 0)
 
     @pytest.mark.parametrize("b", [1e6, 1e10, 1e20])
     def test_stiff_diagonal_keeps_the_slow_mode(self, b):
