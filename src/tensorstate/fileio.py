@@ -2,8 +2,16 @@
 plain-text analysis report.
 
 Tensors on disk are {"shape": [...], "data": [...]} with row-major flat
-data. Numbers in CSV output carry 17 significant digits so parsing them
-back reproduces the exact doubles. They are the bytes Python's '%.17g'
+data. Lists of them that share one shape, an input table's values or one
+coefficient kind across a schedule's segments, are read as one (K, N)
+float block in one numpy call after a few checks over whole lists
+(_tensor_block); a schedule whose segments hold the same fields gets one
+read-only block per kind, and segment k's tensors are views of row k. A
+list that fails a check is read tensor by tensor, whose error names the
+first bad field.
+
+Numbers in CSV output carry 17 significant digits so parsing them back
+reproduces the exact doubles. They are the bytes Python's '%.17g'
 writes, computed in numpy for a block of cells at once (_csv_rows): each
 cell's 17 digits and decimal exponent come from a double-double product
 with a power of ten (_decimal17), and the rare cell that product cannot
@@ -93,30 +101,35 @@ def _number(value, where) -> float:
     return number
 
 
-def _finite_array(data) -> np.ndarray | None:
-    """A list of plain ints and floats (bool excluded) as float64 in one
-    numpy call, or None when an entry is of another type, past the double
-    range or not finite."""
-    if set(map(type, data)) <= {float, int}:
+def _finite_block(rows) -> np.ndarray | None:
+    """Equal-length lists of plain ints and floats (bool excluded) as one
+    (len(rows), length) float64 array, or None when an entry is of another
+    type, past the double range or not finite. The entries are read where
+    they are, through an iterator over the lists, by one type pass and one
+    np.fromiter: no number is copied into a joined list. The array is
+    read-only, since the tensors and tables built on it are views."""
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        shape = (len(rows), len(rows[0]))
         try:
-            values = np.array(data, dtype=float)
+            values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=math.prod(shape))
         except OverflowError:
             return None
         if np.isfinite(values).all():
-            return values
+            values.flags.writeable = False
+            return values.reshape(shape)
     return None
 
 
 def _numbers(data, where) -> np.ndarray:
     """A JSON number list as float64, every entry a finite double.
 
-    A list that _finite_array refuses goes entry by entry through _number,
+    A list that _finite_block refuses goes entry by entry through _number,
     so the error names the field as it always has.
     """
-    values = _finite_array(data)
-    if values is None:
-        values = np.array([_number(v, where) for v in data], dtype=float)
-    return values
+    block = _finite_block([data])
+    if block is None:
+        return np.array([_number(v, where) for v in data], dtype=float)
+    return block[0]
 
 
 def _parse_shape(value, where):
@@ -152,6 +165,28 @@ def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
     if declared is not None and shape != declared:
         raise ParseError(f"{where}: shape {list(shape)} does not match {name} {list(declared)}")
     return tensor
+
+
+def _tensor_block(tensors, shape=None):
+    """The data of `tensors`, {"shape", "data"} objects of one shape (`shape`
+    when given, as a list, else the first one's), as one (K, N) float array,
+    a row per tensor. Checked by a few passes over whole lists and read in
+    one numpy call; or None when any tensor would fail a check of
+    _parse_tensor or has another shape."""
+    if set(map(type, tensors)) != {dict} or set(map(len, tensors)) != {2}:
+        return None
+    # a dict of two fields holds exactly "shape" and "data" when both are lists
+    shapes, data = [t.get("shape") for t in tensors], [t.get("data") for t in tensors]
+    shape = shapes[0] if shape is None else shape
+    # [true, 2] == [1, 2] in Python: every mode must be an int proper; a
+    # row reshapes to at most numpy's 64 dimensions
+    if type(shape) is not list or shapes.count(shape) != len(shapes) or len(shape) > 64:
+        return None
+    if set(map(type, itertools.chain.from_iterable(shapes))) != {int} or min(shape) < 1:
+        return None
+    if set(map(type, data)) != {list} or set(map(len, data)) != {math.prod(shape)}:
+        return None
+    return _finite_block(data)
 
 
 def _tagged(obj, where, kinds):
@@ -212,21 +247,44 @@ def _table_entries(samples, input_shape):
     if set(map(type, samples)) != {list} or set(map(len, samples)) != {2}:
         return None
     whens, tensors = zip(*samples)
-    if set(map(type, tensors)) != {dict} or set(map(len, tensors)) != {2}:
-        return None
-    # a dict of two fields holds exactly "shape" and "data" when both are lists
-    shape, shapes, data = list(input_shape), [t.get("shape") for t in tensors], [t.get("data") for t in tensors]
-    # [true, 2] == [1, 2] in Python: every mode must be an int proper
-    if shapes.count(shape) != len(shapes) or set(map(type, itertools.chain.from_iterable(shapes))) != {int}:
-        return None
-    if set(map(type, data)) != {list} or set(map(len, data)) != {math.prod(input_shape)}:
-        return None
-    keys, values = _finite_array(whens), _finite_array(list(itertools.chain.from_iterable(data)))
+    keys, values = _finite_block([whens]), _tensor_block(tensors, list(input_shape))
     if keys is None or values is None:
         return None
     # B holds state + input modes, so input_shape has at most 63 and the
     # block fits numpy's 64 dimensions
-    return keys, values.reshape(len(samples), *input_shape)
+    return keys[0], values.reshape(len(samples), *input_shape)
+
+
+_KINDS = ("A", "B", "C", "D")
+
+
+def _schedule_blocks(raw_schedule):
+    """A schedule's starts as a list of floats and, per coefficient kind it
+    holds, (name, block, shape): the kind's tensors as one read-only (K, N)
+    float array, a row per segment, and their shape. Checked by a few passes
+    over whole lists; or None when any segment would fail a check, or when
+    the segments differ in fields or a kind in shape, so that the
+    per-segment path reads them and raises its error for the first bad
+    field."""
+    if set(map(type, raw_schedule)) != {dict}:
+        return None
+    fields = set(map(frozenset, raw_schedule))
+    if len(fields) != 1:
+        return None
+    names = fields.pop()
+    if not {"start", "A"} <= names <= {"start", *_KINDS}:
+        return None
+    starts = _finite_block([[seg["start"] for seg in raw_schedule]])
+    if starts is None:
+        return None
+    kinds = []
+    for name in _KINDS:
+        if name in names:
+            block = _tensor_block([seg[name] for seg in raw_schedule])
+            if block is None:
+                return None
+            kinds.append((name, block, tuple(raw_schedule[0][name]["shape"])))
+    return starts[0].tolist(), kinds
 
 
 def _parse_tensor_system(obj, path) -> SystemFile:
@@ -249,16 +307,25 @@ def _parse_tensor_system(obj, path) -> SystemFile:
     raw_schedule = obj["schedule"]
     if not isinstance(raw_schedule, list) or not raw_schedule:
         raise ParseError(f"{path}.schedule: expected a non-empty list of segments")
-    segments = []
-    for k, seg in enumerate(raw_schedule):
-        where = f"{path}.schedule[{k}]"
-        _check_keys(seg, where, required=("start", "A"), optional=("B", "C", "D"))
-        start = _number(seg["start"], f"{where}.start")
-        coeffs = {}
-        for name in ("A", "B", "C", "D"):
-            if name in seg:
-                coeffs[name] = _parse_tensor(seg[name], f"{where}.{name}")
-        segments.append((start, CoefficientSet(**coeffs)))
+    blocks = _schedule_blocks(raw_schedule)
+    if blocks is None:  # read segment by segment, which raises for the first field that fails a check
+        segments = []
+        for k, seg in enumerate(raw_schedule):
+            where = f"{path}.schedule[{k}]"
+            _check_keys(seg, where, required=("start", "A"), optional=_KINDS[1:])
+            start = _number(seg["start"], f"{where}.start")
+            coeffs = {}
+            for name in _KINDS:
+                if name in seg:
+                    coeffs[name] = _parse_tensor(seg[name], f"{where}.{name}")
+            segments.append((start, CoefficientSet(**coeffs)))
+    else:  # segment k's tensors are row k of each block, reshaped: views
+        starts, kinds = blocks
+        segments = [
+            (start, CoefficientSet(**{name: Tensor._wrap(block[k].reshape(shape))
+                                      for name, block, shape in kinds}))
+            for k, start in enumerate(starts)
+        ]
     try:
         system = build_system(
             time_kind, state_shape, segments, input_shape=input_shape, output_shape=output_shape

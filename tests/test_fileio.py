@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from tensorstate import (
     trajectory_on_grid,
     write_system_file,
 )
+from tensorstate import fileio
 from tensorstate.cli import main
 from tensorstate.fileio import _BLOCK_CELLS, _csv, _decimal17, _number, _pairs, _parse_tensor
 from tensorstate.systems import CoefficientSet, build_system
@@ -321,6 +323,257 @@ class TestTableInput:
         with pytest.raises(ParseError) as err:
             parse_system_file(path)
         assert str(err.value) == f"{path}.input.samples[1]{message}"
+
+
+def read_both(path):
+    """Parse `path` with the block read of a schedule and with the
+    per-segment read alone: each outcome a SystemFile or a ParseError's text."""
+    outcomes = []
+    for per_segment in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if per_segment:
+                patch.setattr(fileio, "_schedule_blocks", lambda raw_schedule: None)
+            try:
+                outcomes.append(parse_system_file(path))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def same_array(a, b):
+    return (a is None) == (b is None) and (a is None or a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def assert_same_schedule(got, want):
+    """Equal starts, and the same bits of every coefficient and unfolded matrix."""
+    assert np.array(got.schedule.starts).tobytes() == np.array(want.schedule.starts).tobytes()
+    for (_, g), (_, w) in zip(got.schedule, want.schedule, strict=True):
+        for name in "ABCD":
+            a, b = getattr(g, name), getattr(w, name)
+            assert same_array(None if a is None else a.array, None if b is None else b.array)
+    for g, w in zip(got.unfolded, want.unfolded, strict=True):
+        assert all(same_array(a, b) for a, b in zip(g, w))
+
+
+def assert_rows_of_blocks(system):
+    """Each coefficient kind of `system` is one read-only array of K rows,
+    and segment k's tensor is a view of row k."""
+    sets = system.schedule.values
+    for name in "ABCD":
+        tensors = [getattr(c, name) for c in sets]
+        if tensors[0] is None:
+            continue
+        owner = tensors[0].array.base
+        assert owner.size == len(sets) * tensors[0].size and not owner.flags.writeable
+        rows = owner.reshape(len(sets), -1)
+        for k, t in enumerate(tensors):
+            assert t.array.base is owner and t.array.ctypes.data == rows[k].ctypes.data
+    for m, c in zip(system.unfolded, sets):
+        assert np.shares_memory(m.a, c.A.array)
+
+
+def schedule_doc(segments=3):
+    """A discrete file of `segments` segments, each with A, B and C, state
+    (1, 2), input (2,) and output (2,): the block read takes it."""
+    rng = np.random.default_rng(segments)
+
+    def coupling(shape):
+        return tensor_doc(shape, np.round(rng.normal(size=math.prod(shape)), 3).tolist())
+
+    return {
+        "time": "discrete",
+        "state_shape": [1, 2],
+        "input_shape": [2],
+        "output_shape": [2],
+        "schedule": [
+            {"start": 4 * k, "A": coupling([1, 2, 1, 2]), "B": coupling([1, 2, 2]), "C": coupling([2, 1, 2])}
+            for k in range(segments)
+        ],
+        "x0": tensor_doc([1, 2], [1, -1]),
+    }
+
+
+def many_modes_doc(modes):
+    """Three segments whose A has `modes` modes of size 1 each."""
+    doc = minimal_doc()
+    doc["state_shape"] = [1] * 32
+    doc["schedule"] = [{"start": k, "A": tensor_doc([1] * modes, [0.5])} for k in range(3)]
+    doc["x0"] = tensor_doc([1] * 32, [1])
+    return doc
+
+
+DROP = object()
+
+
+def _set(path, value=DROP):
+    """A mutation of a doc: the field at `path` in its schedule set to
+    `value`, or deleted."""
+    def mutate(doc):
+        *parents, last = path
+        target = doc["schedule"]
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+        return doc
+    return mutate
+
+
+def _each(path, value=DROP):
+    """A mutation of a doc: the field at `path` set to `value`, or deleted,
+    in every segment."""
+    def mutate(doc):
+        for k in range(len(doc["schedule"])):
+            _set([k, *path], value)(doc)
+        return doc
+    return mutate
+
+
+# none, one field of segment 1, or of every segment, of a valid schedule_doc
+# made wrong, or a file of 64 or 65-mode coefficients
+MUTATIONS = {
+    "none": lambda doc: doc,
+    "bool": _set([1, "A", "data", 2], True),
+    "string": _set([1, "A", "data", 2], "1"),
+    "null": _set([1, "A", "data", 2], None),
+    "nested list": _set([1, "A", "data", 2], [1.0]),
+    "1e400": _set([1, "A", "data", 2], "1e400"),  # written as the bare literal
+    "huge int": _set([1, "B", "data", 0], 10**400),
+    "data length": _set([1, "C", "data", -1]),
+    "data not a list": _set([1, "C", "data"], 1.0),
+    "bool mode": _set([1, "A", "shape", 0], True),
+    "float mode": _set([1, "A", "shape", 0], 1.0),
+    "zero mode": _set([1, "B", "shape", 0], 0),
+    "empty shape": _set([1, "A", "shape"], []),
+    "shape not a list": _set([1, "A", "shape"], 4),
+    "other shape": _set([1, "A", "shape"], [2, 1, 2, 1]),
+    "other B shape": _set([1, "B", "shape"], [2, 1, 2]),
+    "tensor not an object": _set([1, "B"], [1, 2, 3, 4]),
+    "tensor field": _set([1, "B", "size"], 4),
+    "missing data": _set([1, "A", "data"]),
+    "missing A": _set([1, "A"]),
+    "missing C": _set([1, "C"]),
+    "missing start": _set([1, "start"]),
+    "unknown field": _set([1, "E"], 1),
+    "bool start": _set([1, "start"], True),
+    "string start": _set([1, "start"], "4"),
+    "1e400 start": _set([1, "start"], "1e400"),
+    "start not increasing": _set([1, "start"], 0),
+    "non-object segment": _set([1], [4, {}]),
+    "bool mode everywhere": _each(["A", "shape", 0], True),
+    "negative modes everywhere": _each(["A", "shape"], [-1, -2, 1, 2]),
+    "zero mode and no data everywhere": _each(["A"], {"shape": [0, 2, 1, 2], "data": []}),
+    "shape not a list everywhere": _each(["A", "shape"], 4),
+    "unknown field everywhere": _each(["E"], 1),
+    "missing start everywhere": _each(["start"]),
+    "64 modes": lambda doc: many_modes_doc(64),
+    "65 modes": lambda doc: many_modes_doc(65),
+}
+VALID = {"none", "64 modes"}
+# fields the block read takes, which the system's own checks then refuse
+BLOCK_READ_TAKES = {"start not increasing"}
+
+
+class TestScheduleBlocks:
+    """A schedule whose segments share their fields and each kind's shape is
+    read as one block per kind; any other goes segment by segment, which
+    names the first bad field. Both reads give the same system or error."""
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_both_reads_agree(self, tmp_path, mutation):
+        """A valid file takes the block read and gives the per-segment
+        system; one bad field raises the per-segment read's error."""
+        doc = MUTATIONS[mutation](schedule_doc())
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
+        got, want = read_both(path)
+        if mutation in VALID:
+            assert_same_schedule(got.system, want.system)
+            assert_rows_of_blocks(got.system)
+        else:
+            assert isinstance(want, str) and want.startswith(f"{path}.schedule")
+            assert got == want
+            raw = json.loads(path.read_text(encoding="utf-8"))["schedule"]
+            assert (fileio._schedule_blocks(raw) is None) == (mutation not in BLOCK_READ_TAKES)
+
+    def test_a_named_error(self, tmp_path):
+        path = write_doc(tmp_path / "s.json", MUTATIONS["bool mode"](schedule_doc()))
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}.schedule[1].A.shape: mode sizes must be integers >= 1, got True"
+
+    def test_valid_schedules_read_as_per_segment(self):
+        """1-70 segments of state order 1-3, B, C and D in every segment or
+        in some, int and float starts: the same starts and coefficient bits
+        by both reads, and the block read is taken when every segment has
+        the same fields."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            doc = data.draw(valid_schedule_doc(st))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_doc(Path(tmp) / "s.json", doc)
+                got, want = read_both(path)
+            assert_same_schedule(got.system, want.system)
+            if len({frozenset(seg) for seg in doc["schedule"]}) == 1:
+                assert_rows_of_blocks(got.system)
+            else:
+                assert fileio._schedule_blocks(doc["schedule"]) is None
+
+        check()
+
+
+def valid_schedule_doc(st):
+    """A strategy for a valid file whose schedule has 1-70 segments, state
+    order 1-3, and B, C and D each in every segment, in some or in none, as
+    the system allows; starts are ints or floats (integral when discrete),
+    and cells are drawn from ints, floats, -0.0, subnormals and ±1e308."""
+
+    @st.composite
+    def draw_doc(draw):
+        time = draw(st.sampled_from(["discrete", "continuous"]))
+        shape = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+        state = draw(shape)
+        inputs = draw(st.one_of(st.none(), st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+        places = st.sampled_from(["every", "some", "none"])
+        c_in = draw(places)
+        output = draw(shape) if c_in == "every" else state
+        d_in = "none" if inputs is None else draw(places)
+        count = draw(st.integers(1, 70))
+        pool = draw(st.lists(st.one_of(
+            st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308])), min_size=1, max_size=20))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        scale = 1.0 if time == "discrete" else rng.uniform(0.01, 2.0)
+        later = np.cumsum(rng.integers(1, 50, count - 1) * scale)
+        starts = [0, *(int(k) if k.is_integer() and rng.random() < 0.5 else k for k in later.tolist())]
+
+        def tensor(modes):
+            return tensor_doc(modes, [pool[i] for i in rng.integers(len(pool), size=math.prod(modes))])
+
+        def held(place):  # per segment, whether it holds the kind
+            return rng.random(count) < 0.5 if place == "some" else [place == "every"] * count
+
+        kinds = {"B": ([bool(inputs)] * count, lambda: state + inputs),
+                 "C": (held(c_in), lambda: output + state),
+                 "D": (held(d_in), lambda: output + inputs)}
+        schedule = []
+        for k, start in enumerate(starts):
+            seg = {"start": start, "A": tensor(state + state)}
+            seg.update({name: tensor(modes()) for name, (has, modes) in kinds.items() if has[k]})
+            schedule.append(seg)
+        doc = {"time": time, "state_shape": state, "output_shape": output, "schedule": schedule,
+               "x0": tensor(state)}
+        if inputs:
+            doc["input_shape"] = inputs
+        return doc
+
+    return draw_doc()
 
 
 class TestParseMultirate:
@@ -681,6 +934,12 @@ GOLDEN = [
     (DATA / "continuous_cuts.json",
      ["simulate", "--t-end", "1.05", "--h", "0.1", "--method", "exact", "--emit-output"],
      "continuous_cuts_exact_output.csv"),
+    # 6 segments with A, B and C each, read as one block per kind, and its twin with D in
+    # segments 1 and 4, read segment by segment; state (2, 3), input (2,), output (2,)
+    (DATA / "discrete_schedule.json", ["simulate", "--steps", "40", "--emit-output"],
+     "discrete_schedule_steps40_output.csv"),
+    (DATA / "discrete_schedule_some_d.json", ["simulate", "--steps", "40", "--emit-output"],
+     "discrete_schedule_some_d_steps40_output.csv"),
     (SAMPLES / "multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
     (SAMPLES / "discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
 ]
@@ -705,6 +964,26 @@ def test_cut_golden_has_its_edges():
     assert 2 * 0.1 in keys and 9 * 0.1 in keys  # on grid points
     assert [m.c is not None for m in bundle.system.unfolded] == [False, True, False]
     assert bundle.system.schedule.starts == (0.0, 0.5, 0.8)
+
+
+def test_schedule_goldens_take_both_reads():
+    """discrete_schedule.json takes the block read and its twin, with D in
+    two of six segments, the per-segment read; both give the per-segment
+    system, and differ only in D."""
+    for name, d_in in (("discrete_schedule.json", []), ("discrete_schedule_some_d.json", [1, 4])):
+        path = DATA / name
+        got, want = read_both(path)
+        assert_same_schedule(got.system, want.system)
+        schedule = json.loads(path.read_text(encoding="utf-8"))["schedule"]
+        assert len(schedule) == 6 and (fileio._schedule_blocks(schedule) is None) == bool(d_in)
+        assert [k for k, m in enumerate(got.system.unfolded) if m.d is not None] == d_in
+        if not d_in:
+            assert_rows_of_blocks(got.system)
+    one, twin = (json.loads((DATA / name).read_text(encoding="utf-8"))
+                 for name in ("discrete_schedule.json", "discrete_schedule_some_d.json"))
+    for seg in twin["schedule"]:
+        seg.pop("D", None)
+    assert one == twin
 
 
 def scipy_zoh_states(doc, times):

@@ -521,6 +521,64 @@ class TestDiscreteAgainstStepByStep:
         assert str(swept.value) == str(stepped.value) == "state became non-finite at step 15"
 
 
+def matmul_advance(p, c, v, out, lo, hi):
+    """_advance's loop with each P·v an np.matmul into the row: the
+    reference for the bits of its np.dot."""
+    for r in range(lo, hi):
+        np.matmul(p, v, out=out[r])
+        if c is not None:
+            out[r] += c
+        v = out[r]
+    return v
+
+
+@pytest.mark.parametrize("q", [*range(1, 10), 27, 64, 256])
+def test_advance_gives_the_bits_of_matmul(q):
+    """_advance against matmul_advance, bit for bit, for a discrete step's
+    contiguous M_A and the strided P of an exact pair (a block of its
+    exponential) and of an RK4 map (the state columns of its step), given
+    as it is and as the contiguous copy _sweep steps with: rows stepped
+    from the row before, then the last row stepped again twice from
+    itself, as the runs of an exact step cut by keys write it."""
+    rng = np.random.default_rng(q)
+    m = UnfoldedSystem(rng.normal(size=(q, q)) / math.sqrt(q), rng.normal(size=(q, 2)), None, None)
+    exact = simulate._zoh_pair(m, 0.1).a
+    rk4 = simulate._rk4_map(m, m, m, 0.1)[0].a
+    assert m.a.flags.c_contiguous and (q == 1 or not (exact.flags.c_contiguous or rk4.flags.c_contiguous))
+
+    def bits(advance, p, c, v0):
+        out = np.zeros((5, q))
+        out[0] = v0
+        v = advance(p, c, out[0], out, 1, 4)
+        for _ in range(3):
+            v = advance(p, c, v, out, 4, 5)
+        assert np.shares_memory(v, out[4])
+        return out.view(np.uint64).tolist()
+
+    for p in (m.a, exact, rk4):
+        for c in (None, rng.normal(size=q)):
+            v0 = rng.normal(size=q)
+            want = bits(matmul_advance, p, c, v0)
+            assert bits(simulate._advance, p, c, v0) == want
+            assert bits(simulate._advance, np.ascontiguousarray(p), c, v0) == want
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_sweep_steps_with_contiguous_maps(monkeypatch, method):
+    """Each P a sweep hands _advance is C-contiguous, an exact pair's and an
+    RK4 map's blocks included: np.dot would copy any other on every step."""
+    system, x0, signal, _ = zoh_case("table")
+    advance, seen = simulate._advance, []
+
+    def recording(p, *args):
+        seen.append(p.flags.c_contiguous)
+        return advance(p, *args)
+
+    monkeypatch.setattr(simulate, "_advance", recording)
+    simulate_continuous(system, Tensor.from_array(x0), 0.5, 0.01, u=signal, method=method)
+    assert seen and all(seen)
+
+
 class TestClosedForm:
     def test_n_zero(self):
         system = r1_system(np.eye(3))
