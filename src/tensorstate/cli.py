@@ -178,3 +178,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

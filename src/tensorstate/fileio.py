@@ -15,7 +15,11 @@ reproduces the exact doubles. They are the bytes Python's '%.17g'
 writes, computed in numpy for a block of cells at once (_csv_rows): each
 cell's 17 digits and decimal exponent come from a double-double product
 with a power of ten (_decimal17), and the rare cell that product cannot
-decide, or that is not finite, is formatted by '%.17g' itself.
+decide, or that is not finite, is formatted by '%.17g' itself. Every cell
+of a block gets the same byte slots, and the block holds only the slot
+groups its cells use: a sign when one is negative, "0." and its zeros
+down to the smallest exponent of a cell in [0.0001, 1), the exponent when
+one is in e-notation, and room for the longest '%.17g' text.
 """
 
 from __future__ import annotations
@@ -506,7 +510,9 @@ def write_system_file(file, path) -> None:
 
 
 def _columns(prefix, shape):
-    return [f"{prefix}_" + "_".join(str(i) for i in idx) for idx in np.ndindex(*shape)]
+    """Header names of a vec'd tensor, row-major: prefix_i_j_... ."""
+    axes = [[str(i) for i in range(size)] for size in shape]
+    return [f"{prefix}_" + "_".join(idx) for idx in itertools.product(*axes)]
 
 
 # 10^k for k = 16 - E, E the decimal exponent of a finite nonzero double
@@ -515,9 +521,6 @@ _K_MIN, _K_MAX = -292, 340
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 # cells per block of _csv_rows: bounds its temporaries at about 1.3 MB
 _BLOCK_CELLS = 8192
-# byte slots of one cell: sign, "0.000", 17 digits with a point among them,
-# "e+308", separator
-_SLOTS = 30
 
 
 @functools.cache
@@ -584,11 +587,16 @@ def _csv_rows(block, again=0) -> str:
     '%.17g' writes it, each line ending with its row's last `again` cells
     written a second time.
 
-    Each cell gets _SLOTS byte slots, filled as one row per slot across all
-    cells; a slot the cell does not use holds 0, and one transpose and one
-    delete of the zero bytes give the text. A cell _decimal17 leaves
-    undecided is formatted by '%.17g' itself. A repeated cell is its slots
-    copied, so it is formatted once.
+    Each cell gets the same S byte slots, filled as one row per slot across
+    all cells; a slot the cell does not use holds 0, and one transpose and
+    one delete of the zero bytes give the text. The block's cells choose its
+    slot rows: a sign row when a cell is negative, "0." and one "0" row per
+    exponent below -1 down to the smallest exponent of a cell in 0.0001 <=
+    |x| < 1, 18 rows for the 17 digits and the point, five "e+308" rows when
+    a cell is in e-notation, then the separator. A cell _decimal17 leaves
+    undecided is formatted by '%.17g' itself into the first S - 1 slots, so
+    S grows, by zero rows before the separator, until its text fits. A
+    repeated cell is its slots copied, so it is formatted once.
     """
     x = block.ravel()
     n = x.size
@@ -614,46 +622,60 @@ def _csv_rows(block, again=0) -> str:
     point = np.where(expo, 1, np.where(small, 17, e10 + 1)).astype(np.int8)
     width = np.where(expo | small, shown, np.maximum(shown, e10 + 1)).astype(np.int8)
 
-    out = np.empty((_SLOTS, n), dtype=np.uint8)
-    np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[0])
-    np.multiply(small, np.uint8(ord("0")), out=out[1])
-    np.multiply(small, np.uint8(ord(".")), out=out[2])
-    for slot, power in ((3, -2), (4, -3), (5, -4)):
-        np.multiply(small & (e10 <= power), np.uint8(ord("0")), out=out[slot])
+    undecided = np.flatnonzero(~decided)
+    texts = [_fmt(v).encode("ascii") for v in x[undecided].tolist()]
+    # the groups the decided cells use; an undecided cell's text fills its own slots
+    negative = np.signbit(x)
+    sign = int((negative & decided).any())
+    smallest = e10[small & decided].min(initial=0)
+    prefix = 1 - int(smallest) if smallest < 0 else 0  # "0." and a "0" per exponent below -1
+    letters = 5 * int((expo & decided).any())
+    used = sign + prefix + 18 + letters
+    slots = max(used, max(map(len, texts), default=0)) + 1
+
+    out = np.empty((slots, n), dtype=np.uint8)
+    if sign:
+        np.multiply(negative, np.uint8(ord("-")), out=out[0])
+    if prefix:
+        np.multiply(small, np.uint8(ord("0")), out=out[sign])
+        np.multiply(small, np.uint8(ord(".")), out=out[sign + 1])
+        for row in range(2, prefix):
+            np.multiply(small & (e10 <= -row), np.uint8(ord("0")), out=out[sign + row])
     # slot j of the 18 holds digit j before the point, the point at j = point,
     # and digit j - 1 after it; digits past `width` are dropped. uint8
     # arithmetic wraps, so unshifted + (shifted - unshifted)·after is exact.
     j = np.arange(18, dtype=np.int8)[:, None]
     after = j > point
-    region = out[6:24]
+    region = out[sign + prefix : sign + prefix + 18]
     np.subtract(padded[0:18], padded[1:19], out=region)
     region *= after
     region += padded[1:19]
     region[point, np.arange(n)] = ord(".")
     region *= (j - after) < width
-    magnitude = np.abs(e10)
-    out[24] = ord("e")
-    np.multiply(e10 < 0, np.uint8(2), out=out[25])
-    out[25] += ord("+")  # "-" is "+" + 2
-    out[26] = magnitude // 100 + ord("0")
-    out[26] *= magnitude >= 100
-    out[27] = magnitude // 10 % 10 + ord("0")
-    out[28] = magnitude % 10 + ord("0")
-    out[24:29] *= expo
-    out[29] = ord(",")
-    out[29, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    if letters:
+        at = sign + prefix + 18
+        magnitude = np.abs(e10)
+        out[at] = ord("e")
+        np.multiply(e10 < 0, np.uint8(2), out=out[at + 1])
+        out[at + 1] += ord("+")  # "-" is "+" + 2
+        out[at + 2] = magnitude // 100 + ord("0")
+        out[at + 2] *= magnitude >= 100
+        out[at + 3] = magnitude // 10 % 10 + ord("0")
+        out[at + 4] = magnitude % 10 + ord("0")
+        out[at : at + 5] *= expo
+    out[used : slots - 1] = 0
+    out[slots - 1] = ord(",")
+    out[slots - 1, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
 
-    undecided = np.flatnonzero(~decided)
-    if undecided.size:
-        texts = [_fmt(v).encode("ascii") for v in x[undecided].tolist()]
-        out[: _SLOTS - 1, undecided] = (
-            np.array(texts, dtype=f"S{_SLOTS - 1}").view(np.uint8).reshape(-1, _SLOTS - 1).T
+    if texts:
+        out[: slots - 1, undecided] = (
+            np.array(texts, dtype=f"S{slots - 1}").view(np.uint8).reshape(-1, slots - 1).T
         )
     text = out.T.tobytes()
     if again:  # the first copy of a line's last cell now ends in "," where "\n" was
         lines = np.frombuffer(text, np.uint8).reshape(len(block), -1)
-        lines = np.concatenate((lines, lines[:, -again * _SLOTS :]), axis=1)
-        lines[:, block.shape[1] * _SLOTS - 1] = ord(",")
+        lines = np.concatenate((lines, lines[:, -again * slots :]), axis=1)
+        lines[:, block.shape[1] * slots - 1] = ord(",")
         text = lines.tobytes()
     return text.translate(None, b"\0").decode("ascii")
 

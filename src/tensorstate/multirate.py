@@ -9,6 +9,7 @@ the caller. Process indices are 1-based throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -214,10 +215,13 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     boundary data otherwise. Since every c_j >= 2, the ticks in
     [2^l, 2^(l+1)) read only earlier blocks, so each block is one vectorized
     step that sums the terms in the order eval_state does and gives the same
-    doubles. A horizon whose output, (horizon+1) x (M+1) cells with the tick
-    column, would exceed MAX_GRID_CELLS is refused before anything is looked
-    up or allocated, and so is one whose largest index horizon*d has no
-    double. A non-finite state raises NumericOverflowError naming the first
+    doubles. The grid reads are planned once per call: each is a pair of
+    flat indices, (k, j) in the operands and (k/c_j, j) in the rows, listed
+    in tick order, so a block's reads are one contiguous run of pairs, read
+    by one gather and one scatter. A horizon whose output, (horizon+1) x
+    (M+1) cells with the tick column, would exceed MAX_GRID_CELLS is refused
+    before anything is looked up or allocated, and so is one whose largest
+    index horizon*d has no double. A non-finite state raises NumericOverflowError naming the first
     tick and process where it appears.
     """
     horizon = _as_axis(horizon, "horizon")
@@ -237,20 +241,25 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
             f"horizon {horizon} needs {cells} output cells ((horizon+1) x (M+1)), "
             f"more than the limit of {MAX_GRID_CELLS}"
         )
-    # a clock past the horizon divides no tick 1..horizon, and neither does horizon+1
+    # a clock past the horizon divides no tick 1..horizon, and neither does
+    # horizon+1, which keeps every clock an int64
     clocks = [min(c, horizon + 1) for c in system.clocks]
-    ticks = np.arange(horizon + 1)
-    reads_grid = ticks[:, None] % np.array(clocks) == 0
-    reads_grid[0] = False
+    reads_grid = np.zeros((horizon + 1, m), dtype=bool)
+    for j, c in enumerate(clocks):
+        reads_grid[c::c, j] = True
     operand, held = _operands(system, reads_grid)
+    # every grid read as one flat (operand, rows) index pair, in tick order;
+    # block b, ticks [2^b, 2^(b+1)), holds pairs cuts[b]:cuts[b+1]
+    tick, process = reads_grid.nonzero()
+    into = tick * m + process
+    source = tick // np.array(clocks)[process] * m + process
+    cuts = np.searchsorted(tick, [1 << b for b in range(horizon.bit_length())] + [horizon + 1])
+    flat = operand.reshape(-1)  # a view: setting it is faster than operand.flat
     rows = np.empty((horizon + 1, m))
     rows[0] = operand[0]
-    lo = 1
-    while lo <= horizon:
-        hi = min(2 * lo, horizon + 1)
-        for j, c in enumerate(clocks):
-            k = ticks[lo:hi][reads_grid[lo:hi, j]]
-            operand[k, j] = rows[k // c, j]
+    for b, (first, last) in enumerate(itertools.pairwise(cuts)):
+        lo, hi = 1 << b, min(2 << b, horizon + 1)
+        flat[into[first:last]] = rows.take(source[first:last])
         total = np.zeros((hi - lo, m))
         for j in range(m):
             total += operand[lo:hi, j, None] * system.A[:, j]
@@ -258,7 +267,6 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
             for j in range(m):
                 total += held[lo:hi, j, None] * system.B[:, j]
         rows[lo:hi] = total
-        lo = hi
     finite = np.isfinite(rows)
     if not finite.all():
         k, j = map(int, np.argwhere(~finite)[0])

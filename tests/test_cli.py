@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ from tensorstate import parse_system_file, step_discrete, vec
 from tensorstate.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
+DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tensor_doc(shape, data):
@@ -488,6 +493,31 @@ class TestRepeatedCalls:
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("module", ["tensorstate", "tensorstate.cli"])
+class TestRunAsModule:
+    """`python -m tensorstate` and `python -m tensorstate.cli` run the CLI."""
+
+    @staticmethod
+    def run(module, *args, cwd):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_writes_the_golden_trajectory(self, module, tmp_path):
+        done = self.run(module, "simulate", "--system", str(SAMPLES / "discrete_pair.json"),
+                        "--out", "traj.csv", "--steps", "20", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("steps=20 ")
+        assert (tmp_path / "traj.csv").read_bytes() == (DATA / "discrete_pair_steps20.csv").read_bytes()
+
+    def test_missing_system_file(self, module, tmp_path):
+        done = self.run(module, "simulate", "--system", "nope.json", "--out", "traj.csv",
+                        "--steps", "20", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "nope.json" in done.stderr
+        assert not (tmp_path / "traj.csv").exists()
 
 
 class TestBadInvocations:

@@ -739,6 +739,11 @@ class TestCsv:
         assert text.splitlines()[0] == "t,x_0_0,x_0_1,x_1_0,x_1_1"
         assert text.splitlines()[1] == "0,1,2,3,4"
 
+    @pytest.mark.parametrize("shape", [(1,), (8,), (16, 16), (2, 2, 2, 2), (3, 3, 3)], ids=str)
+    def test_column_names_in_ndindex_order(self, shape):
+        names = [f"y_{'_'.join(map(str, idx))}" for idx in np.ndindex(*shape)]
+        assert fileio._columns("y", shape) == names
+
     def test_trajectory_with_output(self):
         coeffs = CoefficientSet(
             A=Tensor.identity([2]), C=make_tensor([1, 2], [1.0, 1.0])

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import operator
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,7 +32,7 @@ from tensorstate import (
     trajectory_on_grid,
 )
 from tensorstate.cli import main
-from tensorstate.fileio import _csv
+from tensorstate.fileio import _csv, _decimal17
 from tensorstate.simulate import _grid_size, _output, _timeline
 from tensorstate.systems import UnfoldedSystem
 from test_fileio import edge_cells, table_doc, template_csv, tensor_doc
@@ -219,6 +220,27 @@ def test_helper_specs_columns_match_values(case, with_input, data):
     _assert_columns_match_values(system, horizon)
 
 
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.lists(st.integers(2, 12), min_size=1, max_size=5), st.integers(0, 7),
+                  st.sampled_from([-1, 0, 1]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_sweep_matches_eval_state(clocks, power, offset, with_input, seed):
+    """The sweep's grid reads, planned once per call, give eval_state's bits:
+    1-5 processes on clocks 2..12, some past the horizon, at horizons 0, 1,
+    2^k - 1, 2^k and 2^k + 1 around the edges of the doubling blocks, with
+    and without B and input."""
+    horizon = (1 << power) + offset
+    rng = np.random.default_rng(seed)
+    m = len(clocks)
+
+    def table():
+        return table_function({(j, n): float(rng.normal()) for j, wanted
+                               in enumerate(_indices(clocks, horizon), 1) for n in wanted})
+
+    extra = {"B": rng.normal(size=(m, m)) / m, "input": table()} if with_input else {}
+    system = MultirateSystem(rng.normal(size=(m, m)) / m, clocks, table(), **extra)
+    assert same_bits(trajectory_on_grid(system, horizon), _recursion(system, horizon))
+
+
 @pytest.mark.parametrize(
     "clocks", [(2, 2**70), (10**20, 3), (3, 7), (2, 2**55 + 2**30 + 1)], ids=str)
 @pytest.mark.parametrize("horizon", [0, 2, 9])
@@ -249,6 +271,68 @@ def test_csv_numbers_match_the_row_template(width, cells):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _csv(["t"], np.array(rows, dtype=np.float64)) == template_csv(["t"], rows)
+
+
+def _either_sign(magnitudes):
+    return st.one_of(magnitudes, magnitudes.map(operator.neg))
+
+
+# cells '%.17g' writes in fixed point, 0.0001 <= |x| < 10^17, and zeros
+_FIXED = st.one_of(
+    _either_sign(st.floats(min_value=1e-4, max_value=1e17, exclude_max=True)),
+    st.sampled_from([0.0, -0.0, *(v for v in edge_cells() if 1e-4 <= abs(v) < 1e17)]),
+)
+# the same with neither a sign nor a "0." prefix: the narrowest layout
+_PLAIN = st.one_of(st.floats(min_value=1.0, max_value=1e17, exclude_max=True), st.just(0.0))
+# edge cells that _decimal17 leaves undecided and '%.17g' writes in e-notation
+_UNDECIDED_E = [
+    v for v, decided in zip(edge_cells(), _decimal17(np.array(edge_cells()))[2])
+    if not decided and "e" in "%.17g" % v
+]
+
+
+@st.composite
+def _trimmed_block(draw):
+    """(width, rows) of one _csv_rows block lacking one optional slot
+    group: all cells non-negative; none in [0.0001, 1); a smallest
+    fixed-point exponent of -1 to -4; no e-notation cell; or, as its only
+    e-notation cell, an undecided edge cell of either sign, whose '%.17g'
+    text (up to 24 bytes) is wider than the rest of the block needs."""
+    width, count = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    lacks = draw(st.sampled_from(["sign", "prefix", -1, -2, -3, -4, "exponent", "undecided"]))
+    special = []
+    if lacks == "sign":
+        cells = _FINITE.map(abs)
+    elif lacks == "prefix":
+        cells = _FINITE.filter(lambda v: not 1e-4 <= abs(v) < 1)
+    elif lacks == "exponent":
+        cells = _FIXED
+    elif lacks == "undecided":
+        cells = draw(st.sampled_from([_FIXED, _PLAIN]))
+        special = [draw(_either_sign(st.sampled_from(_UNDECIDED_E)))]
+    else:
+        smallest = 10.0**lacks
+        cells = _FINITE.filter(lambda v: not 1e-4 <= abs(v) < smallest)
+        special = [draw(_either_sign(st.floats(min_value=smallest, max_value=9.5 * smallest)))]
+    size = width * count - len(special)
+    flat = draw(st.lists(cells, min_size=size, max_size=size))
+    at = draw(st.integers(0, size))
+    flat[at:at] = special
+    return width, [flat[k : k + width] for k in range(0, len(flat), width)]
+
+
+@hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_trimmed_block(), st.data())
+def test_csv_numbers_of_trimmed_blocks_match_the_row_template(block, data):
+    """A block that leaves out a slot group writes the template's bytes,
+    and so does each line with its last cells written again."""
+    width, rows = block
+    again = data.draw(st.integers(1, width))
+    table = np.array(rows, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _csv(["t"], table) == template_csv(["t"], rows)
+        assert _csv(["t"], table, again) == template_csv(["t"], [row + row[-again:] for row in rows])
 
 
 @st.composite
