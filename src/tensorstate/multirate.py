@@ -9,14 +9,14 @@ the caller. Process indices are 1-based throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import MAX_GRID_CELLS, NumericOverflowError
+from . import simulate
+from .simulate import NumericOverflowError
 from .tensors import _as_axis
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "MultirateSystem",
     "eval_state",
     "trajectory_on_grid",
-    "MAX_GRID_CELLS",
     "constant_function",
     "index_function",
     "table_function",
@@ -171,29 +170,29 @@ def _column(func, process, indices, what):
     return [_lookup(func, process, n, what) for n in indices.tolist()]
 
 
-def _operands(system, reads_grid):
-    """Boundary and input values of ticks 0..K.
+def _operands(system, clocks, ticks):
+    """Boundary and input values of ticks 0..ticks-1.
 
-    reads_grid[k, j] marks where tick k reads grid tick k/c_j of process j.
-    Returns (operand, held): operand[k, j] is boundary(j, k*f_j) where
-    reads_grid[k, j] is false and unset where it is true; held[k, j] is
-    input(j, k*f_j) for k >= 1 (held is None without input). Each process's
-    boundary column, then its input column, is read by _column. Of the
-    missing values, the one raised is the first in tick order, boundaries
-    before inputs, processes in order: the one the recursion of eval_state
-    meets first.
+    Tick k reads grid tick k/c_j of process j where c_j (of clocks) divides
+    k >= 1, and boundary data everywhere else. Returns (operand, held):
+    operand[k, j] is boundary(j, k*f_j) off the grid and unset on it;
+    held[k, j] is input(j, k*f_j) for k >= 1 (held is None without input).
+    Each process's boundary column, then its input column, is read by
+    _column. Of the missing values, the one raised is the first in tick
+    order, boundaries before inputs, processes in order: the one the
+    recursion of eval_state meets first.
     """
-    ticks, m = reads_grid.shape
     factors = system.clock.factors
     # past int64, an object array of Python ints keeps every index k*f_j exact
     k = np.arange(ticks, dtype=np.int64 if ticks * max(factors) < 2**63 else object)
-    operand = np.empty((ticks, m))
-    held = None if system.input is None else np.zeros((ticks, m))
+    operand = np.empty((ticks, len(clocks)))
+    held = None if system.input is None else np.zeros((ticks, len(clocks)))
     missing = []
-    for j, f in enumerate(factors):
-        off_grid = ~reads_grid[:, j]
+    for j, (c, f) in enumerate(zip(clocks, factors)):
+        off = np.ones(ticks, bool)
+        off[c::c] = False
         try:
-            operand[off_grid, j] = _column(system.boundary, j + 1, k[off_grid] * f, "boundary")
+            operand[off, j] = _column(system.boundary, j + 1, k[off] * f, "boundary")
         except BoundaryDataError as exc:
             missing.append((exc.index // f, 0, j, exc))
         if held is not None:
@@ -215,18 +214,16 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     boundary data otherwise. Since every c_j >= 2, the ticks in
     [2^l, 2^(l+1)) read only earlier blocks, so each block is one vectorized
     step that sums the terms in the order eval_state does and gives the same
-    doubles. The grid reads are planned once per call: each is a pair of
-    flat indices, (k, j) in the operands and (k/c_j, j) in the rows, listed
-    in tick order, so a block's reads are one contiguous run of pairs, read
-    by one gather and one scatter. A horizon whose output, (horizon+1) x
-    (M+1) cells with the tick column, would exceed MAX_GRID_CELLS is refused
-    before anything is looked up or allocated, and so is one whose largest
-    index horizon*d has no double. A non-finite state raises NumericOverflowError naming the first
-    tick and process where it appears.
+    doubles. A block [lo, hi) reads process j's grid ticks by one strided
+    slice: ticks first*c_j, (first+1)*c_j, ... below hi read rows first,
+    first+1, ..., with first = ceil(lo/c_j). A horizon whose output,
+    (horizon+1) x (M+1) cells with the tick column, would exceed
+    simulate.MAX_GRID_CELLS is refused before anything is looked up or
+    allocated, and so is one whose largest index horizon*d has no double. A
+    non-finite state raises NumericOverflowError naming the first tick and
+    process where it appears.
     """
-    horizon = _as_axis(horizon, "horizon")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _as_axis(horizon, "horizon", least=0)
     d = system.clock.d
     if horizon * d > sys.float_info.max:
         # every lookup index k*f_j and every tick k*d is at most horizon*d
@@ -236,32 +233,23 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
         )
     m = system.process_count
     cells = (horizon + 1) * (m + 1)
-    if cells > MAX_GRID_CELLS:
+    if cells > simulate.MAX_GRID_CELLS:
         raise ValueError(
             f"horizon {horizon} needs {cells} output cells ((horizon+1) x (M+1)), "
-            f"more than the limit of {MAX_GRID_CELLS}"
+            f"more than the limit of {simulate.MAX_GRID_CELLS}"
         )
     # a clock past the horizon divides no tick 1..horizon, and neither does
-    # horizon+1, which keeps every clock an int64
+    # horizon+1, which keeps every slice bound an int64
     clocks = [min(c, horizon + 1) for c in system.clocks]
-    reads_grid = np.zeros((horizon + 1, m), dtype=bool)
-    for j, c in enumerate(clocks):
-        reads_grid[c::c, j] = True
-    operand, held = _operands(system, reads_grid)
-    # every grid read as one flat (operand, rows) index pair, in tick order;
-    # block b, ticks [2^b, 2^(b+1)), holds pairs cuts[b]:cuts[b+1]
-    tick, process = reads_grid.nonzero()
-    into = tick * m + process
-    source = tick // np.array(clocks)[process] * m + process
-    cuts = np.searchsorted(tick, [1 << b for b in range(horizon.bit_length())] + [horizon + 1])
-    flat = operand.reshape(-1)  # a view: setting it is faster than operand.flat
+    operand, held = _operands(system, clocks, horizon + 1)
     rows = np.empty((horizon + 1, m))
     rows[0] = operand[0]
-    for b, (first, last) in enumerate(itertools.pairwise(cuts)):
+    for b in range(horizon.bit_length()):
         lo, hi = 1 << b, min(2 << b, horizon + 1)
-        flat[into[first:last]] = rows.take(source[first:last])
         total = np.zeros((hi - lo, m))
-        for j in range(m):
+        for j, c in enumerate(clocks):
+            first = -(-lo // c)
+            operand[first * c:hi:c, j] = rows[first:(hi - 1) // c + 1, j]
             total += operand[lo:hi, j, None] * system.A[:, j]
         if held is not None:
             for j in range(m):

@@ -457,9 +457,7 @@ def step_discrete(system, state, u=None, n=0):
     else ValueError names it.
     """
     _require_kind(system, "discrete", "step_discrete")
-    n = _as_axis(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _as_axis(n, "n", least=0)
     v, u, m = _state_vec(system, state), _input_vec(system, u), system.unfolded_at(n)
     nxt = _advance(m.a, None if u is None else m.b @ u, v, np.empty((1, system.state_dim)), 0, 1)
     out = _output(m, v[None], np.empty((1, system.output_dim)), [(0, 1, u)])
@@ -476,9 +474,7 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
     or the samples would exceed MAX_GRID_CELLS.
     """
     _require_kind(system, "discrete", "simulate_discrete")
-    steps = _as_axis(steps, "steps")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = _as_axis(steps, "steps", least=0)
     _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
     times = np.arange(steps + 1, dtype=float)
     return _sweep(system, _as_signal(system, u), _state_vec(system, x0), times, "step {:.0f}")
@@ -493,9 +489,7 @@ def solve_discrete_closed_form(system, x0, n, u=None) -> Tensor:
     _require_kind(system, "discrete", "solve_discrete_closed_form")
     if not system.is_time_invariant:
         raise ValueError("closed form needs a time-invariant system; use simulate_discrete")
-    n = _as_axis(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _as_axis(n, "n", least=0)
     signal = _as_signal(system, u)  # read by lookup, not through the sweep's timeline
     m = system.unfolded[0]
     acc = np.linalg.matrix_power(m.a, n) @ _state_vec(system, x0)
@@ -563,6 +557,9 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     squarings carry R = exp(m*t/2^s) - I: R comes from one solve
     (V - U)·R = 2U, then R <- 2R + R² per squaring, and I is added at the
     end, so a slow mode of a stiff matrix does not round away against 1.
+    Once a squaring leaves ||I + R||₁ <= 1/2, no mode is near 1 and I + R
+    itself is squared for the rest, so that an exponential whose every mode
+    decays far below eps keeps its size where R would reach -I exactly.
     One power-of-two scaling serves every magnitude: m and t are first
     brought below 1 by their binary exponents, so neither m*t nor its norm
     can overflow, and s is read exactly from the exponent of the norm over
@@ -585,10 +582,16 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     a = np.ldexp(a, e_m + e_t - squarings)
     norm = math.ldexp(norm, e_m + e_t - squarings)  # of a, at most θ13 up to rounding
     r = _pade_minus_eye(a, next((d for d, theta in _PADE_THETA[:-1] if norm <= theta), 13))
+    eye = np.eye(m.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
+        for left in range(squarings - 1, -1, -1):
             r = 2 * r + r @ r  # (I + r)^2 - I
-        return r + np.eye(m.shape[0])
+            e = r + eye
+            if np.abs(e).sum(axis=0).max(initial=0.0) <= 0.5:  # no mode left near 1
+                for _ in range(left):
+                    e = e @ e
+                return e
+        return r + eye
 
 
 def _zoh_pair(m, dt):

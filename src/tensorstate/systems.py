@@ -304,9 +304,7 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
     coupling matrices (homogeneous coupling); the lifted order-4 tensors act
     column by column, so one step equals the matrix equation exactly.
     """
-    columns = _as_axis(columns, "columns")
-    if columns < 1:
-        raise ValueError(f"columns must be >= 1, got {columns}")
+    columns = _as_axis(columns, "columns", least=1)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got shape {list(A.shape)}")

@@ -41,11 +41,16 @@ def _normalize_shape(shape) -> tuple[int, ...]:
     return modes
 
 
-def _as_axis(value, name: str) -> int:
+def _as_axis(value, name: str, least=None) -> int:
+    """value as an int by operator.index, refused with a ValueError naming
+    `name` when it is not an integer or, given `least`, is below it."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class Tensor:

@@ -946,6 +946,10 @@ GOLDEN = [
     (DATA / "discrete_schedule_some_d.json", ["simulate", "--steps", "40", "--emit-output"],
      "discrete_schedule_some_d_steps40_output.csv"),
     (SAMPLES / "multirate_clocks.json", ["multirate", "--horizon", "6"], "multirate_clocks_horizon6.csv"),
+    # clocks (2, 3, 5, 7) with B and input over 10 doubling blocks, 5 and 7 off the block starts;
+    # boundary and input from index, constant and, for process 1, table specs
+    (DATA / "multirate_four_clocks.json", ["multirate", "--horizon", "1000"],
+     "multirate_four_clocks_horizon1000.csv"),
     (SAMPLES / "discrete_pair.json", ["analyze"], "discrete_pair_analyze.txt"),
 ]
 

@@ -20,7 +20,7 @@ from tensorstate import (
     table_function,
     trajectory_on_grid,
 )
-from tensorstate import multirate
+from tensorstate import multirate, simulate
 
 
 def mixed_boundary(i, n):
@@ -476,10 +476,23 @@ class TestGridSweep:
 
 class TestHorizonLimit:
     def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(multirate, "MAX_GRID_CELLS", 15)
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 15)
         assert trajectory_on_grid(docs_system(), 4).shape == (5, 2)  # 5 x 3 cells
         with pytest.raises(ValueError, match="horizon 5 needs 18 output cells"):
             trajectory_on_grid(docs_system(), 5)
+
+    def test_one_limit_refuses_both_runs(self, monkeypatch):
+        """The sweep reads simulate.MAX_GRID_CELLS when it is called, so one
+        patch refuses a simulate run and a sweep alike; multirate keeps no
+        copy of it."""
+        assert trajectory_on_grid(docs_system(), 6).shape == (7, 2)
+        monkeypatch.setattr(simulate, "MAX_GRID_CELLS", 5)
+        system = build_system("discrete", (1,), CoefficientSet(A=Tensor.from_array([[0.5]])))
+        with pytest.raises(ValueError, match=r"^steps 6 needs 14 output cells"):
+            simulate_discrete(system, Tensor.from_array([1.0]), 6)
+        with pytest.raises(ValueError, match=r"^horizon 6 needs 21 output cells"):
+            trajectory_on_grid(docs_system(), 6)
+        assert not hasattr(multirate, "MAX_GRID_CELLS")
 
     def test_refused_before_lookup_or_allocation(self):
         calls = []

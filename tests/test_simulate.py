@@ -757,6 +757,21 @@ class TestMatrixExponential:
         x = side * 5.371920351148152 * 2.0**k
         assert matrix_exponential([[x]])[0, 0] == pytest.approx(math.exp(x), rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("draw", [9, 18, 25, 29, 37, 40])
+    def test_every_mode_far_below_eps(self, draw):
+        """2x2 normals of default_rng(7) scaled to 1-norm 200 whose every mode
+        decays far below eps: the R form's squarings drive R to exactly -I,
+        which read 0 for entries up to 2.7e-52. Once a squaring leaves
+        ||I + R||_1 <= 1/2, I + R itself is squared, and each entry is right
+        relative to the largest (scipy's expm is off by up to 9.2e-12 here)."""
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(7)
+        for _ in range(draw):
+            m = rng.standard_normal((2, 2))
+        m *= 200 / np.abs(m).sum(axis=0).max()
+        expected = linalg.expm(m)
+        assert np.abs(matrix_exponential(m) - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_zoh_input_block_keeps_its_digits(self):
         """Over dt = 1e-20 the input block Γ is dt·M_B to the last bits."""
         m = UnfoldedSystem(np.array([[-1.0, 2.0], [0.5, -3.0]]), np.array([[1.5], [-0.25]]), None, None)

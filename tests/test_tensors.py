@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 
 from tensorstate import (
+    CoefficientSet,
+    MultirateSystem,
     ShapeError,
     Tensor,
+    build_system,
+    constant_function,
     contract_last,
     contract_pair,
     devec,
+    lift_matrix_state,
     make_tensor,
     outer_product,
+    simulate_discrete,
+    solve_discrete_closed_form,
+    step_discrete,
+    trajectory_on_grid,
     unfold,
     vec,
 )
@@ -316,3 +325,25 @@ class TestProperties:
         assert outer_product(a, b).order == a.order + b.order
         t = Tensor.from_array(rng.normal(size=(2, 3, 2)))
         assert contract_pair(t, 0, 2).order == t.order - 2
+
+
+def _discrete_scalar():
+    return build_system("discrete", (1,), CoefficientSet(A=make_tensor([1, 1], [0.5])))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: step_discrete(_discrete_scalar(), make_tensor([1], [1.0]), n=-1), "n must be >= 0, got -1"),
+    (lambda: simulate_discrete(_discrete_scalar(), make_tensor([1], [1.0]), -2),
+     "steps must be >= 0, got -2"),
+    (lambda: solve_discrete_closed_form(_discrete_scalar(), make_tensor([1], [1.0]), -3),
+     "n must be >= 0, got -3"),
+    (lambda: trajectory_on_grid(MultirateSystem([[0.5]], [2], constant_function(1.0)), -4),
+     "horizon must be >= 0, got -4"),
+    (lambda: lift_matrix_state(np.eye(2), columns=0), "columns must be >= 1, got 0"),
+], ids=["step_discrete", "simulate_discrete", "closed_form", "trajectory_on_grid", "lift_matrix_state"])
+def test_count_argument_below_its_least_value(call, message):
+    """Every count argument is read by one rule, which names the argument
+    and its least value."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
