@@ -50,7 +50,7 @@ def vector_twin(system) -> TensorStateSystem:
     """
     segments = [
         (start, CoefficientSet(*matrices))
-        for start, matrices in zip(system.schedule.starts, system.unfolded)
+        for start, matrices in zip(system.schedule.keys, system.unfolded)
     ]
     return TensorStateSystem(
         system.time_kind,

@@ -460,10 +460,8 @@ def _signal_doc(signal: InputSignal) -> dict:
     if signal.kind == "zero":
         return {"kind": "zero"}
     if signal.kind == "constant":
-        return {"kind": "constant", "value": _tensor_doc(signal.constant_value)}
-    samples = [
-        [_int_if_integral(when), _tensor_doc(value)] for when, value in signal.table_samples
-    ]
+        return {"kind": "constant", "value": _tensor_doc(signal.at(0))}
+    samples = [[_int_if_integral(when), _tensor_doc(value)] for when, value in signal]
     return {"kind": "table", "samples": samples}
 
 

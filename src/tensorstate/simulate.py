@@ -54,9 +54,11 @@ class InputSignal(Piecewise):
     Piecewise step function of tensors of one shape, checked here once.
     Zero and constant are one piece at 0, whose value is None for zero. A
     table's keys strictly increase from 0 and sampling holds the value of
-    the last key at or before the query (zero-order hold), also past the end.
-    The values are one read-only (K, *shape) block, one row per key: the
-    runs read its vec'd rows, and values are Tensor views of rows, on demand.
+    the last key at or before the query (zero-order hold), also past the end;
+    Piecewise.index finds that key, for one time or for a run's array of
+    them. The values are one read-only (K, *shape) block, one row per key:
+    the runs read its vec'd rows, and values are Tensor views of rows, on
+    demand.
     """
 
     __slots__ = ("kind", "_block", "_rows")
@@ -92,20 +94,6 @@ class InputSignal(Piecewise):
 
     def at(self, when) -> Tensor | None:
         return None if self._block is None else Tensor._wrap(self._block[self.index(when), ...])
-
-    @property
-    def breakpoints(self) -> tuple:
-        """Keys where a table signal may jump; empty for zero/constant."""
-        return self.keys if self.kind == "table" else ()
-
-    @property
-    def constant_value(self) -> Tensor | None:
-        return self.at(0) if self.kind == "constant" else None
-
-    @property
-    def table_samples(self) -> tuple:
-        """(when, value) pairs of a table signal; empty otherwise."""
-        return tuple(self) if self.kind == "table" else ()
 
     def sample(self, when, shape) -> Tensor:
         """Value at `when` (>= 0) as a tensor of the given shape."""
@@ -239,11 +227,11 @@ def _timeline(system, signal, grid=None):
     last holds. Returns the landing times, strictly increasing, and per
     landing time the index into system.unfolded of its segment and into the
     signal's rows of its input (None without a signal), both read at the key
-    that holds there."""
-    starts = np.array(system.schedule.starts)
-    breaks = None if signal is None else np.array(signal.keys)
-    keys = starts if signal is None else np.concatenate((starts, breaks))
-    keys.sort()
+    that holds there by one Piecewise.index call each, the package's one
+    key lookup."""
+    keys = system.schedule._key_array
+    if signal is not None:
+        keys = np.sort(np.concatenate((keys, signal._key_array)))
     at = keys
     if grid is not None:
         i = grid.searchsorted(keys)
@@ -254,8 +242,7 @@ def _timeline(system, signal, grid=None):
     last[:-1] = at[1:] != at[:-1]
     last[-1] = True
     at, keys = at[last], keys[last]
-    inp = None if signal is None else breaks.searchsorted(keys, "right") - 1
-    return at, starts.searchsorted(keys, "right") - 1, inp
+    return at, system.schedule.index(keys), None if signal is None else signal.index(keys)
 
 
 def _advance(p, c, v, out, lo, hi) -> np.ndarray:
@@ -461,7 +448,7 @@ def step_discrete(system, state, u=None, n=0):
     v, u, m = _state_vec(system, state), _input_vec(system, u), system.unfolded_at(n)
     nxt = _advance(m.a, None if u is None else m.b @ u, v, np.empty((1, system.state_dim)), 0, 1)
     out = _output(m, v[None], np.empty((1, system.output_dim)), [(0, 1, u)])
-    _require_finite("step {:.0f}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
+    _require_finite("step {}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
     return Tensor._wrap(nxt.reshape(system.state_shape)), Tensor._wrap(out.reshape(system.output_shape))
 
 

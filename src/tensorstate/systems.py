@@ -5,7 +5,6 @@ system type used by the simulators and by analysis.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,33 +82,45 @@ class Piecewise:
     strictly increasing from 0: the value at `when` is the one of the last
     key <= when. Schedules and input signals are of this kind; each holds
     its `values`, one per key, and `what` names the one at hand in error
-    messages.
+    messages. `index` is the one lookup of a key's piece in the package:
+    the simulators read whole arrays of times through it.
     """
 
-    __slots__ = ("keys", "_what")
+    __slots__ = ("keys", "_key_array", "_what")
 
     def __init__(self, keys, what):
-        """Check `keys`, a float array, and keep them as a tuple of floats."""
+        """Check `keys`, a float array, and keep them read-only and as a
+        tuple of floats."""
         if not keys.size:
             raise ValueError(f"{what} must contain at least one entry")
         if keys[0] != 0:
             raise ValueError(f"{what} must start at 0, got first key {keys[0].item()}")
-        bad = np.flatnonzero(~(keys[1:] > keys[:-1]))  # also NaN, which bisect cannot order
+        bad = np.flatnonzero(~(keys[1:] > keys[:-1]))  # also NaN, which cannot be ordered
         if bad.size:
             a, b = keys[bad[0] : bad[0] + 2].tolist()
             raise ValueError(f"{what} keys must be strictly increasing ({a} then {b})")
+        keys.flags.writeable = False
         self.keys = tuple(keys.tolist())
+        self._key_array = keys
         self._what = what
 
-    def index(self, when) -> int:
-        """Position of the last key <= when (when >= 0)."""
-        when = float(when)
-        if not when >= 0:  # NaN too, which bisect would place after every key
-            raise ValueError(f"{self._what} lookup requires when >= 0, got {when}")
-        return bisect.bisect_right(self.keys, when) - 1
+    def index(self, when):
+        """Position of the last key <= when, an int for a time and an int
+        array for an array of times, each >= 0, else ValueError names the
+        first that is not. An integer past the double range lies past
+        every key."""
+        try:
+            when = np.asarray(when, dtype=float)
+        except OverflowError:
+            when = np.asarray(math.inf if when > 0 else -math.inf)
+        bad = np.flatnonzero(~(when >= 0))  # NaN too, which searchsorted would place after every key
+        if bad.size:
+            raise ValueError(f"{self._what} lookup requires when >= 0, got {float(when.flat[bad[0]])}")
+        found = self._key_array.searchsorted(when, "right") - 1
+        return int(found) if found.ndim == 0 else found
 
     def at(self, when):
-        """Value of the last key <= when (when >= 0)."""
+        """Value of the last key <= when (a time >= 0)."""
         return self.values[self.index(when)]
 
     def __len__(self):
@@ -133,14 +144,6 @@ class CoefficientSchedule(Piecewise):
         if not all(isinstance(coeffs, CoefficientSet) for coeffs in values):
             raise ValueError("schedule segments must carry a CoefficientSet")
         self.values = tuple(values)
-
-    @property
-    def segments(self) -> tuple:
-        return tuple(self)
-
-    @property
-    def starts(self) -> tuple:
-        return self.keys
 
     @property
     def is_time_invariant(self) -> bool:
@@ -175,7 +178,7 @@ class TensorStateSystem:
         if not isinstance(schedule, CoefficientSchedule):
             schedule = CoefficientSchedule(schedule)
         if time_kind == "discrete":
-            for start in schedule.starts:
+            for start in schedule.keys:
                 if not start.is_integer():
                     raise ValueError(
                         f"discrete schedules need integer step starts, got {start}"

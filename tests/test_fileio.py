@@ -127,7 +127,7 @@ class TestParse:
             "samples": [[0, tensor_doc([2], [1, 1])], [2, tensor_doc([2], [3, 3])]],
         }
         bundle = parse_system_file(write_doc(tmp_path / "s.json", doc))
-        assert bundle.input_signal.breakpoints == (0.0, 2.0)
+        assert bundle.input_signal.keys == (0.0, 2.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -346,7 +346,7 @@ def same_array(a, b):
 
 def assert_same_schedule(got, want):
     """Equal starts, and the same bits of every coefficient and unfolded matrix."""
-    assert np.array(got.schedule.starts).tobytes() == np.array(want.schedule.starts).tobytes()
+    assert np.array(got.schedule.keys).tobytes() == np.array(want.schedule.keys).tobytes()
     for (_, g), (_, w) in zip(got.schedule, want.schedule, strict=True):
         for name in "ABCD":
             a, b = getattr(g, name), getattr(w, name)
@@ -967,12 +967,12 @@ def test_cut_golden_has_its_edges():
     input keys strictly inside the grid interval (0.4, 0.5), one 1 ulp above
     the grid point 7*0.1, and C on one of three segments."""
     bundle = parse_system_file(DATA / "continuous_cuts.json")
-    keys = bundle.input_signal.breakpoints
+    keys = bundle.input_signal.keys
     assert [k for k in keys if 0.4 < k < 0.5] == [0.42, 0.47]
     assert math.nextafter(7 * 0.1, math.inf) in keys and 7 * 0.1 not in keys
     assert 2 * 0.1 in keys and 9 * 0.1 in keys  # on grid points
     assert [m.c is not None for m in bundle.system.unfolded] == [False, True, False]
-    assert bundle.system.schedule.starts == (0.0, 0.5, 0.8)
+    assert bundle.system.schedule.keys == (0.0, 0.5, 0.8)
 
 
 def test_schedule_goldens_take_both_reads():

@@ -1,6 +1,7 @@
 """Property tests over the sample files and the multirate lookups, driven
 by hypothesis."""
 
+import bisect
 import contextlib
 import copy
 import io
@@ -16,6 +17,7 @@ import pytest
 
 from tensorstate import (
     BoundaryDataError,
+    CoefficientSchedule,
     CoefficientSet,
     InputSignal,
     MultirateSystem,
@@ -493,6 +495,44 @@ def test_timeline_lands_keys_by_the_per_key_rule(case):
 
 
 @st.composite
+def _lookup_case(draw):
+    """A schedule or an input table with keys strictly increasing from 0,
+    the name its errors give it, and a list of queries mixing its keys,
+    their midpoints, 0 and times past the last key."""
+    keys = sorted({0.0, *draw(st.lists(st.floats(1e-300, 1e300), max_size=12))})
+    coeffs = CoefficientSet(A=Tensor.identity([1]))
+    step, name = draw(st.sampled_from([
+        (CoefficientSchedule([(key, coeffs) for key in keys]), "schedule"),
+        (InputSignal.table([(key, [float(k)]) for k, key in enumerate(keys)]), "input table"),
+    ]))
+    mids = [a + (b - a) / 2 for a, b in zip(keys, keys[1:])]
+    past = [keys[-1] * 2 + 1, math.nextafter(keys[-1], math.inf), 1e308, math.inf]
+    return step, name, draw(st.lists(st.sampled_from([*keys, *mids, 0.0, *past]), max_size=20))
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_lookup_case(), st.data())
+def test_one_lookup_for_times_and_time_arrays(case, data):
+    """Piecewise.index of an array of times is the scalar lookup of each,
+    and the last key <= t by bisect; an array holding a negative or NaN
+    time is refused with the scalar lookup's text for the first of them."""
+    step, name, queries = case
+    found = step.index(np.array(queries))
+    assert found.tolist() == [step.index(t) for t in queries]
+    assert found.tolist() == [bisect.bisect_right(step.keys, t) - 1 for t in queries]
+    bad = data.draw(st.lists(st.floats(max_value=-5e-324) | st.just(math.nan), min_size=1, max_size=3))
+    mixed = list(queries)
+    for when in bad:
+        mixed.insert(data.draw(st.integers(0, len(mixed))), when)
+    first = next(t for t in mixed if not t >= 0)
+    with pytest.raises(ValueError) as scalar:
+        step.index(first)
+    with pytest.raises(ValueError) as array:
+        step.index(np.array(mixed))
+    assert str(array.value) == str(scalar.value) == f"{name} lookup requires when >= 0, got {first}"
+
+
+@st.composite
 def _table(draw):
     """An input shape of 1-3 modes and a table of 1-200 keys, strictly
     increasing from 0 as ints or floats, from subnormal to 1e293, whose
@@ -530,10 +570,9 @@ def test_table_read_from_a_file_is_the_table_of_its_pairs(case):
         parsed = parse_system_file(path).input_signal
     built = InputSignal.table([(key, Tensor(shape, data)) for key, data in zip(keys, values)])
     assert parsed.keys == built.keys == tuple(map(float, keys))
-    assert parsed.breakpoints == built.breakpoints
     assert parsed._rows.shape == built._rows.shape and parsed._rows.tobytes() == built._rows.tobytes()
-    assert [k for k, _ in parsed.table_samples] == [k for k, _ in built.table_samples]
-    assert all(_same_tensor(a, b) for (_, a), (_, b) in zip(parsed.table_samples, built.table_samples))
+    assert [k for k, _ in parsed] == [k for k, _ in built]
+    assert all(_same_tensor(a, b) for (_, a), (_, b) in zip(parsed, built))
     ends = [*parsed.keys[1:], 2 * parsed.keys[-1] + 1]
     for when in [*parsed.keys, *(a + (b - a) / 2 for a, b in zip(parsed.keys, ends))]:
         assert _same_tensor(parsed.at(when), built.at(when))

@@ -53,7 +53,6 @@ class TestInputSignal:
     def test_zero(self):
         u = InputSignal.zero()
         assert u.sample(3, (2, 2)) == Tensor.zeros([2, 2])
-        assert u.breakpoints == ()
 
     def test_constant(self):
         u = InputSignal.constant(make_tensor([2], [1, 2]))
@@ -70,7 +69,7 @@ class TestInputSignal:
         assert u.sample(0.7, (1,)).tolist() == [2.0]
         assert u.sample(1.0, (1,)).tolist() == [3.0]
         assert u.sample(42.0, (1,)).tolist() == [3.0]
-        assert u.breakpoints == (0.0, 0.5, 1.0)
+        assert u.keys == (0.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("signal", [
         InputSignal.constant(make_tensor([2], [1, 2])),
@@ -83,6 +82,15 @@ class TestInputSignal:
             signal._rows[0, 0] = 5.0
         assert all(np.shares_memory(v.array, signal._rows) for v in signal.values)
         assert np.array_equal(signal._rows, [v.data for v in signal.values])
+
+    def test_lookup_past_the_double_range(self):
+        """A constant holds at an integer time past the double range, as a
+        table's last value does; its negative is refused as a negative time."""
+        value = make_tensor([2], [1, 2])
+        assert InputSignal.constant(value).at(10**400) == value
+        assert InputSignal.table([(0, [1.0]), (5, [2.0])]).at(10**400).tolist() == [2.0]
+        with pytest.raises(ValueError, match="^constant input lookup requires when >= 0, got -inf$"):
+            InputSignal.constant(value).at(-10**400)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -114,8 +122,8 @@ class TestInputSignal:
 
     @pytest.mark.parametrize("key", [1, 1.0, np.int64(1), np.int8(1), np.float32(1.0), np.float64(1.0)])
     def test_python_and_numpy_numbers_are_keys(self, key):
-        assert InputSignal.table([(0, [1.0]), (key, [2.0])]).breakpoints == (0.0, 1.0)
-        assert CoefficientSchedule([(0, IDENTITY_1), (key, IDENTITY_1)]).starts == (0.0, 1.0)
+        assert InputSignal.table([(0, [1.0]), (key, [2.0])]).keys == (0.0, 1.0)
+        assert CoefficientSchedule([(0, IDENTITY_1), (key, IDENTITY_1)]).keys == (0.0, 1.0)
 
     @pytest.mark.parametrize("when", [-1, float("nan")])
     @pytest.mark.parametrize(
@@ -245,6 +253,22 @@ class TestStepDiscrete:
         assert all(same_bits(a.array, b.array) for a, b in zip(got, want))
         other = step_discrete(system, x, u, 2 if n < 2 else 0)  # a step in the other segment
         assert not np.array_equal(got[0].array, other[0].array)
+
+    def test_step_index_past_the_double_range(self):
+        """n = 10**400 is a good step index: the last segment holds there,
+        and a state or output past the double range names that step."""
+        system = build_system("discrete", (1,), [(0, CoefficientSet(A=make_tensor([1, 1], [2.0]))),
+                                                 (2, CoefficientSet(A=make_tensor([1, 1], [3.0])))])
+        nxt, out = step_discrete(system, make_tensor([1], [1.0]), n=10**400)
+        assert nxt.tolist() == [3.0] and out.tolist() == [1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=f"^state became non-finite at step {10**400 + 1}$"):
+                step_discrete(system, make_tensor([1], [1e308]), n=10**400)
+            system = build_system("discrete", (1,), CoefficientSet(A=make_tensor([1, 1], [1.0]),
+                                                                   C=make_tensor([1, 1], [1e300])))
+            with pytest.raises(NumericOverflowError, match=f"^output became non-finite at step {10**400}$"):
+                step_discrete(system, make_tensor([1], [1e10]), n=10**400)
 
     @pytest.mark.parametrize("coeffs, x, message", [
         ({"A": [10.0]}, 1e308, "^state became non-finite at step 4$"),
@@ -1153,7 +1177,7 @@ class TestExactZohMemo:
         system, x0, signal, (_, _, _, breaks, inputs) = zoh_case("table")
         expected = exact_zoh_run(system, x0, signal).state_matrix()
         moved = zoh_signal(breaks, inputs, shift)
-        assert len(set(moved.breakpoints) - set(breaks)) == 143
+        assert len(set(moved.keys) - set(breaks)) == 143
         calls = counting_exponentials(monkeypatch)
         assert np.array_equal(exact_zoh_run(system, x0, moved).state_matrix(), expected)
         assert len(calls) == 17
@@ -1416,7 +1440,7 @@ def landed_keys(system, signal, grid=()):
     time the last holds. Returns (time, key) pairs with the times increasing,
     each key the one whose segment and input hold from that time."""
     landed = {}
-    for key in sorted(set(system.schedule.starts).union(() if signal is None else signal.breakpoints)):
+    for key in sorted(set(system.schedule.keys).union(() if signal is None else signal.keys)):
         i = bisect.bisect_left(grid, key)
         near = [g for g in grid[max(i - 1, 0):i + 1] if abs(g - key) <= 4 * math.ulp(g)]
         landed[near[0] if near else key] = key
@@ -1511,7 +1535,7 @@ class TestContinuousEdges:
         system, x0, signal = edge_case("table")
         times = simulate_continuous(system, Tensor.from_array(x0), 1.05, h=0.1, u=signal).times
         assert times[-1] - times[-2] < 0.06 and times[5] == 5 * 0.1 and times[7] == 7 * 0.1
-        keys = sorted({*system.schedule.starts, *signal.breakpoints})
+        keys = sorted({*system.schedule.keys, *signal.keys})
         assert {5 * 0.1, 7 * 0.1}.isdisjoint(keys)
         for first, second in ((0.62, 0.64), (0.82, 0.84)):
             assert not any(first <= t < second for t in times)

@@ -121,6 +121,19 @@ class TestSchedule:
         with pytest.raises(ValueError):
             system.coefficients_at(-1)
 
+    @pytest.mark.parametrize("lookup", ["coefficients_at", "unfolded_at"])
+    def test_lookup_past_the_double_range(self, lookup):
+        """An integer time past the double range lies past every start, so
+        the last segment holds there; its negative is refused as a negative
+        time, not with a bare OverflowError."""
+        early = CoefficientSet(A=Tensor.identity([2]))
+        late = CoefficientSet(A=Tensor.from_array(2 * np.eye(2)))
+        for segments in ([(0, early)], [(0, early), (10, late)]):
+            system = build_system("discrete", (2,), segments)
+            assert getattr(system, lookup)(10**400) is getattr(system, lookup)(10**6)
+        with pytest.raises(ValueError, match="^schedule lookup requires when >= 0, got -inf$"):
+            getattr(system, lookup)(-10**400)
+
     def test_discrete_needs_integer_starts(self):
         coeffs = CoefficientSet(A=Tensor.identity([2]))
         with pytest.raises(ValueError):
