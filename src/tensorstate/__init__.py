@@ -1,123 +1,20 @@
 """Simulation and analysis of linearly coupled concurrent dynamical systems
-whose states, inputs, and outputs are dense tensors."""
+whose states, inputs, and outputs are dense tensors.
 
-from .tensors import (
-    ShapeError,
-    Tensor,
-    contract_last,
-    contract_pair,
-    devec,
-    make_tensor,
-    outer_product,
-    unfold,
-    vec,
-)
-from .systems import (
-    CoefficientSchedule,
-    CoefficientSet,
-    TensorStateSystem,
-    build_system,
-    lift_matrix_state,
-)
-from .simulate import (
-    InputSignal,
-    NumericOverflowError,
-    Trajectory,
-    TrajectorySample,
-    matrix_exponential,
-    simulate_continuous,
-    simulate_discrete,
-    solve_discrete_closed_form,
-    step_discrete,
-)
-from .analysis import (
-    AnalysisReport,
-    StabilityResult,
-    UnfoldedSystem,
-    analyze,
-    check_stability,
-    controllability_rank,
-    observability_rank,
-    spectral_radius,
-    unfold_system,
-    vector_twin,
-)
-from .multirate import (
-    BoundaryDataError,
-    GlobalClock,
-    MultirateSystem,
-    constant_function,
-    eval_state,
-    global_clock,
-    index_function,
-    table_function,
-    trajectory_on_grid,
-)
-from .fileio import (
-    MultirateFile,
-    ParseError,
-    SystemFile,
-    multirate_csv,
-    parse_system_file,
-    render_report,
-    render_system_file,
-    trajectory_csv,
-    write_system_file,
-)
+The public names are each module's __all__, re-exported here."""
+
+from .tensors import *
+from .systems import *
+from .simulate import *
+from .analysis import *
+from .multirate import *
+from .fileio import *
+from . import analysis, fileio, multirate, simulate, systems, tensors
 
 __version__ = "0.1.0"
 
+# analysis re-exports systems.UnfoldedSystem; dict.fromkeys lists it once
 __all__ = [
-    "ShapeError",
-    "Tensor",
-    "make_tensor",
-    "outer_product",
-    "contract_pair",
-    "contract_last",
-    "vec",
-    "devec",
-    "unfold",
-    "CoefficientSet",
-    "CoefficientSchedule",
-    "TensorStateSystem",
-    "build_system",
-    "lift_matrix_state",
-    "InputSignal",
-    "Trajectory",
-    "TrajectorySample",
-    "NumericOverflowError",
-    "step_discrete",
-    "simulate_discrete",
-    "solve_discrete_closed_form",
-    "matrix_exponential",
-    "simulate_continuous",
-    "UnfoldedSystem",
-    "unfold_system",
-    "vector_twin",
-    "spectral_radius",
-    "StabilityResult",
-    "check_stability",
-    "controllability_rank",
-    "observability_rank",
-    "AnalysisReport",
-    "analyze",
-    "GlobalClock",
-    "global_clock",
-    "MultirateSystem",
-    "BoundaryDataError",
-    "eval_state",
-    "trajectory_on_grid",
-    "constant_function",
-    "index_function",
-    "table_function",
-    "ParseError",
-    "SystemFile",
-    "MultirateFile",
-    "parse_system_file",
-    "render_system_file",
-    "write_system_file",
-    "trajectory_csv",
-    "multirate_csv",
-    "render_report",
+    *dict.fromkeys(n for m in (tensors, systems, simulate, analysis, multirate, fileio) for n in m.__all__),
     "__version__",
 ]

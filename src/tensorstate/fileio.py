@@ -453,7 +453,7 @@ def parse_system_file(path) -> SystemFile | MultirateFile:
 
 
 def _tensor_doc(t: Tensor) -> dict:
-    return {"shape": list(t.shape), "data": [float(v) for v in t.data]}
+    return {"shape": list(t.shape), "data": t.data.tolist()}
 
 
 def _signal_doc(signal: InputSignal) -> dict:
@@ -472,9 +472,9 @@ def render_system_file(file) -> str:
     """
     if isinstance(file, MultirateFile):
         system = file.system
-        doc = {"kind": "multirate", "A": [[float(v) for v in row] for row in system.A]}
+        doc = {"kind": "multirate", "A": system.A.tolist()}
         if system.B is not None:
-            doc["B"] = [[float(v) for v in row] for row in system.B]
+            doc["B"] = system.B.tolist()
         doc["clocks"] = list(system.clocks)
         doc["boundary"] = file.boundary_spec
         if file.input_spec is not None:

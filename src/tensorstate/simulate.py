@@ -16,7 +16,6 @@ from .tensors import ShapeError, Tensor, _as_axis, _as_tensor, _normalize_shape,
 
 __all__ = [
     "NumericOverflowError",
-    "MAX_GRID_CELLS",
     "InputSignal",
     "TrajectorySample",
     "Trajectory",
@@ -90,7 +89,7 @@ class InputSignal(Piecewise):
 
     @property
     def values(self) -> tuple:
-        return tuple(map(self.at, self.keys))
+        return (None,) if self._block is None else tuple(map(Tensor._wrap, self._block))
 
     def at(self, when) -> Tensor | None:
         return None if self._block is None else Tensor._wrap(self._block[self.index(when), ...])
@@ -621,6 +620,46 @@ def _rk4_map(m_a, m_mid, m_b, dt):
     return m_a._replace(a=step[:, :q], b=held), m_a._replace(a=step[:, :q], b=split)
 
 
+def _rk4_gain(z):
+    """|R(z)| for RK4's stability function R(z) = 1 + z + z²/2 + z³/6 + z⁴/24,
+    the factor by which one step of h multiplies a mode λ, with z = hλ."""
+    return abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a gain past the double range reads inf or nan: growth
+def _refuse_rk4_growth(system, t_end, h):
+    """Raise ValueError when RK4 steps of h would grow a decaying mode of a
+    segment in force before t_end: a λ of its M_A with Re λ < 0 and
+    |R(hλ)| > 1 + 4·eps. R maps the closed left half-disk of radius 2.61 into
+    |R| <= 1, so a segment with h·‖M_A‖∞ <= 2.6 passes without eigvals. The
+    error names the segment, h, the mode, |R(hλ)| and the largest stable h
+    of that mode, the least among the growing modes, by bisection: in the
+    left half-plane RK4's stable region is star-shaped about 0."""
+    for k, (start, m) in enumerate(zip(system.schedule.keys, system.unfolded)):
+        if start >= t_end:
+            break
+        if h * np.abs(m.a).sum(axis=1).max(initial=0.0) <= 2.6:
+            continue
+        lam = np.linalg.eigvals(m.a)
+        gain = _rk4_gain(h * lam)
+        grows = (lam.real < 0) & ~(gain <= 1 + 4 * math.ulp(1.0))
+        if grows.any():
+            lam, gain = lam[grows], gain[grows]
+            lo, hi = np.zeros(lam.size), np.full(lam.size, h)
+            for _ in range(64):
+                mid = (lo + hi) / 2
+                stable = _rk4_gain(mid * lam) <= 1
+                lo, hi = np.where(stable, mid, lo), np.where(stable, hi, mid)
+            i = lo.argmin()
+            z = complex(lam[i])
+            mode = f"{z.real!r}{z.imag:+}j" if z.imag else repr(z.real)
+            raise ValueError(
+                f"segment {k}: rk4 steps of h {h!r} grow its decaying mode lambda={mode} by "
+                f"|R(h*lambda)|={float(gain[i])!r} per step; h <= {float(lo[i])!r} "
+                "keeps that mode, or use --method exact"
+            )
+
+
 def _grid_size(t_end, h):
     """Sample count of the grid 0, h, ..., n·h, t_end: n whole steps, and
     t_end appended unless n·h is already within 1e-9·h of it and is not 0,
@@ -657,7 +696,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     kept. Finiteness is checked once, after the sweep: NumericOverflowError
     names the first sample whose state, else output, is not finite. A grid
     whose samples would exceed MAX_GRID_CELLS raises ValueError before it
-    is built.
+    is built, and so does, for "rk4", an h whose steps would grow a decaying
+    mode of a segment (_refuse_rk4_growth).
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -674,5 +714,7 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     samples = _grid_size(t_end, h)
     _refuse_large_grid(system, f"h {h!r}", samples, "(grid samples)")
+    if method == "rk4":
+        _refuse_rk4_growth(system, t_end, h)
     times = np.append(np.arange(samples - 1) * h, t_end)
     return _sweep(system, _as_signal(system, u), _state_vec(system, x0), times, "t={:.17g}", method, h)

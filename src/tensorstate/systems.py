@@ -16,7 +16,6 @@ from .tensors import ShapeError, Tensor, _as_axis, _normalize_shape, unfold
 __all__ = [
     "CoefficientSet",
     "CoefficientSchedule",
-    "Piecewise",
     "UnfoldedSystem",
     "TensorStateSystem",
     "build_system",

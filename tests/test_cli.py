@@ -284,6 +284,20 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_rk4_step_that_grows_a_decaying_mode_exit_1(self, tmp_path, capsys):
+        """x' = -100·x decays, but an RK4 step of 0.05 multiplies it by R(-5) = 13.7."""
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--system", str(DATA / "stiff_decay.json"), "--out", str(out),
+                     "--t-end", "1", "--h", "0.05", "--method", "rk4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: segment 0: rk4 steps of h 0.05 grow its decaying mode lambda=-100.0 by "
+            "|R(h*lambda)|=13.708333333333337 per step; h <= 0.027852935634052813 keeps that mode, "
+            "or use --method exact\n")
+        assert not out.exists()
+        assert main(["simulate", "--system", str(DATA / "stiff_decay.json"), "--out", str(out),
+                     "--t-end", "1", "--h", "0.05", "--method", "exact"]) == 0
+
     def test_default_step_underflow_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main(["simulate", "--system", str(SAMPLES / "continuous_decay.json"), "--out", str(out),

@@ -939,6 +939,9 @@ GOLDEN = [
     (DATA / "continuous_cuts.json",
      ["simulate", "--t-end", "1.05", "--h", "0.1", "--method", "exact", "--emit-output"],
      "continuous_cuts_exact_output.csv"),
+    # x' = -100·x: an RK4 step of 0.02 multiplies it by R(-2) = 1/3, a step the refusal lets through
+    (DATA / "stiff_decay.json", ["simulate", "--t-end", "1", "--h", "0.02", "--method", "rk4"],
+     "stiff_decay_rk4.csv"),
     # 6 segments with A, B and C each, read as one block per kind, and its twin with D in
     # segments 1 and 4, read segment by segment; state (2, 3), input (2,), output (2,)
     (DATA / "discrete_schedule.json", ["simulate", "--steps", "40", "--emit-output"],

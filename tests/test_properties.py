@@ -35,7 +35,7 @@ from tensorstate import (
 )
 from tensorstate.cli import main
 from tensorstate.fileio import _csv, _decimal17
-from tensorstate.simulate import _grid_size, _output, _timeline
+from tensorstate.simulate import _grid_size, _output, _rk4_map, _timeline
 from tensorstate.systems import UnfoldedSystem
 from test_fileio import edge_cells, table_doc, template_csv, tensor_doc
 from test_simulate import landed_keys, layout_system, r1_system, same_bits, step_by_step
@@ -577,3 +577,65 @@ def test_table_read_from_a_file_is_the_table_of_its_pairs(case):
     for when in [*parsed.keys, *(a + (b - a) / 2 for a, b in zip(parsed.keys, ends))]:
         assert _same_tensor(parsed.at(when), built.at(when))
         assert _same_tensor(parsed.sample(when, shape), built.sample(when, shape))
+
+
+def _rk4_r(z):
+    """RK4's stability function R(z) = 1 + z + z²/2 + z³/6 + z⁴/24."""
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+@st.composite
+def _diagonalizable_case(draw):
+    """(A, λ, h): A = V·blockdiag(λ)·V⁻¹ of order 1-6 from real modes and
+    [[a, b], [-b, a]] blocks for a ± ib, |Re λ| and |Im λ| log-uniform in
+    [0.05, 100], V an orthogonal matrix times a diagonal in [0.5, 2]
+    (condition number at most 4), and h log-uniform in [3e-3, 0.3]: |hλ|
+    reaches 42, on both sides of RK4's stability boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, lam = [], []
+    for pair in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        a = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(math.log(0.05), math.log(100.0)))
+        if pair:
+            b = np.exp(rng.uniform(math.log(0.05), math.log(100.0)))
+            blocks.append([[a, b], [-b, a]])
+            lam += [complex(a, b), complex(a, -b)]
+        else:
+            blocks.append([[a]])
+            lam.append(complex(a))
+    n = len(lam)
+    d = np.zeros((n, n))
+    k = 0
+    for block in blocks:
+        d[k:k + len(block), k:k + len(block)] = block
+        k += len(block)
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(0.5, 2.0, n)
+    h = float(np.exp(rng.uniform(math.log(3e-3), math.log(0.3))))
+    return v @ d @ np.linalg.inv(v), np.array(lam), h
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_diagonalizable_case())
+def test_rk4_refuses_exactly_the_steps_that_grow_a_decaying_mode(case):
+    """The eigenvalues of _rk4_map's P are R(hλ), to 1e-10 of the largest;
+    simulate_continuous refuses the step h exactly when a mode with Re λ < 0
+    has |R(hλ)| > 1 + 4·eps, and the largest h it names for that mode is
+    accepted, while h 1e-9 above it grows a decaying mode."""
+    a, lam, h = case
+    gain = abs(_rk4_r(h * lam))
+    decaying = lam.real < 0
+    hypothesis.assume(np.all(abs(gain[decaying] - 1) > 1e-6))  # off the boundary, where rounding decides
+    system = build_system("continuous", (len(lam),), CoefficientSet(A=Tensor.from_array(a)))
+    p = _rk4_map(*[system.unfolded[0]] * 3, h)[0].a
+    got, want = np.linalg.eigvals(p), _rk4_r(h * lam)
+    scale = 1e-10 * gain.max()
+    assert all(abs(got - w).min() <= scale for w in want)
+    assert all(abs(want - g).min() <= scale for g in got)
+    x0 = Tensor.zeros([len(lam)])
+    if not np.any(decaying & (gain > 1 + 4 * np.finfo(float).eps)):
+        simulate_continuous(system, x0, h, h=h)
+        return
+    with pytest.raises(ValueError, match=rf"^segment 0: rk4 steps of h {h!r} grow its decaying mode ") as err:
+        simulate_continuous(system, x0, h, h=h)
+    stable_h = float(str(err.value).split("h <= ")[1].split()[0])
+    simulate_continuous(system, x0, stable_h, h=stable_h)
+    assert np.any(decaying & (abs(_rk4_r(stable_h * (1 + 1e-9) * lam)) > 1))

@@ -72,6 +72,19 @@ class TestInputSignal:
         assert u.keys == (0.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("signal", [
+        InputSignal.zero(),
+        InputSignal.constant(make_tensor([], [2.0])),
+        InputSignal.table([(0, make_tensor([], [1.0])), (0.5, make_tensor([], [-0.0]))]),
+        InputSignal.table([(0, [[1.0, 2.0]]), (1, [[3.0, -0.0]]), (2.5, [[5e-324, 6.0]])]),
+    ], ids=["zero", "scalar constant", "scalar table", "matrix table"])
+    def test_values_are_the_values_at_the_keys(self, signal):
+        for value, key in zip(signal.values, signal.keys, strict=True):
+            expected = signal.at(key)
+            assert (value is None) == (expected is None)
+            if value is not None:
+                assert value.shape == expected.shape and value.array.tobytes() == expected.array.tobytes()
+
+    @pytest.mark.parametrize("signal", [
         InputSignal.constant(make_tensor([2], [1, 2])),
         InputSignal.table([(0, make_tensor([2], [1, 2])), (0.5, [3.0, -0.0])]),
     ], ids=["constant", "table"])
@@ -1663,3 +1676,42 @@ class TestGridLimit:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+
+class TestRk4Refusal:
+    """An RK4 step h multiplies a mode λ by R(hλ) = 1 + hλ + (hλ)²/2 +
+    (hλ)³/6 + (hλ)⁴/24; a run whose step would grow a decaying mode of a
+    segment in force before t_end is refused before the sweep."""
+
+    @pytest.mark.parametrize("h, bound", [(0.02, 1e-20), (0.027852935634052813, 1.0)])
+    def test_stable_steps_run(self, h, bound):
+        """x' = -100·x: R(-2) = 1/3, and 0.027852935634052813, the h that
+        the refusal of h 0.05 names, keeps |R| <= 1, on the boundary."""
+        traj = simulate_continuous(scalar_system(-100.0), make_tensor([1], [1.0]), 1.0, h=h)
+        assert abs(traj.final_state.item()) <= bound
+
+    def test_growing_modes_are_not_refused(self):
+        """Re λ > 0: the system grows, and RK4 growing faster is its truncation error."""
+        traj = simulate_continuous(scalar_system(100.0), make_tensor([1], [1.0]), 0.1, h=0.05)
+        assert traj.final_state.item() == pytest.approx(abs(1 + 5 + 12.5 + 125 / 6 + 625 / 24) ** 2)
+
+    def test_oscillation_names_the_complex_mode(self):
+        """x'' = -2x' - 101x: λ = -1 ± 10i, and h 0.3 gives |R(hλ)| of about 4.2."""
+        system = build_system("continuous", (2,), CoefficientSet(A=make_tensor([2, 2], [0, 1, -101, -2])))
+        with pytest.raises(ValueError, match=r"^segment 0: rk4 steps of h 0.3 grow its decaying mode "
+                                             r"lambda=-1.0000000000000\d*[+-]10.0000000000000\d*j by "):
+            simulate_continuous(system, make_tensor([2], [1.0, 0.0]), 1.0, h=0.3)
+
+    @pytest.mark.parametrize("t_end, refused", [(1.0, False), (2.0, False), (2.5, True)])
+    def test_only_segments_that_start_before_t_end(self, t_end, refused):
+        """A stiff segment from t = 2 is checked only when the run steps in it."""
+        system = build_system("continuous", (1,), [
+            (0, CoefficientSet(A=make_tensor([1, 1], [-1.0]))),
+            (2.0, CoefficientSet(A=make_tensor([1, 1], [-100.0]))),
+        ])
+        run = lambda: simulate_continuous(system, make_tensor([1], [1.0]), t_end, h=0.05)  # noqa: E731
+        if refused:
+            with pytest.raises(ValueError, match=r"^segment 1: rk4 steps of h 0.05 grow "):
+                run()
+        else:
+            assert len(run()) == round(t_end / 0.05) + 1
