@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multirate import MultirateSystem, _per_process, _table, constant_function, index_function
+from .multirate import MultirateSystem, _multiples, _per_process, _table, constant_function, index_function
 from .simulate import InputSignal, Trajectory
 from .systems import CoefficientSet, TensorStateSystem, build_system
 from .tensors import Tensor
@@ -708,14 +708,12 @@ def trajectory_csv(trajectory: Trajectory, emit_output=False) -> str:
 
 def multirate_csv(values, clock) -> str:
     """CSV text for a multirate grid sweep: comment line with d and the
-    per-process factors, then rows at n = 0, d, 2d, ..."""
+    per-process factors, then rows at n = 0, d, 2d, ..., each tick the
+    exact integer k*d of multirate._multiples rounded once to a double."""
     values = np.asarray(values, dtype=float)
     header = "# d={} f={}".format(clock.d, ",".join(str(f) for f in clock.factors))
     columns = "t," + ",".join(f"x_{i}" for i in range(1, values.shape[1] + 1))
-    if max(len(values) - 1, 1) * clock.d < 2**53:  # d and every k*d are then exact doubles
-        ticks = np.arange(len(values)) * float(clock.d)
-    else:  # each exact k*d rounded once
-        ticks = np.array([float(k * clock.d) for k in range(len(values))])
+    ticks = _multiples(len(values), clock.d).astype(float)
     return _csv([header, columns], np.hstack([ticks[:, None], values]))
 
 

@@ -170,6 +170,14 @@ def _column(func, process, indices, what):
     return [_lookup(func, process, n, what) for n in indices.tolist()]
 
 
+def _multiples(count, step):
+    """The exact multiples k*step for k = 0..count-1: an int64 array when
+    step and (count-1)*step are below 2^63, else an object array of Python
+    ints. The one rule for exact lookup indices k*f_j and ticks k*d."""
+    dtype = np.int64 if max(count - 1, 1) * step < 2**63 else object
+    return np.arange(count, dtype=dtype) * step
+
+
 def _operands(system, clocks, ticks):
     """Boundary and input values of ticks 0..ticks-1.
 
@@ -177,27 +185,26 @@ def _operands(system, clocks, ticks):
     k >= 1, and boundary data everywhere else. Returns (operand, held):
     operand[k, j] is boundary(j, k*f_j) off the grid and unset on it;
     held[k, j] is input(j, k*f_j) for k >= 1 (held is None without input).
-    Each process's boundary column, then its input column, is read by
-    _column. Of the missing values, the one raised is the first in tick
-    order, boundaries before inputs, processes in order: the one the
-    recursion of eval_state meets first.
+    The indices k*f_j come exact from _multiples. Each process's boundary
+    column, then its input column, is read by _column. Of the missing
+    values, the one raised is the first in tick order, boundaries before
+    inputs, processes in order: the one the recursion of eval_state meets
+    first.
     """
-    factors = system.clock.factors
-    # past int64, an object array of Python ints keeps every index k*f_j exact
-    k = np.arange(ticks, dtype=np.int64 if ticks * max(factors) < 2**63 else object)
     operand = np.empty((ticks, len(clocks)))
     held = None if system.input is None else np.zeros((ticks, len(clocks)))
     missing = []
-    for j, (c, f) in enumerate(zip(clocks, factors)):
+    for j, (c, f) in enumerate(zip(clocks, system.clock.factors)):
         off = np.ones(ticks, bool)
         off[c::c] = False
+        index = _multiples(ticks, f)
         try:
-            operand[off, j] = _column(system.boundary, j + 1, k[off] * f, "boundary")
+            operand[off, j] = _column(system.boundary, j + 1, index[off], "boundary")
         except BoundaryDataError as exc:
             missing.append((exc.index // f, 0, j, exc))
         if held is not None:
             try:
-                held[1:, j] = _column(system.input, j + 1, k[1:] * f, "input")
+                held[1:, j] = _column(system.input, j + 1, index[1:], "input")
             except BoundaryDataError as exc:
                 missing.append((exc.index // f, 1, j, exc))
     if missing:
@@ -218,10 +225,10 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
     slice: ticks first*c_j, (first+1)*c_j, ... below hi read rows first,
     first+1, ..., with first = ceil(lo/c_j). A horizon whose output,
     (horizon+1) x (M+1) cells with the tick column, would exceed
-    simulate.MAX_GRID_CELLS is refused before anything is looked up or
-    allocated, and so is one whose largest index horizon*d has no double. A
-    non-finite state raises NumericOverflowError naming the first tick and
-    process where it appears.
+    simulate.MAX_GRID_CELLS is refused (simulate._refuse_large_grid) before
+    anything is looked up or allocated, and so is one whose largest index
+    horizon*d has no double. A non-finite state raises NumericOverflowError
+    naming the first tick and process where it appears.
     """
     horizon = _as_axis(horizon, "horizon", least=0)
     d = system.clock.d
@@ -232,12 +239,7 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
             f"({sys.float_info.max!r}), so the ticks cannot be written"
         )
     m = system.process_count
-    cells = (horizon + 1) * (m + 1)
-    if cells > simulate.MAX_GRID_CELLS:
-        raise ValueError(
-            f"horizon {horizon} needs {cells} output cells ((horizon+1) x (M+1)), "
-            f"more than the limit of {simulate.MAX_GRID_CELLS}"
-        )
+    simulate._refuse_large_grid(f"horizon {horizon}", (horizon + 1) * (m + 1), "(horizon+1) x (M+1)")
     # a clock past the horizon divides no tick 1..horizon, and neither does
     # horizon+1, which keeps every slice bound an int64
     clocks = [min(c, horizon + 1) for c in system.clocks]
@@ -291,8 +293,7 @@ def constant_function(values):
     if np.ndim(values) == 0:
         value = float(values)
         return _columns(lambda i, n: value, lambda i, indices: np.full(len(indices), value))
-    table = {i: float(v) for i, v in enumerate(values, 1)}
-    return _columns(lambda i, n: table[i], lambda i, indices: np.full(len(indices), table[i]))
+    return _per_process({i: constant_function(float(v)) for i, v in enumerate(values, 1)})
 
 
 def index_function():
@@ -309,7 +310,4 @@ def table_function(entries):
     tables = {}
     for (i, n), v in dict(entries).items():
         tables.setdefault(_as_axis(i, "table process"), {})[_as_axis(n, "table index")] = float(v)
-    return _columns(
-        lambda i, n: tables[i][n],
-        lambda i, indices: np.array([tables[i][n] for n in indices.tolist()], dtype=float),
-    )
+    return _per_process({i: _table(table) for i, table in tables.items()})

@@ -37,13 +37,13 @@ class NumericOverflowError(ArithmeticError):
 MAX_GRID_CELLS = 10_000_000
 
 
-def _refuse_large_grid(system, what, samples, formula):
-    """Raise ValueError, before anything is allocated, when `samples` rows of
-    state and output values would exceed MAX_GRID_CELLS."""
-    cells = samples * (system.state_dim + system.output_dim)
+def _refuse_large_grid(label, cells, formula):
+    """The one output-size refusal of every run: ValueError, before anything
+    is allocated, when `cells` (an int, or inf), counted by `formula`,
+    exceed MAX_GRID_CELLS."""
     if cells > MAX_GRID_CELLS:
         raise ValueError(
-            f"{what} needs {cells:.0f} output cells ({formula} x (state+output values)), "
+            f"{label} needs {cells} output cells ({formula}), "
             f"more than the limit of {MAX_GRID_CELLS}"
         )
 
@@ -461,7 +461,8 @@ def simulate_discrete(system, x0, steps, u=None) -> Trajectory:
     """
     _require_kind(system, "discrete", "simulate_discrete")
     steps = _as_axis(steps, "steps", least=0)
-    _refuse_large_grid(system, f"steps {steps}", steps + 1, "(steps+1)")
+    width = system.state_dim + system.output_dim
+    _refuse_large_grid(f"steps {steps}", (steps + 1) * width, "(steps+1) x (state+output values)")
     times = np.arange(steps + 1, dtype=float)
     return _sweep(system, _as_signal(system, u), _state_vec(system, x0), times, "step {:.0f}")
 
@@ -628,13 +629,17 @@ def _rk4_gain(z):
 
 @np.errstate(over="ignore", invalid="ignore")  # a gain past the double range reads inf or nan: growth
 def _refuse_rk4_growth(system, t_end, h):
-    """Raise ValueError when RK4 steps of h would grow a decaying mode of a
-    segment in force before t_end: a λ of its M_A with Re λ < 0 and
-    |R(hλ)| > 1 + 4·eps. R maps the closed left half-disk of radius 2.61 into
-    |R| <= 1, so a segment with h·‖M_A‖∞ <= 2.6 passes without eigvals. The
-    error names the segment, h, the mode, |R(hλ)| and the largest stable h
-    of that mode, the least among the growing modes, by bisection: in the
-    left half-plane RK4's stable region is star-shaped about 0."""
+    """Raise ValueError when RK4 steps of h would grow a decaying or
+    marginal mode of a segment in force before t_end: a λ of its M_A with
+    Re λ <= √eps·|λ| and |R(hλ)| > max(1, |e^(hλ)|)·(1 + 4·eps), so x'' = -x
+    is refused whatever sign rounding gives Re λ. R maps the closed left
+    half-disk of radius 2.61 into |R| <= 1, so a segment with h·‖M_A‖∞ <= 2.6
+    passes without eigvals. The error names the segment, h, the mode
+    (marginal when |Re λ| <= √eps·|λ|), |R(hλ)| and the largest h with
+    |R| <= max(1, |e^(hλ)|) for that mode, the least among the growing
+    modes, by bisection: in the left half-plane RK4's stable region is
+    star-shaped about 0."""
+    eps = math.ulp(1.0)
     for k, (start, m) in enumerate(zip(system.schedule.keys, system.unfolded)):
         if start >= t_end:
             break
@@ -642,19 +647,21 @@ def _refuse_rk4_growth(system, t_end, h):
             continue
         lam = np.linalg.eigvals(m.a)
         gain = _rk4_gain(h * lam)
-        grows = (lam.real < 0) & ~(gain <= 1 + 4 * math.ulp(1.0))
+        bound = np.maximum(1, np.exp(h * lam.real)) * (1 + 4 * eps)
+        grows = (lam.real <= math.sqrt(eps) * abs(lam)) & ~(gain <= bound)
         if grows.any():
             lam, gain = lam[grows], gain[grows]
             lo, hi = np.zeros(lam.size), np.full(lam.size, h)
             for _ in range(64):
                 mid = (lo + hi) / 2
-                stable = _rk4_gain(mid * lam) <= 1
+                stable = _rk4_gain(mid * lam) <= np.maximum(1, np.exp(mid * lam.real))
                 lo, hi = np.where(stable, mid, lo), np.where(stable, hi, mid)
             i = lo.argmin()
             z = complex(lam[i])
             mode = f"{z.real!r}{z.imag:+}j" if z.imag else repr(z.real)
+            kind = "marginal" if abs(z.real) <= math.sqrt(eps) * abs(z) else "decaying"
             raise ValueError(
-                f"segment {k}: rk4 steps of h {h!r} grow its decaying mode lambda={mode} by "
+                f"segment {k}: rk4 steps of h {h!r} grow its {kind} mode lambda={mode} by "
                 f"|R(h*lambda)|={float(gain[i])!r} per step; h <= {float(lo[i])!r} "
                 "keeps that mode, or use --method exact"
             )
@@ -697,7 +704,7 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     names the first sample whose state, else output, is not finite. A grid
     whose samples would exceed MAX_GRID_CELLS raises ValueError before it
     is built, and so does, for "rk4", an h whose steps would grow a decaying
-    mode of a segment (_refuse_rk4_growth).
+    or marginal mode of a segment (_refuse_rk4_growth).
     """
     _require_kind(system, "continuous", "simulate_continuous")
     t_end = float(t_end)
@@ -713,7 +720,8 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     samples = _grid_size(t_end, h)
-    _refuse_large_grid(system, f"h {h!r}", samples, "(grid samples)")
+    width = system.state_dim + system.output_dim
+    _refuse_large_grid(f"h {h!r}", samples * width, "(grid samples) x (state+output values)")
     if method == "rk4":
         _refuse_rk4_growth(system, t_end, h)
     times = np.append(np.arange(samples - 1) * h, t_end)

@@ -254,14 +254,11 @@ def _expect_shape(segment, name, tensor, expected, meaning):
 def _validate_coefficients(segment, coeffs, state_shape, input_shape, output_shape):
     _expect_shape(segment, "A", coeffs.A, state_shape + state_shape, "state_shape + state_shape")
     if input_shape is None:
-        if coeffs.B is not None:
-            raise ShapeError(
-                f"segment {segment}: coefficient B given but the system declares no input_shape"
-            )
-        if coeffs.D is not None:
-            raise ShapeError(
-                f"segment {segment}: coefficient D given but the system declares no input_shape"
-            )
+        for name in ("B", "D"):
+            if getattr(coeffs, name) is not None:
+                raise ShapeError(
+                    f"segment {segment}: coefficient {name} given but the system declares no input_shape"
+                )
     else:
         if coeffs.B is None:
             raise ShapeError(
@@ -289,10 +286,8 @@ def build_system(time_kind, state_shape, schedule, input_shape=None, output_shap
     return TensorStateSystem(time_kind, state_shape, schedule, input_shape, output_shape)
 
 
-def _lift(matrix, columns, name) -> Tensor:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be a matrix, got array of ndim {m.ndim}")
+def _lift(m, columns) -> Tensor:
+    """The matrix m as the order-4 tensor that applies it to every column."""
     eye = np.eye(columns)
     # T[(i, alpha), (j, beta)] = m[i, j] * delta(alpha, beta)
     lifted = m[:, None, :, None] * eye[None, :, None, :]
@@ -320,13 +315,13 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
         if B.ndim != 2 or B.shape[0] != m:
             raise ShapeError(f"B must have {m} rows, got shape {list(B.shape)}")
         input_shape = (B.shape[1], columns)
-        lifted_b = _lift(B, columns, "B")
+        lifted_b = _lift(B, columns)
     if C is not None:
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[1] != m:
             raise ShapeError(f"C must have {m} columns, got shape {list(C.shape)}")
         output_shape = (C.shape[0], columns)
-        lifted_c = _lift(C, columns, "C")
+        lifted_c = _lift(C, columns)
     if D is not None:
         if B is None or C is None:
             raise ShapeError("D requires both B and C")
@@ -335,6 +330,6 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
             raise ShapeError(
                 f"D must have shape {[C.shape[0], B.shape[1]]}, got {list(D.shape)}"
             )
-        lifted_d = _lift(D, columns, "D")
-    coeffs = CoefficientSet(A=_lift(A, columns, "A"), B=lifted_b, C=lifted_c, D=lifted_d)
+        lifted_d = _lift(D, columns)
+    coeffs = CoefficientSet(A=_lift(A, columns), B=lifted_b, C=lifted_c, D=lifted_d)
     return TensorStateSystem(time_kind, state_shape, coeffs, input_shape, output_shape)

@@ -126,6 +126,10 @@ class TestSpectralRadius:
         dominant = float(np.sqrt(v @ m.T @ m @ v))
         assert abs(spectral_radius(m) - dominant) < 1e-6
 
+    def test_non_finite(self):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            spectral_radius(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
     def test_non_square(self):
         with pytest.raises(ShapeError):
             spectral_radius(np.zeros((2, 3)))

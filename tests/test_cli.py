@@ -298,6 +298,17 @@ class TestSimulate:
         assert main(["simulate", "--system", str(DATA / "stiff_decay.json"), "--out", str(out),
                      "--t-end", "1", "--h", "0.05", "--method", "exact"]) == 0
 
+    def test_rk4_step_that_grows_a_marginal_mode_exit_1(self, tmp_path, capsys):
+        """x'' = -x keeps |x| = 1, but an RK4 step of 3 multiplies it by |R(3i)| = 1.5."""
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--system", str(DATA / "oscillator.json"), "--out", str(out),
+                     "--t-end", "30", "--h", "3", "--method", "rk4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: segment 0: rk4 steps of h 3.0 grow its marginal mode lambda=")
+        assert not out.exists()
+
     def test_default_step_underflow_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main(["simulate", "--system", str(SAMPLES / "continuous_decay.json"), "--out", str(out),

@@ -801,6 +801,28 @@ class TestCsv:
         lines = multirate_csv(np.zeros((5, 2)), clock).splitlines()[2:]
         assert [line.split(",")[0] for line in lines] != twice
 
+    def test_multirate_ticks_are_exact_multiples_rounded_once(self):
+        """Every tick is '%.17g' of the exact k*d, for K = 1..3001 rows and
+        d up to 2^80, drawn within a few of 2^53/(K-1) and 2^63/(K-1), where
+        the last tick leaves the exact doubles and int64, or anywhere."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            rows = data.draw(st.integers(1, 3001))
+            edge = data.draw(st.sampled_from([None, 2**53, 2**63]))
+            if edge is None or rows == 1:
+                d = data.draw(st.integers(2, 2**80))
+            else:
+                d = max(2, edge // (rows - 1) + data.draw(st.integers(-3, 3)))
+            text = multirate_csv(np.zeros((rows, 1)), global_clock((d,)))
+            ticks = [line.split(",")[0] for line in text.splitlines()[2:]]
+            assert ticks == ["%.17g" % (k * d) for k in range(rows)]
+
+        check()
+
 
 class TestCsvNumbers:
     """`_csv` writes the bytes of the row template for every double."""
@@ -942,6 +964,9 @@ GOLDEN = [
     # x' = -100·x: an RK4 step of 0.02 multiplies it by R(-2) = 1/3, a step the refusal lets through
     (DATA / "stiff_decay.json", ["simulate", "--t-end", "1", "--h", "0.02", "--method", "rk4"],
      "stiff_decay_rk4.csv"),
+    # x'' = -x: RK4 steps of 0.1 keep the marginal modes ±i, h·|λ| far below 2√2
+    (DATA / "oscillator.json", ["simulate", "--t-end", "3", "--h", "0.1", "--method", "rk4"],
+     "oscillator_rk4.csv"),
     # 6 segments with A, B and C each, read as one block per kind, and its twin with D in
     # segments 1 and 4, read segment by segment; state (2, 3), input (2,), output (2,)
     (DATA / "discrete_schedule.json", ["simulate", "--steps", "40", "--emit-output"],

@@ -473,6 +473,57 @@ class TestGridSweep:
         assert len(set(boundary_calls)) == len(boundary_calls)
         assert len(set(input_calls)) == len(input_calls)
 
+    @pytest.mark.parametrize("clocks, horizon", [
+        ((2, 3, 5), 40),
+        # d = 3·(2^61 − 1): process 1's indices k·(2^61 − 1) pass 2^63 from k = 5, process 2's do not
+        ((3, 2**61 - 1), 9),
+        # every factor is past 2^63
+        ((2**64 + 13, 2**65 + 1), 3),
+    ], ids=str)
+    def test_many_reads_the_exact_indices_in_order(self, clocks, horizon):
+        """One many() call per column, in the order process 1's boundary,
+        its input, process 2's boundary, ...: the boundary at k·f_j for k = 0
+        and the k that c_j does not divide, the input at k·f_j for k >= 1,
+        every index an exact Python int after tolist()."""
+        calls = []
+
+        def recording(what):
+            def many(i, indices):
+                calls.append((what, i, indices.tolist()))
+                return np.zeros(len(indices))
+            return multirate._columns(lambda i, n: 0.0, many)
+
+        system = MultirateSystem(A=np.eye(len(clocks)), B=np.eye(len(clocks)), clocks=clocks,
+                                 boundary=recording("boundary"), input=recording("input"))
+        trajectory_on_grid(system, horizon)
+        want = []
+        for j, (c, f) in enumerate(zip(clocks, system.clock.factors), 1):
+            want.append(("boundary", j, [k * f for k in range(horizon + 1) if k == 0 or k % c]))
+            want.append(("input", j, [k * f for k in range(1, horizon + 1)]))
+        assert calls == want
+        assert all(type(n) is int for _, _, indices in calls for n in indices)
+
+
+class TestMultirateChecks:
+    """Construction and lookup refusals, each with its type and text."""
+
+    @pytest.mark.parametrize("field", ["A", "B"])
+    def test_non_finite_coefficients(self, field):
+        coupling = {"A": np.eye(2), "B": np.eye(2)}
+        coupling[field] = [[1.0, np.nan], [0.0, 1.0]]
+        with pytest.raises(ValueError, match=rf"^{field} entries must be finite$"):
+            MultirateSystem(clocks=(2, 3), boundary=index_function(), input=index_function(), **coupling)
+
+    def test_input_not_callable(self):
+        with pytest.raises(TypeError, match=r"^input must be callable \(process, index\) -> real$"):
+            MultirateSystem(A=np.eye(2), B=np.eye(2), clocks=(2, 3), boundary=index_function(), input=1.0)
+
+    def test_boundary_returning_none(self):
+        system = MultirateSystem(A=np.eye(2), clocks=(2, 3), boundary=lambda i, n: None if i == 2 else 1.0)
+        with pytest.raises(BoundaryDataError, match=r"^missing boundary value for process 2 at index 2$") as err:
+            eval_state(system, 2, 2)
+        assert (err.value.process, err.value.index) == (2, 2)
+
 
 class TestHorizonLimit:
     def test_limit_is_inclusive(self, monkeypatch):

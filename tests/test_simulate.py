@@ -336,6 +336,10 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError, match="whens must increase"):
             Trajectory([0.0, 0.0], states, [[1.0], [2.0]], (2, 2), (1,))
 
+    def test_trajectory_without_samples(self):
+        with pytest.raises(ValueError, match=r"^trajectory needs at least one sample$"):
+            Trajectory([], np.empty((0, 2)), np.empty((0, 2)), (2,), (2,))
+
     def test_states_and_outputs_are_the_sample_tensors(self):
         states = np.arange(8.0).reshape(2, 4)
         traj = Trajectory([0.0, 0.5], states, [[1.0], [2.0]], (2, 2), (1,))
@@ -1677,6 +1681,11 @@ class TestGridLimit:
             tracemalloc.stop()
         assert peak < 2**16
 
+    def test_steps_past_the_double_range(self):
+        """The cell count is an exact int in the message, not a float that overflows."""
+        with pytest.raises(ValueError, match=rf"^steps {10**400} needs {2 * 10**400 + 2} output cells \("):
+            simulate_discrete(scalar_system(0.5, "discrete"), make_tensor([1], [1.0]), 10**400)
+
 
 class TestRk4Refusal:
     """An RK4 step h multiplies a mode λ by R(hλ) = 1 + hλ + (hλ)²/2 +
@@ -1715,3 +1724,47 @@ class TestRk4Refusal:
                 run()
         else:
             assert len(run()) == round(t_end / 0.05) + 1
+
+    def test_oscillator_names_the_marginal_mode(self):
+        """x'' = -x: λ = ±i, and h 3 gives |R(3i)| = 1.505 > 1 = |e^(3i)|;
+        the largest stable h is 2√2, where |R(ih)| = 1."""
+        system = build_system("continuous", (2,), CoefficientSet(A=make_tensor([2, 2], [0, 1, -1, 0])))
+        with pytest.raises(ValueError, match=r"^segment 0: rk4 steps of h 3.0 grow its marginal mode "
+                                             r"lambda=\S+[+-]1.0\d*j by \|R\(h\*lambda\)\|=1.505\d+ per step") as err:
+            simulate_continuous(system, make_tensor([2], [1.0, 0.0]), 30.0, h=3.0)
+        assert float(str(err.value).split("h <= ")[1].split()[0]) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+        assert len(simulate_continuous(system, make_tensor([2], [1.0, 0.0]), 28.0, h=2.8)) == 11
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+    def test_marginal_modes_refused_whatever_the_rounding(self, scale):
+        """200 similarities V·A·V⁻¹ of x'' = -x at scale s: eigvals gives
+        Re λ of either sign by rounding, yet every run with h·s = 3 or 2.9
+        (|R| = 1.51 and 1.19) is refused and every one with 2.8 or 0.1
+        (|R| = 0.93 and 1 - 1e-8) runs."""
+        rng = np.random.default_rng(2026)
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * scale
+        x0 = make_tensor([2], [1.0, 0.0])
+        for _ in range(200):
+            v = rng.normal(size=(2, 2))
+            system = build_system("continuous", (2,), CoefficientSet(A=Tensor.from_array(v @ a @ np.linalg.inv(v))))
+            for ratio in (3.0, 2.9):
+                with pytest.raises(ValueError, match=r"^segment 0: rk4 steps of h \S+ grow its marginal mode "):
+                    simulate_continuous(system, x0, ratio / scale, h=ratio / scale)
+            for ratio in (2.8, 0.1):
+                assert len(simulate_continuous(system, x0, ratio / scale, h=ratio / scale)) == 2
+
+    @pytest.mark.parametrize("lam", [1e-9 + 1j, 1e-3 + 1j, 0.05 + 2j, 5e-10], ids=str)
+    def test_modes_off_the_axis_to_the_right_are_not_refused(self, lam):
+        """A mode with Re λ > √eps·|λ| grows, and RK4 growing faster is its
+        truncation error; one within √eps·|λ| of the axis grows no faster
+        under RK4 than e^(hλ) for h·|λ| <= 2. Each A has ‖A‖∞ of 1e3 or
+        more, so every h takes the eigvals path."""
+        if lam.imag:
+            v = np.array([[1.0, 40.0], [0.0, 1.0]])
+            a = v @ np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]) @ np.linalg.inv(v)
+        else:  # triangular: eigvals reads λ off the diagonal
+            a = np.array([[lam.real, 1e3], [0.0, lam.real]])
+        assert abs(a).sum(axis=1).max() >= 1e3
+        system = build_system("continuous", (2,), CoefficientSet(A=Tensor.from_array(a)))
+        for h in np.geomspace(0.01, 2.0, 25).tolist():
+            assert len(simulate_continuous(system, make_tensor([2], [1.0, 1.0]), 4 * h, h=h)) == 5

@@ -134,6 +134,21 @@ class TestSchedule:
         with pytest.raises(ValueError, match="^schedule lookup requires when >= 0, got -inf$"):
             getattr(system, lookup)(-10**400)
 
+    def test_entry_that_is_not_a_pair(self):
+        with pytest.raises(ValueError, match=r"^schedule entries must be \(key, value\) pairs$"):
+            CoefficientSchedule([(0, classical_pair(), 1)])
+
+    def test_value_that_is_not_a_coefficient_set(self):
+        with pytest.raises(ValueError, match=r"^schedule segments must carry a CoefficientSet$"):
+            CoefficientSchedule([(0, classical_pair()), (1, "A")])
+
+    def test_system_repr(self):
+        system = build_system("discrete", (2,), [(0, classical_pair()), (3, classical_pair())], input_shape=(1,))
+        assert repr(system) == (
+            "TensorStateSystem(time_kind='discrete', state_shape=[2], input_shape=[1], "
+            "output_shape=[2], segments=2)"
+        )
+
     def test_discrete_needs_integer_starts(self):
         coeffs = CoefficientSet(A=Tensor.identity([2]))
         with pytest.raises(ValueError):
@@ -226,6 +241,14 @@ class TestLiftMatrixState:
             lift_matrix_state(np.eye(2), B=np.zeros((3, 1)), columns=2)
         with pytest.raises(ShapeError):
             lift_matrix_state(np.eye(2), D=np.zeros((1, 1)), columns=2)
+
+    def test_error_texts(self):
+        with pytest.raises(ShapeError, match=r"^A must be square, got shape \[3\]$"):
+            lift_matrix_state(np.ones(3), columns=2)
+        with pytest.raises(ShapeError, match=r"^C must have 2 columns, got shape \[1, 3\]$"):
+            lift_matrix_state(np.eye(2), C=np.ones((1, 3)), columns=2)
+        with pytest.raises(ShapeError, match=r"^D must have shape \[1, 1\], got \[2, 2\]$"):
+            lift_matrix_state(np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), D=np.eye(2), columns=2)
 
 
 def test_decoupling():

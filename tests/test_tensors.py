@@ -77,6 +77,33 @@ class TestConstruction:
         assert (-a).tolist() == [-1.0, -2.0]
         with pytest.raises(ShapeError):
             a + make_tensor([3], [1, 2, 3])
+        with pytest.raises(ShapeError, match=r"^cannot subtract tensors of shapes \[2\] and \[3\]$"):
+            a - make_tensor([3], [1, 2, 3])
+
+    @pytest.mark.parametrize("op, symbol", [
+        (lambda t: t + 1.0, r"\+"), (lambda t: t - 1.0, "-"), (lambda t: t * None, r"\*"),
+    ], ids=["add", "subtract", "multiply"])
+    def test_arithmetic_with_a_non_tensor(self, op, symbol):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for {symbol}: 'Tensor' and "):
+            op(make_tensor([2], [1, 2]))
+
+    def test_non_iterable_shape(self):
+        with pytest.raises(ShapeError, match=r"^shape must be an iterable of integers, got 5$"):
+            Tensor(5, [1.0])
+
+    def test_item_of_several_entries(self):
+        with pytest.raises(ShapeError, match=r"^item\(\) requires a single-entry tensor, shape is \[2\]$"):
+            make_tensor([2], [1, 2]).item()
+
+    def test_non_contiguous_slice(self):
+        """A strided slice comes back as a read-only, C-contiguous copy."""
+        t = make_tensor([2, 3], range(6))
+        column = t[:, 1]
+        assert column.tolist() == [1.0, 4.0]
+        assert column.array.flags.c_contiguous and not column.array.flags.writeable
+
+    def test_repr(self):
+        assert repr(make_tensor([2], [1, 2.5])) == "Tensor(shape=[2], data=[1.0, 2.5])"
 
     def test_identity(self):
         eye = Tensor.identity([3])
