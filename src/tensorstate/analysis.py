@@ -147,6 +147,14 @@ def _generalized_eigenspace(unit, vectors, shifts, noise) -> np.ndarray:
         product = product @ (unit - shifts[j] * eye)
 
 
+def _ldexp(z, e):
+    """z * 2^e for a real or complex array or scalar: exact, unless it
+    leaves the double range, and inf past it without a warning."""
+    z = np.asarray(z)
+    with np.errstate(over="ignore"):  # a complex array is its (real, imag) pairs
+        return np.ldexp(np.atleast_1d(z).view(float), e).view(z.dtype).reshape(z.shape)[()]
+
+
 def _decompose(a) -> _Modes:
     """eig(M_A), with eigenvalues grouped into clusters when their gap is at
     most noise * ||M_A||_F * (kappa_i + kappa_j). noise = 2q * eps bounds
@@ -156,11 +164,21 @@ def _decompose(a) -> _Modes:
     apart. A Jordan block of size k splits by about eps^(1/k) and its
     eigenvalues' kappa grows to match, so every block stays one cluster;
     when V is exactly singular all eigenvalues form one cluster.
+
+    All of this is computed on U = 2^-e M_A. When the largest |entry| lies
+    outside [2^-500, 2^500], e is its binary exponent, an exact scaling that
+    puts U's largest entry in [0.5, 1), so no norm, gap or product overflows
+    or underflows; inside, e = 0, since eig does not commute bit for bit
+    with the scaling. The eigenvalues and cluster centres are scaled back by
+    2^e; past the double range they read inf.
     """
     q = len(a)
-    eigenvalues, vectors = np.linalg.eig(a)
-    peak = float(np.abs(a).max())  # scaled, so that squares neither overflow nor underflow
-    scale = peak * float(np.linalg.norm(a / peak)) if peak else 1.0
+    peak = float(np.abs(a).max())
+    e = 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
+    u = np.ldexp(a, -e)
+    peak = math.ldexp(peak, -e)  # scaled, so that squares neither overflow nor underflow
+    scale = peak * float(np.linalg.norm(u / peak)) if peak else 1.0
+    eigenvalues, vectors = np.linalg.eig(u)
     noise = 2 * q * np.finfo(float).eps
     with np.errstate(all="ignore"):
         try:
@@ -172,12 +190,12 @@ def _decompose(a) -> _Modes:
         reach = noise * scale * (kappa[:, None] + kappa)
     groups = _groups(np.abs(eigenvalues[:, None] - eigenvalues) <= reach)
     if len(groups) == q:
-        return _Modes(eigenvalues, vectors, dual, q, ())
+        return _Modes(_ldexp(eigenvalues, e), vectors, dual, q, ())
     simple = [group[0] for group in groups if len(group) == 1]
     columns = [vectors[:, simple]]
     spans = []
     start = len(simple)
-    unit = a / scale
+    unit = u / scale
     for group in groups:
         if len(group) > 1:
             shifts = eigenvalues[group]
@@ -189,9 +207,10 @@ def _decompose(a) -> _Modes:
     dual = np.linalg.inv(basis)
     clusters = []
     for center, cols in spans:
-        restricted = dual[cols] @ a @ basis[:, cols]
-        clusters.append((center, cols, (restricted - center * np.eye(len(restricted))) / scale))
-    return _Modes(eigenvalues, basis, dual, len(simple), tuple(clusters))
+        restricted = dual[cols] @ u @ basis[:, cols]
+        nilpotent = (restricted - center * np.eye(len(restricted))) / scale
+        clusters.append((_ldexp(center, e), cols, nilpotent))
+    return _Modes(_ldexp(eigenvalues, e), basis, dual, len(simple), tuple(clusters))
 
 
 def _modes_of(system) -> _Modes:

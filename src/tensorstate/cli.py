@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import analyze
 from .fileio import (
     MultirateFile,
-    ParseError,
+    _write_text,
     multirate_csv,
     parse_system_file,
     render_report,
@@ -25,7 +25,6 @@ from .fileio import (
 )
 from .multirate import BoundaryDataError, trajectory_on_grid
 from .simulate import NumericOverflowError, simulate_continuous, simulate_discrete
-from .tensors import ShapeError
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -89,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 # parse_args leaves a parser as it found it, so one serves every main() call
 # in a process; it is built on the first call, not at import
 _parser = functools.cache(build_parser)
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
 
 
 def _load_tensor_file(path, command):
@@ -171,7 +165,7 @@ def main(argv=None) -> int:
     except (NumericOverflowError, BoundaryDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ParseError, ShapeError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # ParseError, ShapeError and LinAlgError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

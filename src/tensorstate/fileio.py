@@ -28,6 +28,8 @@ import functools
 import itertools
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,14 +434,27 @@ def parse_system_file(path) -> SystemFile | MultirateFile:
     declared shapes is reported under the file's `schedule` field.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
 
     def reject(literal):
         raise ParseError(f"{path}: non-finite number literal {literal!r} not allowed")
 
     try:
         obj = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ParseError(
+            f"{path}: invalid JSON: nested deeper than the decoder's recursion limit"
+        ) from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        if not isinstance(exc, json.JSONDecodeError):
+            # int() refused a literal of more digits than sys.get_int_max_str_digits()
+            digits = re.search(rf"-?\d{{{sys.get_int_max_str_digits() + 1},}}", text)
+            exc = json.JSONDecodeError("integer literal past the double range", text, digits.start())
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
@@ -502,9 +517,14 @@ def render_system_file(file) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_system_file(file, path) -> None:
+def _write_text(path, text) -> None:
+    """The one writer of text files: UTF-8, lines ended by \\n on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_system_file(file))
+        handle.write(text)
+
+
+def write_system_file(file, path) -> None:
+    _write_text(path, render_system_file(file))
 
 
 def _columns(prefix, shape):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -316,6 +317,29 @@ class TestAnalyze:
         report = analyze(r1_system(-2.0 * np.eye(2), time_kind="continuous"))
         assert report.max_real_part == -2.0
         assert report.verdict == "stable"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000, 1023, 1024])
+    def test_pair_scaled_by_a_power_of_two(self, k):
+        """sample_systems/discrete_pair.json with A scaled by 2^k. At k = 1024
+        every entry is finite, yet ||A||_F is not; the decomposition works
+        on A scaled by 2^-k."""
+        a = np.ldexp([[0.9, 0.1], [0.0, 0.8]], k)
+        report = analyze(r1_system(a, b=[[1.0], [0.0]], c=[[1.0, 1.0]]))
+        assert report.spectral_radius == math.ldexp(0.9, k)
+        assert report.verdict == ("stable" if k < 0 else "unstable")
+        assert (report.controllability_rank, report.observability_rank) == (1, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalue_past_the_double_range(self):
+        """1e308 [[1, 1], [1, 1]] has the eigenvalues 2e308, which reads
+        inf, and 0; B = [1, -1] reaches only the second mode, and C = [1, 1]
+        sees only the first."""
+        system = r1_system(np.full((2, 2), 1e308), b=[[1.0], [-1.0]], c=[[1.0, 1.0]])
+        report = analyze(system)
+        assert report.spectral_radius == math.inf
+        assert report.verdict == "unstable"
+        assert (report.controllability_rank, report.observability_rank) == (1, 1)
 
     def test_tensor_system_matches_twin(self):
         """The report of an order-2 system equals its order-1 twin's

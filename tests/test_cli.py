@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorstate import parse_system_file, step_discrete, vec
+from tensorstate import BoundaryDataError, NumericOverflowError, cli, parse_system_file, step_discrete, vec
 from tensorstate.cli import build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
@@ -705,3 +705,62 @@ class TestParseErrorMessages:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}.schedule[0].A: ")
         assert err.count("\n") == 1
+
+
+class TestBadFiles:
+    """A system file that json.loads or the UTF-8 decoder refuses, or a path
+    that is no file: exit 1, one stderr line naming the path, no output."""
+
+    CASES = [
+        ("nested-brackets", ("[" * 100000 + "]" * 100000).encode(),
+         ": invalid JSON: nested deeper than the decoder's recursion limit"),
+        ("nested-data", json.dumps(identity_doc()).replace("[1, 2]", "[" * 2000 + "]" * 2000).encode(),
+         ": invalid JSON: nested deeper than the decoder's recursion limit"),
+        ("not-utf8", bytes.fromhex("fffe7b7d"), ": invalid UTF-8 at byte 0: invalid start byte"),
+        ("5000-digit-start",
+         json.dumps(identity_doc(), indent=1).replace('"start": 0', '"start": -' + "9" * 5000).encode(),
+         ": invalid JSON at line 8 column 13: integer literal past the double range"),
+        ("utf8-bom", b"\xef\xbb\xbf" + json.dumps(identity_doc()).encode(),
+         ": invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("nan-literal", json.dumps(identity_doc()).replace('"data": [1, 2]', '"data": [NaN, 2]').encode(),
+         ": non-finite number literal 'NaN' not allowed"),
+        ("truncated", json.dumps(identity_doc())[:40].encode(), ": invalid JSON at line 1 column "),
+        ("directory", None, None),
+    ]
+
+    @pytest.mark.parametrize("content, message", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_exit_1_with_one_line_naming_the_path(self, tmp_path, capsys, content, message):
+        path = tmp_path / "s.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--system", str(path), "--out", str(out), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert str(path) in err
+        if message is not None:
+            assert err.startswith(f"error: {path}{message}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (np.linalg.LinAlgError("SVD did not converge"), 1),
+        (NumericOverflowError("state left the finite range"), 2),
+        (BoundaryDataError(1, 3), 2),
+    ],
+    ids=["LinAlgError", "NumericOverflowError", "BoundaryDataError"],
+)
+def test_exit_code_by_base_class(monkeypatch, capsys, error, code):
+    """main maps an error by its base class: any ValueError, LinAlgError
+    among them, exits 1; the runtime numeric errors exit 2."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "analyze", fail)
+    assert main(["analyze", "--system", str(SAMPLES / "discrete_pair.json")]) == code
+    assert capsys.readouterr() == ("", f"error: {error}\n")
