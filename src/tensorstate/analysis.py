@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .systems import CoefficientSet, TensorStateSystem, UnfoldedSystem
-from .tensors import ShapeError, Tensor
+from .tensors import _as_matrix
 
 __all__ = [
     "UnfoldedSystem",
@@ -61,20 +61,11 @@ def vector_twin(system) -> TensorStateSystem:
     )
 
 
-def _as_square_matrix(m) -> np.ndarray:
-    if isinstance(m, Tensor):
-        m = m.array
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {list(m.shape)}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def spectral_radius(m) -> float:
-    """max |lambda| over the eigenvalues of a square matrix."""
-    m = _as_square_matrix(m)
+    """max |lambda| over the eigenvalues of a non-empty square matrix."""
+    m = _as_matrix(m, "matrix", square=True)
+    if not m.size:
+        raise ValueError("matrix must not be empty, got shape [0, 0]")
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 

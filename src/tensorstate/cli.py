@@ -166,6 +166,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CliError, ValueError, OSError) as exc:  # ParseError, ShapeError and LinAlgError too
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"  # path first, as a ParseError reads
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ def _check_keys(obj, where, required, optional=()):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise ParseError(f"{where}: unknown field(s) {unknown}")
+        raise ParseError(f"{where}: unknown field(s) {reprlib.repr(unknown)}")
     for key in required:
         if key not in obj:
             raise ParseError(f"{where}: missing field '{key}'")
@@ -96,7 +97,7 @@ def _check_keys(obj, where, required, optional=()):
 
 def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
+        raise ParseError(f"{where}: expected a number, got {reprlib.repr(value)}")
     # JSON literals past the double range parse as inf or as ints too large for float
     try:
         number = float(value)
@@ -144,7 +145,7 @@ def _parse_shape(value, where):
     shape = []
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, int) or entry < 1:
-            raise ParseError(f"{where}: mode sizes must be integers >= 1, got {entry!r}")
+            raise ParseError(f"{where}: mode sizes must be integers >= 1, got {reprlib.repr(entry)}")
         shape.append(entry)
     return tuple(shape)
 
@@ -208,7 +209,7 @@ def _tagged(obj, where, kinds):
             need = "takes no other fields" if field is None else f"needs exactly the field '{field}'"
             raise ParseError(f"{where}: kind '{name}' {need}")
     *rest, last = (f"'{name}'" for name in kinds)
-    raise ParseError(f"{where}.kind: expected {', '.join(rest)}, or {last}, got {kind!r}")
+    raise ParseError(f"{where}.kind: expected {', '.join(rest)}, or {last}, got {reprlib.repr(kind)}")
 
 
 def _pairs(value, where, what):
@@ -302,7 +303,7 @@ def _parse_tensor_system(obj, path) -> SystemFile:
     )
     time_kind = obj["time"]
     if time_kind not in ("discrete", "continuous"):
-        raise ParseError(f"{path}.time: expected 'discrete' or 'continuous', got {time_kind!r}")
+        raise ParseError(f"{path}.time: expected 'discrete' or 'continuous', got {reprlib.repr(time_kind)}")
     state_shape = _parse_shape(obj["state_shape"], f"{path}.state_shape")
     input_shape = None
     if "input_shape" in obj:
@@ -389,7 +390,7 @@ def _single_process_function(spec, where):
     table = {}
     for at, idx, value in _pairs(arg, f"{where}.values", "an [index, value] pair"):
         if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
-            raise ParseError(f"{at}: index must be an integer >= 0, got {idx!r}")
+            raise ParseError(f"{at}: index must be an integer >= 0, got {reprlib.repr(idx)}")
         if idx in table:
             raise ParseError(f"{at}: duplicate index {idx}")
         table[idx] = _number(value, at)
@@ -463,7 +464,7 @@ def parse_system_file(path) -> SystemFile | MultirateFile:
     if obj.get("kind") == "multirate":
         return _parse_multirate(obj, str(path))
     if "kind" in obj:
-        raise ParseError(f"{path}.kind: expected 'multirate', got {obj['kind']!r}")
+        raise ParseError(f"{path}.kind: expected 'multirate', got {reprlib.repr(obj['kind'])}")
     return _parse_tensor_system(obj, str(path))
 
 

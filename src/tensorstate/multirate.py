@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulate
-from .simulate import NumericOverflowError
-from .tensors import _as_axis
+from .tensors import _as_axis, _as_matrix
 
 __all__ = [
     "GlobalClock",
@@ -76,11 +75,7 @@ class MultirateSystem:
     __slots__ = ("A", "B", "clocks", "clock", "boundary", "input")
 
     def __init__(self, A, clocks, boundary, B=None, input=None):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be a square matrix, got shape {list(A.shape)}")
-        if not np.isfinite(A).all():
-            raise ValueError("A entries must be finite")
+        A = _as_matrix(A, "A", square=True)
         m = A.shape[0]
         clock = global_clock(clocks)
         if len(clock.factors) != m:
@@ -90,11 +85,9 @@ class MultirateSystem:
         if (B is None) != (input is None):
             raise ValueError("B and input must be given together or both omitted")
         if B is not None:
-            B = np.asarray(B, dtype=float)
+            B = _as_matrix(B, "B")
             if B.shape != (m, m):
                 raise ValueError(f"B must be {m}x{m} like A, got shape {list(B.shape)}")
-            if not np.isfinite(B).all():
-                raise ValueError("B entries must be finite")
             if not callable(input):
                 raise TypeError("input must be callable (process, index) -> real")
         self.A = A
@@ -257,12 +250,9 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
             for j in range(m):
                 total += held[lo:hi, j, None] * system.B[:, j]
         rows[lo:hi] = total
-    finite = np.isfinite(rows)
-    if not finite.all():
-        k, j = map(int, np.argwhere(~finite)[0])
-        raise NumericOverflowError(
-            f"state of process {j + 1} became non-finite at tick {k} (index {k * system.clock.d})"
-        )
+    simulate._require_finite(
+        rows, lambda k, j: f"state of process {j + 1} became non-finite at tick {k} (index {k * system.clock.d})"
+    )
     return rows
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import Piecewise, _split_pairs
-from .tensors import ShapeError, Tensor, _as_axis, _as_tensor, _normalize_shape, devec, vec
+from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
     "NumericOverflowError",
@@ -411,19 +411,19 @@ def _sweep(system, signal, v, times, where, method="discrete", h=1.0):
                 a, b = firsts[x], ends[y - 1]
                 inputs = ((f - a, e - a, u) for f, e, u in zip(firsts[x:y], ends[x:y], us[x:y]))
                 _output(unfolded[segs[x]], states[a:b], outputs[a:b], inputs)
-    _require_finite(where, ("state", states, times), *[("output", outputs, times)] * (outputs is not states))
+    _require_finite(states, lambda k, _: f"state became non-finite at {where.format(times[k])}")
+    if outputs is not states:
+        _require_finite(outputs, lambda k, _: f"output became non-finite at {where.format(times[k])}")
     return Trajectory(times, states, outputs, system.state_shape, system.output_shape)
 
 
-def _require_finite(where, *named):
-    """Raise NumericOverflowError for the first (name, rows, times) with a
-    non-finite row, naming its time formatted by `where`. The rows are read
-    by their min and max first, which allocate nothing: a NaN or infinity
-    makes one of them non-finite."""
-    for name, rows, times in named:
-        if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            raise NumericOverflowError(f"{name} became non-finite at {where.format(times[bad[0]])}")
+def _require_finite(rows, message):
+    """Raise NumericOverflowError(message(k, j)) for the first NaN or infinity
+    rows[k, j] of the 2-D rows in row-major order. The rows are read by their
+    min and max first, which allocate nothing: a NaN or infinity makes one of
+    them non-finite."""
+    if not (math.isfinite(rows.min(initial=0.0)) and math.isfinite(rows.max(initial=0.0))):
+        raise NumericOverflowError(message(*map(int, np.argwhere(~np.isfinite(rows))[0])))
 
 
 def _require_kind(system, kind, what):
@@ -447,7 +447,8 @@ def step_discrete(system, state, u=None, n=0):
     v, u, m = _state_vec(system, state), _input_vec(system, u), system.unfolded_at(n)
     nxt = _advance(m.a, None if u is None else m.b @ u, v, np.empty((1, system.state_dim)), 0, 1)
     out = _output(m, v[None], np.empty((1, system.output_dim)), [(0, 1, u)])
-    _require_finite("step {}", ("state", nxt[None], [n + 1]), ("output", out, [n]))
+    _require_finite(nxt[None], lambda *_: f"state became non-finite at step {n + 1}")
+    _require_finite(out, lambda *_: f"output became non-finite at step {n}")
     return Tensor._wrap(nxt.reshape(system.state_shape)), Tensor._wrap(out.reshape(system.output_shape))
 
 
@@ -553,13 +554,11 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     θ₁₃. An exponential past the double range comes back non-finite without
     a numpy warning; a 0x0 matrix gives the 0x0 identity.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"matrix_exponential needs a square matrix, got shape {list(m.shape)}")
+    m = _as_matrix(m, "matrix", square=True)
     t = float(t)
-    peak = float(np.abs(m).max(initial=0.0))  # nan or inf when an entry is
-    if not math.isfinite(peak) or not math.isfinite(t):
-        raise ValueError("matrix_exponential needs finite entries and finite t")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    peak = float(np.abs(m).max(initial=0.0))
     e_m, e_t = math.frexp(peak)[1], math.frexp(t)[1]
     a = np.ldexp(m, -e_m) * math.ldexp(t, -e_t)  # m*t/2^(e_m+e_t), entries below 1
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensors import ShapeError, Tensor, _as_axis, _normalize_shape, unfold
+from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _normalize_shape, unfold
 
 __all__ = [
     "CoefficientSet",
@@ -302,30 +302,28 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
     column by column, so one step equals the matrix equation exactly.
     """
     columns = _as_axis(columns, "columns", least=1)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"A must be square, got shape {list(A.shape)}")
+    A = _as_matrix(A, "A", square=True)
     m = A.shape[0]
     state_shape = (m, columns)
     input_shape = None
     output_shape = None
     lifted_b = lifted_c = lifted_d = None
     if B is not None:
-        B = np.asarray(B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != m:
+        B = _as_matrix(B, "B")
+        if B.shape[0] != m:
             raise ShapeError(f"B must have {m} rows, got shape {list(B.shape)}")
         input_shape = (B.shape[1], columns)
         lifted_b = _lift(B, columns)
     if C is not None:
-        C = np.asarray(C, dtype=float)
-        if C.ndim != 2 or C.shape[1] != m:
+        C = _as_matrix(C, "C")
+        if C.shape[1] != m:
             raise ShapeError(f"C must have {m} columns, got shape {list(C.shape)}")
         output_shape = (C.shape[0], columns)
         lifted_c = _lift(C, columns)
     if D is not None:
         if B is None or C is None:
             raise ShapeError("D requires both B and C")
-        D = np.asarray(D, dtype=float)
+        D = _as_matrix(D, "D")
         if D.shape != (C.shape[0], B.shape[1]):
             raise ShapeError(
                 f"D must have shape {[C.shape[0], B.shape[1]]}, got {list(D.shape)}"

@@ -93,8 +93,8 @@ class Tensor:
 
     @classmethod
     def from_array(cls, array) -> "Tensor":
-        """Build a tensor from a nested list or numpy array (shape inferred)."""
-        arr = np.asarray(array, dtype=float)
+        """Build a tensor from a Tensor, a nested list or a numpy array (shape inferred)."""
+        arr = _entries(array)
         return cls(arr.shape, arr.reshape(-1))
 
     @classmethod
@@ -182,6 +182,23 @@ class Tensor:
 def make_tensor(shape, data) -> Tensor:
     """Create a tensor from a mode-size list and flat row-major data."""
     return Tensor(shape, data)
+
+
+def _entries(value) -> np.ndarray:
+    """The entries of a Tensor, or of any array-like as a float array."""
+    return value.array if isinstance(value, Tensor) else np.asarray(value, dtype=float)
+
+
+def _as_matrix(value, what: str, square=False) -> np.ndarray:
+    """The one matrix intake: the entries of value, refused with a ShapeError
+    naming `what` unless 2-D (and square, given `square`) and with a
+    ValueError unless finite. A 0x0 matrix passes."""
+    m = _entries(value)
+    if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
+        raise ShapeError(f"{what} must be {'square' if square else 'a matrix'}, got shape {list(m.shape)}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite")
+    return m
 
 
 def _as_tensor(value) -> Tensor:

@@ -135,6 +135,13 @@ class TestSpectralRadius:
         with pytest.raises(ShapeError):
             spectral_radius(np.zeros((2, 3)))
 
+    def test_empty(self):
+        """A 0x0 matrix passes the matrix intake but has no eigenvalues."""
+        with pytest.raises(ValueError) as err:
+            spectral_radius(np.zeros((0, 0)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "matrix must not be empty, got shape [0, 0]"
+
 
 class TestStability:
     def test_discrete_stable(self):

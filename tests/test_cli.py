@@ -708,7 +708,7 @@ class TestParseErrorMessages:
 
 
 class TestBadFiles:
-    """A system file that json.loads or the UTF-8 decoder refuses, or a path
+    """A system file that json.loads, the UTF-8 decoder or the parser refuses, or a path
     that is no file: exit 1, one stderr line naming the path, no output."""
 
     CASES = [
@@ -725,25 +725,44 @@ class TestBadFiles:
         ("nan-literal", json.dumps(identity_doc()).replace('"data": [1, 2]', '"data": [NaN, 2]').encode(),
          ": non-finite number literal 'NaN' not allowed"),
         ("truncated", json.dumps(identity_doc())[:40].encode(), ": invalid JSON at line 1 column "),
-        ("directory", None, None),
+        ("directory", "mkdir", ": Is a directory"),
+        ("missing", None, ": No such file or directory"),
     ]
 
     @pytest.mark.parametrize("content, message", [case[1:] for case in CASES],
                              ids=[case[0] for case in CASES])
     def test_exit_1_with_one_line_naming_the_path(self, tmp_path, capsys, content, message):
         path = tmp_path / "s.json"
-        if content is None:
+        if content == "mkdir":
             path.mkdir()
-        else:
+        elif content is not None:
             path.write_bytes(content)
         out = tmp_path / "o.csv"
         assert main(["simulate", "--system", str(path), "--out", str(out), "--steps", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-        assert str(path) in err
-        if message is not None:
-            assert err.startswith(f"error: {path}{message}")
+        assert err.startswith(f"error: {path}{message}")
         assert not out.exists()
+
+    def test_out_directory_names_the_path_first(self, tmp_path, capsys):
+        """An OSError that carries a filename reads `error: <path>: <strerror>`."""
+        out = tmp_path / "o.csv"
+        out.mkdir()
+        argv = ["simulate", "--system", str(SAMPLES / "discrete_pair.json"), "--out", str(out), "--steps", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {out}: Is a directory\n")
+
+    def test_long_value_is_quoted_short(self, tmp_path, monkeypatch, capsys):
+        """A list of 100000 numbers where a number belongs is quoted cut
+        after six items, so the one stderr line stays short."""
+        doc = json.loads((SAMPLES / "discrete_pair.json").read_text(encoding="utf-8"))
+        doc["x0"]["data"] = [list(range(100000)), 1.0]
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path / "s.json", doc)
+        assert main(["simulate", "--system", "s.json", "--out", "o.csv", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: s.json.x0.data: expected a number, got [0, 1, 2, 3, 4, 5, ...]\n"
+        assert len(err.encode()) < 200 and not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,37 @@ class TestParse:
         assert parsed.x0.tolist() == [float(v) for v in data]
         assert np.signbit(parsed.x0.tolist()[4])
 
+    LONG = list(range(100000))
+
+    @pytest.mark.parametrize("field, value, message", [
+        (("x0", "data"), [LONG, 1.0], ".x0.data: expected a number, got [0, 1, 2, 3, 4, 5, ...]"),
+        (("state_shape",), [2, LONG],
+         ".state_shape: mode sizes must be integers >= 1, got [0, 1, 2, 3, 4, 5, ...]"),
+        (("time",), "d" * 100000,
+         ".time: expected 'discrete' or 'continuous', got 'dddddddddddd...ddddddddddddd'"),
+        (("boundary",), {"kind": LONG},
+         ".boundary.kind: expected 'constant', 'index', or 'table', got [0, 1, 2, 3, 4, 5, ...]"),
+        (("boundary",), {"kind": "table", "values": [[LONG, 0.0]]},
+         ".boundary.values[0]: index must be an integer >= 0, got [0, 1, 2, 3, 4, 5, ...]"),
+        (("kind",), "m" * 100000, ".kind: expected 'multirate', got 'mmmmmmmmmmmm...mmmmmmmmmmmmm'"),
+        (("z" * 100000,), 1, ": unknown field(s) ['zzzzzzzzzzzz...zzzzzzzzzzzzz']"),
+    ], ids=["number", "shape", "time", "kind-of-a-spec", "table-index", "top-level-kind", "unknown-field"])
+    def test_long_file_value_is_quoted_short(self, tmp_path, field, value, message):
+        """A file value quoted in a refusal is cut by reprlib.repr: a list
+        after six items, a string after 30 characters."""
+        if field[0] == "boundary":
+            doc = {"kind": "multirate", "A": [[0.5]], "clocks": [2], "boundary": None}
+        else:
+            doc = minimal_doc()
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        path = write_doc(tmp_path / "s.json", doc)
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}{message}"
+
 
 def per_sample_table(samples, input_shape, where):
     """The (when, tensor) pairs the per-sample path reads from `samples`."""

@@ -592,6 +592,17 @@ class TestOverflow:
                                match=r"^state of process 1 became non-finite at tick 1 \(index 6\)$"):
                 trajectory_on_grid(self.overflowing_system(), 4)
 
+    def test_first_non_finite_in_row_major_order(self):
+        """Process 2 overflows from tick 1 on (1e300 times its boundary
+        value 1e300) and process 1 at tick 3, where it reads process 2's
+        state: the message names the earlier tick, not the earlier
+        process."""
+        system = MultirateSystem(A=[[0.5, 1.0], [0.0, 1e300]], clocks=(2, 3),
+                                 boundary=constant_function(1e300))
+        with pytest.raises(NumericOverflowError,
+                           match=r"^state of process 2 became non-finite at tick 1 \(index 6\)$"):
+            trajectory_on_grid(system, 4)
+
     def test_finite_grid_is_unchanged(self):
         system = MultirateSystem(A=np.full((2, 2), 1e150), clocks=(2, 3),
                                  boundary=constant_function(1.0))

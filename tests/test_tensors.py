@@ -11,11 +11,14 @@ from tensorstate import (
     contract_last,
     contract_pair,
     devec,
+    index_function,
     lift_matrix_state,
     make_tensor,
+    matrix_exponential,
     outer_product,
     simulate_discrete,
     solve_discrete_closed_form,
+    spectral_radius,
     step_discrete,
     trajectory_on_grid,
     unfold,
@@ -374,3 +377,57 @@ def test_count_argument_below_its_least_value(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def _lifted(kind, m):
+    """The lifted `kind` of lift_matrix_state with m for `kind` and 2x2
+    identities for the other three of A to D."""
+    parts = dict.fromkeys("ABCD", np.eye(2)) | {kind: m}
+    return getattr(lift_matrix_state(columns=2, **parts).coefficients_at(0), kind).array
+
+
+# entry point: (call returning an array or a float, name in its errors, square)
+MATRIX_ENTRY_POINTS = {
+    "spectral_radius": (spectral_radius, "matrix", True),
+    "matrix_exponential": (matrix_exponential, "matrix", True),
+    "MultirateSystem-A": (lambda m: MultirateSystem(m, (2, 3), index_function()).A, "A", True),
+    "MultirateSystem-B": (lambda m: MultirateSystem(np.eye(2), (2, 3), index_function(),
+                                                    B=m, input=index_function()).B, "B", False),
+    **{f"lift_matrix_state-{k}": (lambda m, k=k: _lifted(k, m), k, k == "A") for k in "ABCD"},
+    "Tensor.from_array": (lambda m: Tensor.from_array(m).array, "tensor", None),
+}
+INTAKE_MATRIX = [[0.5, 0.25], [-0.125, 1.0]]
+
+
+def _intake_cases():
+    for name, (_, what, square) in MATRIX_ENTRY_POINTS.items():
+        finite = "tensor entries must be finite (no NaN or infinities)" if square is None else f"{what} entries must be finite"
+        cases = {
+            "tensor": (Tensor.from_array(INTAKE_MATRIX), None),
+            "nan": ([[0.5, np.nan], [0.0, 1.0]], (ValueError, finite)),
+            "inf": ([[0.5, 0.0], [np.inf, 1.0]], (ValueError, finite)),
+        }
+        if square is not None:  # a tensor may have any order
+            rule = "square" if square else "a matrix"
+            cases["1-D"] = (np.ones(2), (ShapeError, f"{what} must be {rule}, got shape [2]"))
+        if square:
+            cases["2x3"] = (np.ones((2, 3)), (ShapeError, f"{what} must be square, got shape [2, 3]"))
+        for label, (value, expected) in cases.items():
+            yield pytest.param(name, value, expected, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("name, value, expected", list(_intake_cases()))
+def test_one_matrix_intake(name, value, expected):
+    """Every entry point that takes a matrix reads an order-2 Tensor by its
+    entries, bit for bit as their array, and refuses a non-finite entry, a
+    non-matrix and (where it must be square) a non-square matrix with the
+    same type and text, naming the argument."""
+    call = MATRIX_ENTRY_POINTS[name][0]
+    if expected is None:
+        got, want = np.asarray(call(value)), np.asarray(call(np.array(INTAKE_MATRIX)))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    kind, message = expected
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert type(err.value) is kind and str(err.value) == message
