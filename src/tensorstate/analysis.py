@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .systems import CoefficientSet, TensorStateSystem, UnfoldedSystem
-from .tensors import _as_matrix
+from .tensors import _as_matrix, _as_real
 
 __all__ = [
     "UnfoldedSystem",
@@ -63,9 +63,7 @@ def vector_twin(system) -> TensorStateSystem:
 
 def spectral_radius(m) -> float:
     """max |lambda| over the eigenvalues of a non-empty square matrix."""
-    m = _as_matrix(m, "matrix", square=True)
-    if not m.size:
-        raise ValueError("matrix must not be empty, got shape [0, 0]")
+    m = _as_matrix(m, "matrix", square=True, empty=False)
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
@@ -244,9 +242,11 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
     cluster of eigenvalues within epsilon of the boundary (|lambda| = 1, or
     Re lambda = 0) is defective: M_A - lambda I restricted to the cluster has
     a singular value above NULL_TOL * ||M_A||_F. That makes the verdict
-    unstable. epsilon must be finite and >= 0.
+    unstable. epsilon is read by tensors._as_real and must be >= 0.
     """
-    _check_tolerance("epsilon", epsilon)
+    epsilon = _as_real(epsilon, "epsilon")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     modes = _modes_of(system)
     eigenvalues = modes.eigenvalues
     radius = float(np.abs(eigenvalues).max())
@@ -268,12 +268,7 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
         verdict = "unstable"
     else:
         verdict = "marginal"
-    return StabilityResult(verdict, radius, max_real, float(epsilon), defective)
-
-
-def _check_tolerance(name, value):
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return StabilityResult(verdict, radius, max_real, epsilon, defective)
 
 
 def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
@@ -287,9 +282,11 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(j-1) G]
     of its normalized coupling G and its nilpotent part N (N^T for C),
     grown until that number reaches k or a block leaves it unchanged.
-    rel_tol must be finite and >= 0.
+    rel_tol is read by tensors._as_real and must be >= 0.
     """
-    _check_tolerance("rel_tol", rel_tol)
+    rel_tol = _as_real(rel_tol, "rel_tol")
+    if rel_tol < 0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     norm = np.linalg.norm(coupling, 2)
     if norm == 0.0:
         return 0

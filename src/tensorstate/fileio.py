@@ -38,7 +38,7 @@ import numpy as np
 from .multirate import MultirateSystem, _multiples, _per_process, _table, constant_function, index_function
 from .simulate import InputSignal, Trajectory
 from .systems import CoefficientSet, TensorStateSystem, build_system
-from .tensors import Tensor
+from .tensors import Tensor, _as_real
 
 __all__ = [
     "ParseError",
@@ -96,16 +96,13 @@ def _check_keys(obj, where, required, optional=()):
 
 
 def _number(value, where) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {reprlib.repr(value)}")
-    # JSON literals past the double range parse as inf or as ints too large for float
+    """A JSON value read by tensors._as_real, whose refusals, in the file's
+    words, also cover literals past the double range (inf, or ints too
+    large for a float)."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParseError(f"{where}: number out of the finite double range")
-    return number
+        return _as_real(value, where)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _finite_block(rows) -> np.ndarray | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulate
-from .tensors import _as_axis, _as_matrix
+from .tensors import _as_axis, _as_matrix, _as_real
 
 __all__ = [
     "GlobalClock",
@@ -278,12 +278,16 @@ def _table(table):
     )
 
 
+def _constant(value):
+    return _columns(lambda i, n: value, lambda i, indices: np.full(len(indices), value))
+
+
 def constant_function(values):
-    """(process, index) -> fixed value; scalar or one value per process."""
+    """(process, index) -> fixed value; scalar or one value per process,
+    each read by tensors._as_real."""
     if np.ndim(values) == 0:
-        value = float(values)
-        return _columns(lambda i, n: value, lambda i, indices: np.full(len(indices), value))
-    return _per_process({i: constant_function(float(v)) for i, v in enumerate(values, 1)})
+        return _constant(_as_real(values, "constant value"))
+    return _per_process({i: _constant(_as_real(v, f"constant value of process {i}")) for i, v in enumerate(values, 1)})
 
 
 def index_function():
@@ -299,5 +303,6 @@ def table_function(entries):
     """
     tables = {}
     for (i, n), v in dict(entries).items():
-        tables.setdefault(_as_axis(i, "table process"), {})[_as_axis(n, "table index")] = float(v)
+        i, n = _as_axis(i, "table process"), _as_axis(n, "table index")
+        tables.setdefault(i, {})[n] = _as_real(v, f"table value at ({i}, {n})")
     return _per_process({i: _table(table) for i, table in tables.items()})

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import Piecewise, _split_pairs
-from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _as_tensor, _normalize_shape, devec, vec
+from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _as_real, _as_tensor, _normalize_shape, devec, vec
 
 __all__ = [
     "NumericOverflowError",
@@ -555,9 +555,7 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     a numpy warning; a 0x0 matrix gives the 0x0 identity.
     """
     m = _as_matrix(m, "matrix", square=True)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = _as_real(t, "t")
     peak = float(np.abs(m).max(initial=0.0))
     e_m, e_t = math.frexp(peak)[1], math.frexp(t)[1]
     a = np.ldexp(m, -e_m) * math.ldexp(t, -e_t)  # m*t/2^(e_m+e_t), entries below 1
@@ -706,16 +704,16 @@ def simulate_continuous(system, x0, t_end, h=None, u=None, method="rk4") -> Traj
     or marginal mode of a segment (_refuse_rk4_growth).
     """
     _require_kind(system, "continuous", "simulate_continuous")
-    t_end = float(t_end)
-    if not t_end > 0 or not math.isfinite(t_end):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    t_end = _as_real(t_end, "t_end")
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     if h is None:
         h = t_end / 1000.0
         if h == 0:
             raise ValueError(f"t_end {t_end!r} makes the default step t_end/1000 underflow to 0; pass h")
-    h = float(h)
-    if not h > 0 or not math.isfinite(h):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    h = _as_real(h, "h")
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
     if method not in ("rk4", "exact"):
         raise ValueError(f"method must be 'rk4' or 'exact', got {method!r}")
     samples = _grid_size(t_end, h)

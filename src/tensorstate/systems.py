@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _normalize_shape, unfold
+from .tensors import ShapeError, Tensor, _as_axis, _as_matrix, _as_real, _normalize_shape, unfold
 
 __all__ = [
     "CoefficientSet",
@@ -57,21 +57,15 @@ class UnfoldedSystem(NamedTuple):
 
 
 def _split_pairs(pairs, what):
-    """The keys of (key, value) `pairs` as a float array, unchecked, and their
-    values as a list. A key must be a Python or numpy int or float within the
-    double range, else ValueError names its entry."""
+    """The keys of (key, value) `pairs`, each read by tensors._as_real, as a
+    float array, and their values as a list; a refusal names the entry."""
     keys, values = [], []
     for k, entry in enumerate(pairs):
         try:
             key, value = entry
         except (TypeError, ValueError):
             raise ValueError(f"{what} entries must be (key, value) pairs") from None
-        if isinstance(key, bool) or not isinstance(key, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{what} entry {k}: key must be a real number, got {key!r}")
-        try:
-            keys.append(float(key))
-        except OverflowError:
-            raise ValueError(f"{what} entry {k}: key is past the double range") from None
+        keys.append(_as_real(key, f"{what} entry {k} key"))
         values.append(value)
     return np.array(keys, dtype=float), values
 
@@ -302,20 +296,20 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
     column by column, so one step equals the matrix equation exactly.
     """
     columns = _as_axis(columns, "columns", least=1)
-    A = _as_matrix(A, "A", square=True)
+    A = _as_matrix(A, "A", square=True, empty=False)
     m = A.shape[0]
     state_shape = (m, columns)
     input_shape = None
     output_shape = None
     lifted_b = lifted_c = lifted_d = None
     if B is not None:
-        B = _as_matrix(B, "B")
+        B = _as_matrix(B, "B", empty=False)
         if B.shape[0] != m:
             raise ShapeError(f"B must have {m} rows, got shape {list(B.shape)}")
         input_shape = (B.shape[1], columns)
         lifted_b = _lift(B, columns)
     if C is not None:
-        C = _as_matrix(C, "C")
+        C = _as_matrix(C, "C", empty=False)
         if C.shape[1] != m:
             raise ShapeError(f"C must have {m} columns, got shape {list(C.shape)}")
         output_shape = (C.shape[0], columns)
@@ -323,7 +317,7 @@ def lift_matrix_state(A, B=None, C=None, D=None, *, columns, time_kind="discrete
     if D is not None:
         if B is None or C is None:
             raise ShapeError("D requires both B and C")
-        D = _as_matrix(D, "D")
+        D = _as_matrix(D, "D", empty=False)
         if D.shape != (C.shape[0], B.shape[1]):
             raise ShapeError(
                 f"D must have shape {[C.shape[0], B.shape[1]]}, got {list(D.shape)}"

@@ -9,7 +9,9 @@ Conventions used everywhere: row-major data layout (last index fastest),
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
 
 import numpy as np
 
@@ -53,6 +55,22 @@ def _as_axis(value, name: str, least=None) -> int:
     return value
 
 
+def _as_real(value, what) -> float:
+    """The one real-number intake: value as a float when it is a Python or
+    numpy int or float, not a bool, whose double is finite; else a
+    ValueError naming `what`, in the words of the file parser's refusals.
+    An int past the double range is refused like an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what}: expected a number, got {reprlib.repr(value)}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what}: number out of the finite double range")
+    return number
+
+
 class Tensor:
     """Immutable dense tensor over float64.
 
@@ -65,23 +83,21 @@ class Tensor:
 
     def __init__(self, shape, data):
         modes = _normalize_shape(shape)
-        flat = np.asarray(data, dtype=float).reshape(-1)
+        flat = _entries(data, "tensor").reshape(-1)
         expected = math.prod(modes)
         if flat.size != expected:
             raise ShapeError(
                 f"data length {flat.size} does not match shape {list(modes)} "
                 f"(expected {expected} entries)"
             )
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("tensor entries must be finite (no NaN or infinities)")
         arr = flat.reshape(modes).copy()
         arr.flags.writeable = False
         self._array = arr
 
     @classmethod
     def _wrap(cls, array) -> "Tensor":
-        # Internal fast path for freshly computed results; bypasses the
-        # finiteness re-check. np.ascontiguousarray would promote 0-d arrays
+        # Internal fast path for entries known to be finite; bypasses the
+        # re-check. np.ascontiguousarray would promote 0-d arrays
         # to 1-d, so only use it when the layout actually needs fixing.
         obj = object.__new__(cls)
         arr = np.asarray(array, dtype=float)
@@ -94,8 +110,8 @@ class Tensor:
     @classmethod
     def from_array(cls, array) -> "Tensor":
         """Build a tensor from a Tensor, a nested list or a numpy array (shape inferred)."""
-        arr = _entries(array)
-        return cls(arr.shape, arr.reshape(-1))
+        arr = _entries(array, "tensor")
+        return cls(arr.shape, arr)
 
     @classmethod
     def zeros(cls, shape) -> "Tensor":
@@ -156,19 +172,20 @@ class Tensor:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add tensors of shapes {list(self.shape)} and {list(other.shape)}")
-        return Tensor._wrap(self._array + other._array)
+        return _result(lambda: self._array + other._array)
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot subtract tensors of shapes {list(self.shape)} and {list(other.shape)}")
-        return Tensor._wrap(self._array - other._array)
+        return _result(lambda: self._array - other._array)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
+        if not isinstance(scalar, (numbers.Number, np.generic)):
             return NotImplemented
-        return Tensor._wrap(self._array * float(scalar))
+        scalar = _as_real(scalar, "scalar")
+        return _result(lambda: self._array * scalar)
 
     __rmul__ = __mul__
 
@@ -184,20 +201,45 @@ def make_tensor(shape, data) -> Tensor:
     return Tensor(shape, data)
 
 
-def _entries(value) -> np.ndarray:
-    """The entries of a Tensor, or of any array-like as a float array."""
-    return value.array if isinstance(value, Tensor) else np.asarray(value, dtype=float)
+def _finite(entries, what) -> np.ndarray:
+    if not np.isfinite(entries).all():
+        raise ValueError(f"{what} entries must be finite")
+    return entries
 
 
-def _as_matrix(value, what: str, square=False) -> np.ndarray:
-    """The one matrix intake: the entries of value, refused with a ShapeError
-    naming `what` unless 2-D (and square, given `square`) and with a
-    ValueError unless finite. A 0x0 matrix passes."""
-    m = _entries(value)
+def _entries(value, what) -> np.ndarray:
+    """The entries of a Tensor, or of an array-like of reals as a float
+    array, refused with a ValueError naming `what` unless it converts and
+    every entry is a finite double (an int past the double range is not)."""
+    if isinstance(value, Tensor):
+        return value.array
+    try:
+        entries = np.asarray(value, dtype=float)
+    except OverflowError:  # an int past the double range, refused below as not finite
+        entries = np.array(math.inf)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a rectangular array of real numbers, got {reprlib.repr(value)}") from None
+    return _finite(entries, what)
+
+
+def _result(compute) -> Tensor:
+    """compute(), numpy arithmetic on finite entries, as a Tensor, refused
+    with the constructor's ValueError, and no numpy warning, when an entry
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    return Tensor._wrap(_finite(out, "tensor"))
+
+
+def _as_matrix(value, what: str, square=False, empty=True) -> np.ndarray:
+    """The one matrix intake: the entries of value (see _entries), refused
+    with a ShapeError naming `what` unless 2-D (and square, given `square`)
+    and, without `empty`, with a ValueError when it has no entry."""
+    m = _entries(value, what)
     if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
         raise ShapeError(f"{what} must be {'square' if square else 'a matrix'}, got shape {list(m.shape)}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} entries must be finite")
+    if not (empty or m.size):
+        raise ValueError(f"{what} must not be empty, got shape {list(m.shape)}")
     return m
 
 
@@ -208,7 +250,7 @@ def _as_tensor(value) -> Tensor:
 def outer_product(a: Tensor, b: Tensor) -> Tensor:
     """Outer product: result[(i..), (j..)] = a[i..] * b[j..]; orders add."""
     a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor._wrap(np.multiply.outer(a.array, b.array))
+    return _result(lambda: np.multiply.outer(a.array, b.array))
 
 
 def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
@@ -229,7 +271,7 @@ def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
         raise ShapeError(
             f"cannot contract modes of unequal sizes {t.shape[axis_a]} and {t.shape[axis_b]}"
         )
-    return Tensor._wrap(np.trace(t.array, axis1=axis_a, axis2=axis_b))
+    return _result(lambda: np.trace(t.array, axis1=axis_a, axis2=axis_b))
 
 
 def contract_last(a: Tensor, x: Tensor) -> Tensor:
@@ -251,7 +293,7 @@ def contract_last(a: Tensor, x: Tensor) -> Tensor:
             f"trailing modes {list(a.shape[a.order - k:])} of the coupling tensor "
             f"do not match operand shape {list(x.shape)}"
         )
-    return Tensor._wrap(np.tensordot(a.array, x.array, axes=k))
+    return _result(lambda: np.tensordot(a.array, x.array, axes=k))
 
 
 def vec(x: Tensor) -> np.ndarray:

@@ -272,6 +272,13 @@ class TestObservability:
 BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
 
 
+def _tolerance_refusal(name, value):
+    """The real-number intake's text for a non-finite value, else the sign rule's."""
+    if math.isfinite(value):
+        return f"{name} must be >= 0, got {value}"
+    return f"{name}: number out of the finite double range"
+
+
 class TestTolerances:
     """epsilon and rel_tol must be finite and >= 0; zero is valid."""
 
@@ -280,16 +287,17 @@ class TestTolerances:
 
     @pytest.mark.parametrize("value", BAD_TOLERANCES, ids=str)
     def test_bad_epsilon(self, value):
-        with pytest.raises(ValueError, match=f"^epsilon must be finite and >= 0, got {value}$"):
-            check_stability(self.system(), epsilon=value)
-        with pytest.raises(ValueError, match="^epsilon "):
-            analyze(self.system(), epsilon=value)
+        for call in (check_stability, analyze):
+            with pytest.raises(ValueError) as err:
+                call(self.system(), epsilon=value)
+            assert str(err.value) == _tolerance_refusal("epsilon", value)
 
     @pytest.mark.parametrize("value", BAD_TOLERANCES, ids=str)
     @pytest.mark.parametrize("rank", [controllability_rank, observability_rank, analyze])
     def test_bad_rel_tol(self, rank, value):
-        with pytest.raises(ValueError, match=f"^rel_tol must be finite and >= 0, got {value}$"):
+        with pytest.raises(ValueError) as err:
             rank(self.system(), rel_tol=value)
+        assert str(err.value) == _tolerance_refusal("rel_tol", value)
 
     def test_zero_is_valid(self):
         report = analyze(self.system(), epsilon=0.0, rel_tol=0.0)

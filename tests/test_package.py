@@ -1,5 +1,8 @@
 """The package namespace is its modules' __all__ lists, re-exported."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import tensorstate
@@ -26,3 +29,11 @@ def test_module_level_names(module, name):
     assert hasattr(module, name)
     assert name not in module.__all__
     assert not hasattr(tensorstate, name)
+
+
+def test_readme_example(capsys):
+    """README's one python block runs and prints what it shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[3.2566077995000002, 0.0]\nstable\n"

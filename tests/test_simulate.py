@@ -122,16 +122,16 @@ class TestInputSignal:
         (lambda key: CoefficientSchedule([(0, IDENTITY_1), (key, IDENTITY_1)]), "schedule"),
     ], ids=["input_table", "schedule"])
     @pytest.mark.parametrize("key, fault", [
-        ("1", "key must be a real number, got '1'"),
-        (True, "key must be a real number, got True"),
-        (np.bool_(True), f"key must be a real number, got {np.bool_(True)!r}"),
-        (None, "key must be a real number, got None"),
-        (10**400, "key is past the double range"),
+        ("1", "expected a number, got '1'"),
+        (True, "expected a number, got True"),
+        (np.bool_(True), f"expected a number, got {np.bool_(True)!r}"),
+        (None, "expected a number, got None"),
+        (10**400, "number out of the finite double range"),
     ], ids=["str", "bool", "numpy-bool", "none", "huge-int"])
     def test_keys_must_be_real_numbers(self, build, name, key, fault):
         with pytest.raises(ValueError) as err:
             build(key)
-        assert str(err.value) == f"{name} entry 1: {fault}"
+        assert str(err.value) == f"{name} entry 1 key: {fault}"
 
     @pytest.mark.parametrize("key", [1, 1.0, np.int64(1), np.int8(1), np.float32(1.0), np.float64(1.0)])
     def test_python_and_numpy_numbers_are_keys(self, key):

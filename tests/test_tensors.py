@@ -2,28 +2,37 @@ import numpy as np
 import pytest
 
 from tensorstate import (
+    CoefficientSchedule,
     CoefficientSet,
+    InputSignal,
     MultirateSystem,
+    ParseError,
     ShapeError,
     Tensor,
     build_system,
+    check_stability,
     constant_function,
     contract_last,
     contract_pair,
+    controllability_rank,
     devec,
     index_function,
     lift_matrix_state,
     make_tensor,
     matrix_exponential,
+    observability_rank,
     outer_product,
+    simulate_continuous,
     simulate_discrete,
     solve_discrete_closed_form,
     spectral_radius,
     step_discrete,
+    table_function,
     trajectory_on_grid,
     unfold,
     vec,
 )
+from tensorstate.fileio import _number
 
 
 def counting_tensor():
@@ -395,18 +404,28 @@ MATRIX_ENTRY_POINTS = {
                                                     B=m, input=index_function()).B, "B", False),
     **{f"lift_matrix_state-{k}": (lambda m, k=k: _lifted(k, m), k, k == "A") for k in "ABCD"},
     "Tensor.from_array": (lambda m: Tensor.from_array(m).array, "tensor", None),
+    "make_tensor": (lambda m: make_tensor([2, 2], m).array, "tensor", None),
 }
 INTAKE_MATRIX = [[0.5, 0.25], [-0.125, 1.0]]
+# entry points that refuse a matrix without entries: the shape to try
+EMPTY_SHAPES = {"spectral_radius": (0, 0), "lift_matrix_state-A": (0, 0), "lift_matrix_state-B": (2, 0),
+                "lift_matrix_state-C": (0, 2), "lift_matrix_state-D": (0, 0)}
 
 
 def _intake_cases():
     for name, (_, what, square) in MATRIX_ENTRY_POINTS.items():
-        finite = "tensor entries must be finite (no NaN or infinities)" if square is None else f"{what} entries must be finite"
+        finite = f"{what} entries must be finite"
         cases = {
             "tensor": (Tensor.from_array(INTAKE_MATRIX), None),
             "nan": ([[0.5, np.nan], [0.0, 1.0]], (ValueError, finite)),
             "inf": ([[0.5, 0.0], [np.inf, 1.0]], (ValueError, finite)),
+            "huge-int": ([[10**400]], (ValueError, finite)),
         }
+        for label, value in {"text": [["a"]], "ragged": [[1, 2], [3]], "complex": [[1j]]}.items():
+            cases[label] = (value, (ValueError, f"{what} must be a rectangular array of real numbers, got {value!r}"))
+        if name in EMPTY_SHAPES:
+            shape = EMPTY_SHAPES[name]
+            cases["empty"] = (np.zeros(shape), (ValueError, f"{what} must not be empty, got shape {list(shape)}"))
         if square is not None:  # a tensor may have any order
             rule = "square" if square else "a matrix"
             cases["1-D"] = (np.ones(2), (ShapeError, f"{what} must be {rule}, got shape [2]"))
@@ -419,9 +438,11 @@ def _intake_cases():
 @pytest.mark.parametrize("name, value, expected", list(_intake_cases()))
 def test_one_matrix_intake(name, value, expected):
     """Every entry point that takes a matrix reads an order-2 Tensor by its
-    entries, bit for bit as their array, and refuses a non-finite entry, a
-    non-matrix and (where it must be square) a non-square matrix with the
-    same type and text, naming the argument."""
+    entries, bit for bit as their array, and refuses what does not convert
+    to real numbers, a non-finite entry (an int past the double range is
+    one), a non-matrix, (where it must be square) a non-square matrix and
+    (where it must have entries) an empty one with the same type and text,
+    naming the argument."""
     call = MATRIX_ENTRY_POINTS[name][0]
     if expected is None:
         got, want = np.asarray(call(value)), np.asarray(call(np.array(INTAKE_MATRIX)))
@@ -429,5 +450,84 @@ def test_one_matrix_intake(name, value, expected):
         return
     kind, message = expected
     with pytest.raises(ValueError) as err:
+        call(value)
+    assert type(err.value) is kind and str(err.value) == message
+
+
+def _observed():
+    """A stable discrete system with B and C, for the tolerance arguments."""
+    coeffs = CoefficientSet(A=make_tensor([2, 2], [0.5, 0.0, 0.0, 0.25]), B=make_tensor([2, 1], [1.0, 0.0]),
+                            C=make_tensor([1, 2], [1.0, 0.0]))
+    return build_system("discrete", (2,), coeffs, input_shape=(1,), output_shape=(1,))
+
+
+def _decay(t_end, h):
+    """Times and states of a decay run to t_end in steps of h."""
+    system = build_system("continuous", (1,), CoefficientSet(A=make_tensor([1, 1], [-1.0])))
+    trajectory = simulate_continuous(system, make_tensor([1], [1.0]), t_end, h=h)
+    return np.column_stack([trajectory.times, trajectory.state_matrix()])
+
+
+SEGMENT = CoefficientSet(A=make_tensor([1, 1], [1.0]))
+
+# entry point: (call of a real, name in its errors, an int it accepts)
+REAL_ENTRY_POINTS = {
+    "simulate_continuous-t_end": (lambda v: _decay(v, 0.5), "t_end", 2),
+    "simulate_continuous-h": (lambda v: _decay(2.0, v), "h", 1),
+    "matrix_exponential": (lambda v: matrix_exponential(INTAKE_MATRIX, v), "t", 2),
+    "check_stability": (lambda v: check_stability(_observed(), v), "epsilon", 0),
+    "controllability_rank": (lambda v: controllability_rank(_observed(), v), "rel_tol", 0),
+    "observability_rank": (lambda v: observability_rank(_observed(), v), "rel_tol", 0),
+    "CoefficientSchedule": (lambda v: CoefficientSchedule([(0, SEGMENT), (v, SEGMENT)]).keys, "schedule entry 1 key", 3),
+    "InputSignal.table": (lambda v: InputSignal.table([(0, [1.0]), (v, [2.0])]).keys, "input table entry 1 key", 3),
+    "fileio._number": (lambda v: _number(v, "s.json.schedule[1].start"), "s.json.schedule[1].start", 3),
+    "constant_function": (lambda v: constant_function(v)(1, 0), "constant value", 3),
+    "constant_function-per-process": (lambda v: constant_function([1.0, v])(2, 0), "constant value of process 2", 3),
+    "table_function": (lambda v: table_function({(1, 0): v})(1, 0), "table value at (1, 0)", 3),
+    "Tensor.__mul__": (lambda v: (make_tensor([2], [0.5, -0.125]) * v).array, "scalar", 3),
+}
+REFUSED_REALS = {"str": "2", "bool": True, "numpy-bool": np.bool_(True), "none": None, "complex": 1j,
+                 "huge-int": 10**400, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+def _real_cases():
+    for name, (_, what, _) in REAL_ENTRY_POINTS.items():
+        for label, kind in {"float64": np.float64, "int64": np.int64, "int": int}.items():
+            yield pytest.param(name, kind, None, id=f"{name}-{label}")
+        for label, value in REFUSED_REALS.items():
+            if name == "simulate_continuous-h" and label == "none":  # the default step, t_end/1000
+                continue
+            if name == "Tensor.__mul__" and label in ("str", "none"):  # not a number: Python's own refusal
+                other = "can't multiply sequence by non-int of type 'Tensor'" if label == "str" else (
+                    "unsupported operand type(s) for *: 'Tensor' and 'NoneType'")
+                expected = (TypeError, other)
+            elif label in ("huge-int", "nan", "inf", "-inf"):
+                expected = (ValueError, f"{what}: number out of the finite double range")
+            else:
+                expected = (ValueError, f"{what}: expected a number, got {value!r}")
+            if name == "fileio._number":
+                expected = (ParseError, expected[1])
+            yield pytest.param(name, value, expected, id=f"{name}-{label}")
+
+
+def _bits(result):
+    """A result as bytes that tell apart any two values or types."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str.encode() + repr(result.shape).encode() + result.tobytes()
+    return repr(result).encode()
+
+
+@pytest.mark.parametrize("name, value, expected", list(_real_cases()))
+def test_one_real_intake(name, value, expected):
+    """Every entry point that takes a real reads a Python or numpy int or
+    float, bit for bit as the float of the same value, and refuses a bool,
+    a non-number and a value whose double is not finite (an int past the
+    double range is one) with the same type and text, naming the argument."""
+    call, _, accepted = REAL_ENTRY_POINTS[name]
+    if expected is None:
+        assert _bits(call(value(accepted))) == _bits(call(float(accepted)))
+        return
+    kind, message = expected
+    with pytest.raises(Exception) as err:
         call(value)
     assert type(err.value) is kind and str(err.value) == message
