@@ -233,6 +233,15 @@ class StabilityResult:
         return self.verdict == "stable"
 
 
+def _tolerance(value, name) -> float:
+    """A tolerance read by tensors._as_real, refused with a ValueError
+    naming `name` when it is below 0."""
+    value = _as_real(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def check_stability(system, epsilon=1e-9) -> StabilityResult:
     """Stability of a time-invariant system from the unfolded eigenvalues.
 
@@ -242,11 +251,9 @@ def check_stability(system, epsilon=1e-9) -> StabilityResult:
     cluster of eigenvalues within epsilon of the boundary (|lambda| = 1, or
     Re lambda = 0) is defective: M_A - lambda I restricted to the cluster has
     a singular value above NULL_TOL * ||M_A||_F. That makes the verdict
-    unstable. epsilon is read by tensors._as_real and must be >= 0.
+    unstable. epsilon is read by _tolerance.
     """
-    epsilon = _as_real(epsilon, "epsilon")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = _tolerance(epsilon, "epsilon")
     modes = _modes_of(system)
     eigenvalues = modes.eigenvalues
     radius = float(np.abs(eigenvalues).max())
@@ -282,11 +289,8 @@ def _modal_rank(modes, frame, coupling, rel_tol, transpose) -> int:
     values above q * rel_tol of the Krylov matrix [G, N G, ..., N^(j-1) G]
     of its normalized coupling G and its nilpotent part N (N^T for C),
     grown until that number reaches k or a block leaves it unchanged.
-    rel_tol is read by tensors._as_real and must be >= 0.
+    rel_tol is a float its caller has read by _tolerance.
     """
-    rel_tol = _as_real(rel_tol, "rel_tol")
-    if rel_tol < 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     norm = np.linalg.norm(coupling, 2)
     if norm == 0.0:
         return 0
@@ -318,8 +322,10 @@ def controllability_rank(system, rel_tol=1e-12) -> int:
     A mode counts when its left eigenvector meets B: |w_i^H B| /
     (|w_i| |B|_2) > q * rel_tol. A cluster of eigenvalues (see _decompose)
     adds the rank of the Krylov matrix of M_A and B restricted to its
-    generalized eigenspace.
+    generalized eigenspace. rel_tol is read by _tolerance before anything
+    is decomposed.
     """
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     m = unfold_system(system)
     if m.b is None:
         raise ValueError("controllability needs an input coupling B")
@@ -332,7 +338,9 @@ def observability_rank(system, rel_tol=1e-12) -> int:
 
     A mode counts when C sees its eigenvector: |C v_i| / (|C|_2 |v_i|) >
     q * rel_tol; clusters as in controllability_rank, with (M_A^T, C^T).
+    rel_tol is read by _tolerance before anything is decomposed.
     """
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     m = unfold_system(system)
     if m.c is None:
         raise ValueError("observability needs an output coupling C")
@@ -357,7 +365,9 @@ class AnalysisReport:
 
 
 def analyze(system, epsilon=1e-9, rel_tol=1e-12) -> AnalysisReport:
-    """One-shot report: stability always, ranks when B/C exist."""
+    """One-shot report: stability always, ranks when B/C exist. Both
+    tolerances are read by _tolerance before anything is decomposed."""
+    epsilon, rel_tol = _tolerance(epsilon, "epsilon"), _tolerance(rel_tol, "rel_tol")
     stability = check_stability(system, epsilon)
     q = system.state_dim
     ctrb = obsv = None

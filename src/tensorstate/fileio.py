@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multirate import MultirateSystem, _multiples, _per_process, _table, constant_function, index_function
+from .multirate import (MultirateSystem, _multiples, _per_process, _table, constant_function, global_clock,
+                        index_function)
 from .simulate import InputSignal, Trajectory
 from .systems import CoefficientSet, TensorStateSystem, build_system
-from .tensors import Tensor, _as_real
+from .tensors import Tensor, _as_axis, _as_real, _normalize_shape
 
 __all__ = [
     "ParseError",
@@ -139,12 +140,10 @@ def _numbers(data, where) -> np.ndarray:
 def _parse_shape(value, where):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty list of mode sizes")
-    shape = []
-    for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, int) or entry < 1:
-            raise ParseError(f"{where}: mode sizes must be integers >= 1, got {reprlib.repr(entry)}")
-        shape.append(entry)
-    return tuple(shape)
+    try:
+        return _normalize_shape(value)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
@@ -386,8 +385,10 @@ def _single_process_function(spec, where):
         return index_function(), {"kind": "index"}
     table = {}
     for at, idx, value in _pairs(arg, f"{where}.values", "an [index, value] pair"):
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
-            raise ParseError(f"{at}: index must be an integer >= 0, got {reprlib.repr(idx)}")
+        try:
+            idx = _as_axis(idx, "index", least=0)
+        except ValueError as exc:
+            raise ParseError(f"{at}: {exc}") from None
         if idx in table:
             raise ParseError(f"{at}: duplicate index {idx}")
         table[idx] = _number(value, at)
@@ -401,10 +402,12 @@ def _parse_multirate(obj, path) -> MultirateFile:
     )
     a = _parse_matrix(obj["A"], f"{path}.A")
     clocks = obj["clocks"]
-    if not isinstance(clocks, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in clocks
-    ):
+    if not isinstance(clocks, list):
         raise ParseError(f"{path}.clocks: expected a list of integers")
+    try:
+        global_clock(clocks)
+    except ValueError as exc:
+        raise ParseError(f"{path}.clocks: {exc}") from None
     count = a.shape[0]
     boundary, boundary_spec = _process_function(obj["boundary"], count, f"{path}.boundary")
     b = None

@@ -40,12 +40,9 @@ class GlobalClock:
 
 
 def global_clock(clocks) -> GlobalClock:
-    clocks = tuple(_as_axis(c, "clock") for c in clocks)
+    clocks = tuple(_as_axis(c, "clock", least=2) for c in clocks)
     if not clocks:
         raise ValueError("need at least one clock")
-    for c in clocks:
-        if c < 2:
-            raise ValueError(f"clocks must be integers larger than one, got {c}")
     d = math.lcm(*clocks)
     return GlobalClock(d, tuple(d // c for c in clocks))
 
@@ -141,11 +138,9 @@ def eval_state(system, i, n, cache=None) -> float:
     calls to share the memo.
     """
     i = _as_axis(i, "process")
-    n = _as_axis(n, "index")
+    n = _as_axis(n, "index", least=0)
     if not 1 <= i <= system.process_count:
         raise ValueError(f"process must be in 1..{system.process_count}, got {i}")
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     if cache is None:
         cache = {}
     return _eval(system, i, n, cache)
@@ -303,6 +298,6 @@ def table_function(entries):
     """
     tables = {}
     for (i, n), v in dict(entries).items():
-        i, n = _as_axis(i, "table process"), _as_axis(n, "table index")
+        i, n = _as_axis(i, "table process", least=1), _as_axis(n, "table index", least=0)
         tables.setdefault(i, {})[n] = _as_real(v, f"table value at ({i}, {n})")
     return _per_process({i: _table(table) for i, table in tables.items()})

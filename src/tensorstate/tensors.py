@@ -33,34 +33,38 @@ class ShapeError(ValueError):
 
 
 def _normalize_shape(shape) -> tuple[int, ...]:
+    """shape's mode sizes, each read by _as_axis as >= 1, else a ShapeError."""
     try:
-        entries = list(shape)
-        modes = tuple(operator.index(m) for m in entries)
-    except TypeError:
-        raise ShapeError(f"shape must be an iterable of integers, got {shape!r}")
-    if any(m < 1 for m in modes):
-        raise ShapeError(f"mode sizes must be integers >= 1, got {entries}")
-    return modes
+        return tuple(_as_axis(m, f"size of mode {k}", least=1) for k, m in enumerate(shape))
+    except TypeError:  # not iterable
+        raise ShapeError(f"shape must be an iterable of integers, got {reprlib.repr(shape)}") from None
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
 
 
 def _as_axis(value, name: str, least=None) -> int:
-    """value as an int by operator.index, refused with a ValueError naming
-    `name` when it is not an integer or, given `least`, is below it."""
-    try:
-        value = operator.index(value)
+    """The one integer reader: value as an int by operator.index, not a bool,
+    else a ValueError naming `name`, as is a value below `least` if given."""
+    try:  # a bool goes in as None, which operator.index refuses
+        number = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {reprlib.repr(number)}")
+    return number
+
+
+def _is_real(kind) -> bool:
+    """Whether the type `kind` is a Python or numpy int or float, not bool."""
+    return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
 
 
 def _as_real(value, what) -> float:
-    """The one real-number intake: value as a float when it is a Python or
-    numpy int or float, not a bool, whose double is finite; else a
-    ValueError naming `what`, in the words of the file parser's refusals.
-    An int past the double range is refused like an infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    """The one real-number intake: value as a float when its type is
+    _is_real and its double is finite; else a ValueError naming `what`, in
+    the words of the file parser's refusals. An int past the double range is
+    refused like an infinity."""
+    if not _is_real(type(value)):
         raise ValueError(f"{what}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
@@ -209,16 +213,25 @@ def _finite(entries, what) -> np.ndarray:
 
 def _entries(value, what) -> np.ndarray:
     """The entries of a Tensor, or of an array-like of reals as a float
-    array, refused with a ValueError naming `what` unless it converts and
-    every entry is a finite double (an int past the double range is not)."""
+    array, refused with a ValueError naming `what` unless every entry is a
+    real of _is_real whose double is finite (an int past the double range is
+    not). An int or float ndarray is read by its dtype alone; anything else
+    by the type of each entry, so a bool that numpy would read as 1.0 among
+    floats is refused, and a complex entry is never cast."""
     if isinstance(value, Tensor):
         return value.array
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        try:
+            boxed = np.asarray(value, dtype=object)
+        except (TypeError, ValueError):
+            boxed = None
+        if boxed is None or not all(map(_is_real, set(map(type, boxed.flat)))):
+            raise ValueError(f"{what} must be a rectangular array of real numbers, got {reprlib.repr(value)}")
+        value = boxed
     try:
         entries = np.asarray(value, dtype=float)
     except OverflowError:  # an int past the double range, refused below as not finite
         entries = np.array(math.inf)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a rectangular array of real numbers, got {reprlib.repr(value)}") from None
     return _finite(entries, what)
 
 

@@ -299,6 +299,19 @@ class TestTolerances:
             rank(self.system(), rel_tol=value)
         assert str(err.value) == _tolerance_refusal("rel_tol", value)
 
+    @pytest.mark.parametrize("call, name", [
+        (check_stability, "epsilon"), (analyze, "epsilon"), (analyze, "rel_tol"),
+        (controllability_rank, "rel_tol"), (observability_rank, "rel_tol"),
+    ], ids=["check_stability", "analyze-epsilon", "analyze-rel_tol", "controllability_rank", "observability_rank"])
+    def test_refused_before_the_decomposition(self, call, name):
+        """A bad tolerance is refused at entry: the eigendecomposition of
+        M_A is never computed, so the system's modal cache stays empty."""
+        system = self.system()
+        with pytest.raises(ValueError) as err:
+            call(system, **{name: float("nan")})
+        assert str(err.value) == _tolerance_refusal(name, float("nan"))
+        assert system._modes is None
+
     def test_zero_is_valid(self):
         report = analyze(self.system(), epsilon=0.0, rel_tol=0.0)
         assert report.verdict == "stable"

@@ -627,7 +627,7 @@ class TestParseErrorMessages:
         ("shape-empty", {**identity_doc(), "state_shape": []},
          ".state_shape: expected a non-empty list of mode sizes"),
         ("shape-mode", {**identity_doc(), "state_shape": [0]},
-         ".state_shape: mode sizes must be integers >= 1, got 0"),
+         ".state_shape: size of mode 0 must be >= 1, got 0"),
         ("schedule-empty", {**identity_doc(), "schedule": []},
          ".schedule: expected a non-empty list of segments"),
         ("coefficient-shape", {**identity_doc(), "state_shape": [3]},
@@ -664,7 +664,7 @@ class TestParseErrorMessages:
         ("matrix-width", multirate_doc(A=[[1, 1], [1]]), ".A[1]: row length 1 != 2"),
         ("matrix-number", multirate_doc(A=[[1, 1], [0, None]]),
          ".A[1]: expected a number, got None"),
-        ("clocks", multirate_doc(clocks=[2, "3"]), ".clocks: expected a list of integers"),
+        ("clocks", multirate_doc(clocks=[2, "3"]), ".clocks: clock must be an integer, got '3'"),
         ("process-constant", multirate_doc(boundary={"kind": "constant"}),
          ".boundary: kind 'constant' needs exactly the field 'value'"),
         ("process-index", multirate_doc(B=[[1], [0]], input={"kind": "index", "value": 1}),
@@ -676,7 +676,7 @@ class TestParseErrorMessages:
         ("values-pair", multirate_doc(boundary={"kind": "table", "values": [[0, 1], [1]]}),
          ".boundary.values[1]: expected an [index, value] pair"),
         ("values-index", multirate_doc(boundary={"kind": "table", "values": [[-1, 0]]}),
-         ".boundary.values[0]: index must be an integer >= 0, got -1"),
+         ".boundary.values[0]: index must be >= 0, got -1"),
         ("process-kind", multirate_doc(boundary=[{"kind": "index"}, {"kind": {"a": 1}}]),
          ".boundary[1].kind: expected 'constant', 'index', or 'table', got {'a': 1}"),
     ]

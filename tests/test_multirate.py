@@ -57,7 +57,7 @@ class TestGlobalClock:
             assert c * f == clock.d
 
     def test_clock_one_rejected(self):
-        with pytest.raises(ValueError, match="larger than one"):
+        with pytest.raises(ValueError, match="^clock must be >= 2, got 1$"):
             global_clock((2, 1))
 
     def test_clock_zero_rejected(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tensorstate import (
     ParseError,
     ShapeError,
     Tensor,
+    Trajectory,
     build_system,
     check_stability,
     constant_function,
@@ -16,6 +19,8 @@ from tensorstate import (
     contract_pair,
     controllability_rank,
     devec,
+    eval_state,
+    global_clock,
     index_function,
     lift_matrix_state,
     make_tensor,
@@ -32,7 +37,7 @@ from tensorstate import (
     unfold,
     vec,
 )
-from tensorstate.fileio import _number
+from tensorstate.fileio import _number, _parse_multirate, _parse_shape, _single_process_function
 
 
 def counting_tensor():
@@ -379,7 +384,11 @@ def _discrete_scalar():
     (lambda: trajectory_on_grid(MultirateSystem([[0.5]], [2], constant_function(1.0)), -4),
      "horizon must be >= 0, got -4"),
     (lambda: lift_matrix_state(np.eye(2), columns=0), "columns must be >= 1, got 0"),
-], ids=["step_discrete", "simulate_discrete", "closed_form", "trajectory_on_grid", "lift_matrix_state"])
+    (lambda: global_clock([2, 1]), "clock must be >= 2, got 1"),
+    (lambda: table_function({(1, -1): 1.0}), "table index must be >= 0, got -1"),
+    (lambda: table_function({(0, 1): 1.0}), "table process must be >= 1, got 0"),
+], ids=["step_discrete", "simulate_discrete", "closed_form", "trajectory_on_grid", "lift_matrix_state",
+        "global_clock", "table_function-index", "table_function-process"])
 def test_count_argument_below_its_least_value(call, message):
     """Every count argument is read by one rule, which names the argument
     and its least value."""
@@ -421,7 +430,10 @@ def _intake_cases():
             "inf": ([[0.5, 0.0], [np.inf, 1.0]], (ValueError, finite)),
             "huge-int": ([[10**400]], (ValueError, finite)),
         }
-        for label, value in {"text": [["a"]], "ragged": [[1, 2], [3]], "complex": [[1j]]}.items():
+        refused = {"text": [["a"]], "ragged": [[1, 2], [3]], "complex": [[1j]], "digit-text": [["2"]],
+                   "bool": [[True]], "bool-among-floats": [[1.5, True]], "numpy-bool": np.array([[True]]),
+                   "none": [[None]], "complex-array": np.array([[1j]])}
+        for label, value in refused.items():
             cases[label] = (value, (ValueError, f"{what} must be a rectangular array of real numbers, got {value!r}"))
         if name in EMPTY_SHAPES:
             shape = EMPTY_SHAPES[name]
@@ -438,9 +450,11 @@ def _intake_cases():
 @pytest.mark.parametrize("name, value, expected", list(_intake_cases()))
 def test_one_matrix_intake(name, value, expected):
     """Every entry point that takes a matrix reads an order-2 Tensor by its
-    entries, bit for bit as their array, and refuses what does not convert
-    to real numbers, a non-finite entry (an int past the double range is
-    one), a non-matrix, (where it must be square) a non-square matrix and
+    entries, bit for bit as their array, and refuses a ragged array, an
+    entry that is not a real of the real-number rule (a string, a bool even
+    among floats, None, a complex number, also in a numpy array, without a
+    warning), a non-finite entry (an int past the double range is one), a
+    non-matrix, (where it must be square) a non-square matrix and
     (where it must have entries) an empty one with the same type and text,
     naming the argument."""
     call = MATRIX_ENTRY_POINTS[name][0]
@@ -449,7 +463,8 @@ def test_one_matrix_intake(name, value, expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         return
     kind, message = expected
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex array is refused, not cast with a warning
         call(value)
     assert type(err.value) is kind and str(err.value) == message
 
@@ -529,5 +544,77 @@ def test_one_real_intake(name, value, expected):
         return
     kind, message = expected
     with pytest.raises(Exception) as err:
+        call(value)
+    assert type(err.value) is kind and str(err.value) == message
+
+
+def _pair():
+    """A stable two-mode discrete system for the count arguments."""
+    return build_system("discrete", (2,), CoefficientSet(A=make_tensor([2, 2], [0.5, 0.25, 0.0, 0.75])))
+
+
+def _grid():
+    """A two-process multirate system on clocks 2 and 3."""
+    return MultirateSystem([[0.5, 0.25], [0.0, 0.5]], (2, 3), index_function())
+
+
+PAIR_X0 = make_tensor([2], [1.0, -2.0])
+CUBE = make_tensor([2, 2, 2], range(8))
+MULTIRATE_DOC = {"kind": "multirate", "A": [[0.5, 0.25], [0.0, 0.5]], "boundary": {"kind": "index"}}
+
+# entry point: (call of an integer, exception type of its refusal, name in its errors)
+INTEGER_ENTRY_POINTS = {
+    "make_tensor": (lambda v: make_tensor([v, 3], range(6)).array, ShapeError, "size of mode 0"),
+    "Tensor.zeros": (lambda v: Tensor.zeros([3, v]).array, ShapeError, "size of mode 1"),
+    "Tensor.identity": (lambda v: Tensor.identity([v]).array, ShapeError, "size of mode 0"),
+    "devec": (lambda v: devec(make_tensor([4], range(4)), [v, 2]).array, ShapeError, "size of mode 0"),
+    "build_system": (lambda v: build_system("discrete", [v], CoefficientSet(A=Tensor.identity([2]))).unfolded[0].a,
+                     ShapeError, "size of mode 0"),
+    "Trajectory": (lambda v: Trajectory([0.0], [[1.0, 2.0]], [[1.0, 2.0]], [v], [2]).state_matrix(),
+                   ShapeError, "size of mode 0"),
+    "fileio-shape": (lambda v: _parse_shape([3, v], "s.json.state_shape"), ParseError,
+                     "s.json.state_shape: size of mode 1"),
+    "fileio-table-index": (lambda v: _single_process_function({"kind": "table", "values": [[v, 1.5]]},
+                                                              "s.json.boundary")[1],
+                           ParseError, "s.json.boundary.values[0]: index"),
+    "fileio-clocks": (lambda v: _parse_multirate({**MULTIRATE_DOC, "clocks": [v, 3]}, "s.json").system.clock,
+                      ParseError, "s.json.clocks: clock"),
+    "global_clock": (lambda v: global_clock([v, 3]), ValueError, "clock"),
+    "eval_state": (lambda v: eval_state(_grid(), 1, v), ValueError, "index"),
+    "table_function-index": (lambda v: table_function({(1, v): 1.5})(1, 2), ValueError, "table index"),
+    "table_function-process": (lambda v: table_function({(v, 0): 1.5})(2, 0), ValueError, "table process"),
+    "simulate_discrete": (lambda v: simulate_discrete(_pair(), PAIR_X0, v).state_matrix(), ValueError, "steps"),
+    "step_discrete": (lambda v: step_discrete(_pair(), PAIR_X0, n=v)[0].array, ValueError, "n"),
+    "solve_discrete_closed_form": (lambda v: solve_discrete_closed_form(_pair(), PAIR_X0, v).array, ValueError, "n"),
+    "trajectory_on_grid": (lambda v: trajectory_on_grid(_grid(), v), ValueError, "horizon"),
+    "lift_matrix_state": (lambda v: lift_matrix_state(np.eye(2), columns=v).coefficients_at(0).A.array,
+                          ValueError, "columns"),
+    "unfold": (lambda v: unfold(CUBE, v), ValueError, "row_modes"),
+    "contract_pair-axis_a": (lambda v: contract_pair(CUBE, v, 0).array, ValueError, "axis_a"),
+    "contract_pair-axis_b": (lambda v: contract_pair(CUBE, 0, v).array, ValueError, "axis_b"),
+}
+REFUSED_INTEGERS = {"bool": True, "float": 2.0, "str": "2", "none": None}
+
+
+def _integer_cases():
+    for name, (_, kind, what) in INTEGER_ENTRY_POINTS.items():
+        for label, value in {"int": 2, "int64": np.int64(2)}.items():
+            yield pytest.param(name, value, None, id=f"{name}-{label}")
+        for label, value in REFUSED_INTEGERS.items():
+            yield pytest.param(name, value, (kind, f"{what} must be an integer, got {value!r}"), id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("name, value, expected", list(_integer_cases()))
+def test_one_integer_rule(name, value, expected):
+    """Every integer the package takes, from a caller or from a system file,
+    is read by one rule: a Python or numpy int is read as the same int, and
+    a bool, a float (even an integral one), a string and None are refused
+    with the same type and text, naming the argument."""
+    call, _, _ = INTEGER_ENTRY_POINTS[name]
+    if expected is None:
+        assert _bits(call(value)) == _bits(call(2))
+        return
+    kind, message = expected
+    with pytest.raises(ValueError) as err:
         call(value)
     assert type(err.value) is kind and str(err.value) == message
