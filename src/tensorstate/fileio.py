@@ -2,13 +2,13 @@
 plain-text analysis report.
 
 Tensors on disk are {"shape": [...], "data": [...]} with row-major flat
-data. Lists of them that share one shape, an input table's values or one
-coefficient kind across a schedule's segments, are read as one (K, N)
-float block in one numpy call after a few checks over whole lists
-(_tensor_block); a schedule whose segments hold the same fields gets one
-read-only block per kind, and segment k's tensors are views of row k. A
-list that fails a check is read tensor by tensor, whose error names the
-first bad field.
+data. There is one read of them: an input table's values, and each
+coefficient kind over the segments of a schedule that hold it, are read
+in one numpy call after a few checks over whole lists (_tensor_block),
+into one read-only array whose views are the tensors: rows of one (K, N)
+block where the shapes agree. A file that fails a check is walked field
+by field in file order only to raise the error that names the first bad
+field; the walk builds nothing.
 
 Numbers in CSV output carry 17 significant digits so parsing them back
 reproduces the exact doubles. They are the bytes Python's '%.17g'
@@ -107,34 +107,30 @@ def _number(value, where) -> float:
 
 
 def _finite_block(rows) -> np.ndarray | None:
-    """Equal-length lists of plain ints and floats (bool excluded) as one
-    (len(rows), length) float64 array, or None when an entry is of another
+    """Lists of plain ints and floats (bool excluded) as one flat float64
+    array of their entries in order, or None when an entry is of another
     type, past the double range or not finite. The entries are read where
     they are, through an iterator over the lists, by one type pass and one
     np.fromiter: no number is copied into a joined list. The array is
     read-only, since the tensors and tables built on it are views."""
     if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
-        shape = (len(rows), len(rows[0]))
         try:
-            values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=math.prod(shape))
+            values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=sum(map(len, rows)))
         except OverflowError:
             return None
         if np.isfinite(values).all():
             values.flags.writeable = False
-            return values.reshape(shape)
+            return values
     return None
 
 
 def _numbers(data, where) -> np.ndarray:
-    """A JSON number list as float64, every entry a finite double.
-
-    A list that _finite_block refuses goes entry by entry through _number,
-    so the error names the field as it always has.
-    """
-    block = _finite_block([data])
-    if block is None:
-        return np.array([_number(v, where) for v in data], dtype=float)
-    return block[0]
+    """A JSON number list as float64, every entry a finite double."""
+    values = _finite_block([data])
+    if values is None:  # the walk raises for the first entry that is not
+        for value in data:
+            _number(value, where)
+    return values
 
 
 def _parse_shape(value, where):
@@ -146,9 +142,11 @@ def _parse_shape(value, where):
         raise ParseError(f"{where}: {exc}") from None
 
 
-def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
-    """The tensor at `where`, whose shape must equal `declared` (the file's
-    `name`) when one is given; that check comes last, after the numbers."""
+def _check_tensor(obj, where, declared=None, name=None) -> None:
+    """Raise the ParseError of the first field of the tensor at `where`
+    that fails a check of _tensor_block, whose shape must equal `declared`
+    (the file's `name`) when one is given; that check comes last, after
+    the numbers."""
     _check_keys(obj, where, required=("shape", "data"))
     shape = _parse_shape(obj["shape"], f"{where}.shape")
     data = obj["data"]
@@ -161,35 +159,51 @@ def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
             f"(expected {expected})"
         )
     values = _numbers(data, f"{where}.data")
-    try:  # the fresh array is the tensor's own: no second check, no copy
-        tensor = Tensor._wrap(values.reshape(shape))
+    try:
+        values.reshape(shape)
     except ValueError as exc:  # numpy holds at most 64 modes
         raise ParseError(f"{where}: {exc}") from None
     if declared is not None and shape != declared:
         raise ParseError(f"{where}: shape {list(shape)} does not match {name} {list(declared)}")
-    return tensor
+
+
+def _parse_tensor(obj, where, declared=None, name=None) -> Tensor:
+    """The tensor at `where`, of shape `declared` when given; see _check_tensor."""
+    block = _tensor_block([obj], declared)
+    if block is None:  # the walk raises for the first field that fails a check
+        _check_tensor(obj, where, declared, name)
+    return Tensor._wrap(block[0].reshape(obj["shape"]))
 
 
 def _tensor_block(tensors, shape=None):
-    """The data of `tensors`, {"shape", "data"} objects of one shape (`shape`
-    when given, as a list, else the first one's), as one (K, N) float array,
-    a row per tensor. Checked by a few passes over whole lists and read in
-    one numpy call; or None when any tensor would fail a check of
-    _parse_tensor or has another shape."""
+    """The data of `tensors`, {"shape", "data"} objects, checked by a few
+    passes over whole lists and read in one numpy call: a read-only (K, N)
+    float array, a row per tensor, when they share one shape (`shape` when
+    given, which every tensor must have), else K read-only 1-D arrays,
+    slices of one flat array. None when any tensor fails a check."""
     if set(map(type, tensors)) != {dict} or set(map(len, tensors)) != {2}:
         return None
     # a dict of two fields holds exactly "shape" and "data" when both are lists
     shapes, data = [t.get("shape") for t in tensors], [t.get("data") for t in tensors]
-    shape = shapes[0] if shape is None else shape
+    first = shapes[0] if shape is None else list(shape)
+    one = shapes.count(first) == len(shapes)
+    if shape is not None and not one or set(map(type, shapes)) != {list}:
+        return None
     # [true, 2] == [1, 2] in Python: every mode must be an int proper; a
-    # row reshapes to at most numpy's 64 dimensions
-    if type(shape) is not list or shapes.count(shape) != len(shapes) or len(shape) > 64:
+    # tensor reshapes to at most numpy's 64 dimensions
+    modes = list(itertools.chain.from_iterable(shapes))
+    orders = {len(first)} if one else set(map(len, shapes))
+    if set(map(type, modes)) != {int} or min(modes) < 1 or 0 in orders or max(orders) > 64:
         return None
-    if set(map(type, itertools.chain.from_iterable(shapes))) != {int} or min(shape) < 1:
+    sizes = [math.prod(first)] * len(shapes) if one else list(map(math.prod, shapes))
+    if set(map(type, data)) != {list} or list(map(len, data)) != sizes:
         return None
-    if set(map(type, data)) != {list} or set(map(len, data)) != {math.prod(shape)}:
+    values = _finite_block(data)
+    if values is None:
         return None
-    return _finite_block(data)
+    if one:
+        return values.reshape(len(tensors), -1)
+    return np.split(values, list(itertools.accumulate(sizes))[:-1])
 
 
 def _tagged(obj, where, kinds):
@@ -229,13 +243,12 @@ def _parse_signal(obj, input_shape, where) -> InputSignal:
             _parse_tensor(arg, f"{where}.value", input_shape, "input_shape")
         )
     table = _table_entries(arg, input_shape)
-    if table is None:  # read sample by sample, which raises for the first that fails a check
-        pairs = [
-            (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
-            for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair")
-        ]
+    if table is None:  # the walk raises for the first sample field that fails a check
+        for at, when, value in _pairs(arg, f"{where}.samples", "a [when, tensor] pair"):
+            _number(when, at)
+            _check_tensor(value, at, input_shape, "input_shape")
     try:
-        return InputSignal.table(pairs) if table is None else InputSignal("table", *table)
+        return InputSignal("table", *table)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -243,51 +256,47 @@ def _parse_signal(obj, input_shape, where) -> InputSignal:
 def _table_entries(samples, input_shape):
     """A table's keys and values as one (K,) and one (K, *input_shape) float
     array, checked by a few passes over its fields, each array read in one
-    numpy call; or None when any sample would fail a check, so that the
-    per-sample path raises its error for the first one."""
+    numpy call; or None when any sample fails a check."""
     if not isinstance(samples, list) or not samples:
         return None
     if set(map(type, samples)) != {list} or set(map(len, samples)) != {2}:
         return None
     whens, tensors = zip(*samples)
-    keys, values = _finite_block([whens]), _tensor_block(tensors, list(input_shape))
+    keys, values = _finite_block([whens]), _tensor_block(tensors, input_shape)
     if keys is None or values is None:
         return None
     # B holds state + input modes, so input_shape has at most 63 and the
     # block fits numpy's 64 dimensions
-    return keys[0], values.reshape(len(samples), *input_shape)
+    return keys, values.reshape(len(samples), *input_shape)
 
 
 _KINDS = ("A", "B", "C", "D")
 
 
 def _schedule_blocks(raw_schedule):
-    """A schedule's starts as a list of floats and, per coefficient kind it
-    holds, (name, block, shape): the kind's tensors as one read-only (K, N)
-    float array, a row per segment, and their shape. Checked by a few passes
-    over whole lists; or None when any segment would fail a check, or when
-    the segments differ in fields or a kind in shape, so that the
-    per-segment path reads them and raises its error for the first bad
-    field."""
+    """A schedule's (start, CoefficientSet) segments, checked by a few passes
+    over whole lists; or None when any segment fails a check. Each kind is
+    read in one numpy call over the segments that hold it, so a segment's
+    tensors are read-only views: rows of one (K, N) block per kind where
+    the kind's shapes agree, else slices of one flat array, whose shapes
+    build_system checks."""
     if set(map(type, raw_schedule)) != {dict}:
         return None
-    fields = set(map(frozenset, raw_schedule))
-    if len(fields) != 1:
-        return None
-    names = fields.pop()
-    if not {"start", "A"} <= names <= {"start", *_KINDS}:
+    if not all({"start", "A"} <= names <= {"start", *_KINDS} for names in set(map(frozenset, raw_schedule))):
         return None
     starts = _finite_block([[seg["start"] for seg in raw_schedule]])
     if starts is None:
         return None
-    kinds = []
+    coeffs = [{} for _ in raw_schedule]
     for name in _KINDS:
-        if name in names:
-            block = _tensor_block([seg[name] for seg in raw_schedule])
-            if block is None:
-                return None
-            kinds.append((name, block, tuple(raw_schedule[0][name]["shape"])))
-    return starts[0].tolist(), kinds
+        held = [k for k, seg in enumerate(raw_schedule) if name in seg]
+        tensors = [raw_schedule[k][name] for k in held]
+        rows = _tensor_block(tensors) if held else []
+        if rows is None:
+            return None
+        for k, tensor, row in zip(held, tensors, rows):
+            coeffs[k][name] = Tensor._wrap(row.reshape(tensor["shape"]))
+    return [(start, CoefficientSet(**c)) for start, c in zip(starts.tolist(), coeffs)]
 
 
 def _parse_tensor_system(obj, path) -> SystemFile:
@@ -301,34 +310,22 @@ def _parse_tensor_system(obj, path) -> SystemFile:
     if time_kind not in ("discrete", "continuous"):
         raise ParseError(f"{path}.time: expected 'discrete' or 'continuous', got {reprlib.repr(time_kind)}")
     state_shape = _parse_shape(obj["state_shape"], f"{path}.state_shape")
-    input_shape = None
-    if "input_shape" in obj:
-        input_shape = _parse_shape(obj["input_shape"], f"{path}.input_shape")
-    output_shape = None
-    if "output_shape" in obj:
-        output_shape = _parse_shape(obj["output_shape"], f"{path}.output_shape")
+    input_shape, output_shape = (
+        _parse_shape(obj[field], f"{path}.{field}") if field in obj else None
+        for field in ("input_shape", "output_shape")
+    )
     raw_schedule = obj["schedule"]
     if not isinstance(raw_schedule, list) or not raw_schedule:
         raise ParseError(f"{path}.schedule: expected a non-empty list of segments")
-    blocks = _schedule_blocks(raw_schedule)
-    if blocks is None:  # read segment by segment, which raises for the first field that fails a check
-        segments = []
+    segments = _schedule_blocks(raw_schedule)
+    if segments is None:  # the walk raises for the first field, in file order, that fails a check
         for k, seg in enumerate(raw_schedule):
             where = f"{path}.schedule[{k}]"
             _check_keys(seg, where, required=("start", "A"), optional=_KINDS[1:])
-            start = _number(seg["start"], f"{where}.start")
-            coeffs = {}
+            _number(seg["start"], f"{where}.start")
             for name in _KINDS:
                 if name in seg:
-                    coeffs[name] = _parse_tensor(seg[name], f"{where}.{name}")
-            segments.append((start, CoefficientSet(**coeffs)))
-    else:  # segment k's tensors are row k of each block, reshaped: views
-        starts, kinds = blocks
-        segments = [
-            (start, CoefficientSet(**{name: Tensor._wrap(block[k].reshape(shape))
-                                      for name, block, shape in kinds}))
-            for k, start in enumerate(starts)
-        ]
+                    _check_tensor(seg[name], f"{where}.{name}")
     try:
         system = build_system(
             time_kind, state_shape, segments, input_shape=input_shape, output_shape=output_shape

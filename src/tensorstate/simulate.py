@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,15 +173,26 @@ class Trajectory:
         return self._times.size
 
     def __iter__(self):
-        return (self[k] for k in range(len(self)))
+        return map(self._sample, range(len(self)))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[k] for k in range(len(self))[index])
+        """The sample at an integer index, or a tuple of samples for a slice,
+        read by the rules of range(len(self)); a bool is refused."""
+        try:  # a bool goes in as None, which range refuses
+            found = range(len(self))[None if isinstance(index, bool) else index]
+        except TypeError:
+            raise TypeError(f"trajectory index must be an integer or a slice, got {reprlib.repr(index)}") from None
+        except IndexError:
+            raise IndexError(
+                f"trajectory index {reprlib.repr(operator.index(index))} is out of range for {len(self)} samples"
+            ) from None
+        return tuple(map(self._sample, found)) if isinstance(found, range) else self._sample(found)
+
+    def _sample(self, k) -> TrajectorySample:
         return TrajectorySample(
-            float(self._times[index]),
-            Tensor._wrap(self._states[index].reshape(self.state_shape)),
-            Tensor._wrap(self._outputs[index].reshape(self.output_shape)),
+            float(self._times[k]),
+            Tensor._wrap(self._states[k].reshape(self.state_shape)),
+            Tensor._wrap(self._outputs[k].reshape(self.output_shape)),
         )
 
 

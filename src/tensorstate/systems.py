@@ -70,6 +70,16 @@ def _split_pairs(pairs, what):
     return np.array(keys, dtype=float), values
 
 
+def _double(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        return math.inf if value > 0 else -math.inf
+
+
+_doubles = np.frompyfunc(_double, 1, 1)
+
+
 class Piecewise:
     """Right-continuous step function of a step index or time, with real keys
     strictly increasing from 0: the value at `when` is the one of the last
@@ -100,12 +110,12 @@ class Piecewise:
     def index(self, when):
         """Position of the last key <= when, an int for a time and an int
         array for an array of times, each >= 0, else ValueError names the
-        first that is not. An integer past the double range lies past
-        every key."""
+        first that is not. An integer past the double range is read as an
+        infinity of its sign: past every key, or refused."""
         try:
             when = np.asarray(when, dtype=float)
         except OverflowError:
-            when = np.asarray(math.inf if when > 0 else -math.inf)
+            when = np.asarray(_doubles(np.asarray(when, dtype=object)), dtype=float)
         bad = np.flatnonzero(~(when >= 0))  # NaN too, which searchsorted would place after every key
         if bad.size:
             raise ValueError(f"{self._what} lookup requires when >= 0, got {float(when.flat[bad[0]])}")

@@ -28,7 +28,7 @@ from tensorstate import (
 )
 from tensorstate import fileio
 from tensorstate.cli import main
-from tensorstate.fileio import _BLOCK_CELLS, _csv, _decimal17, _number, _pairs, _parse_tensor
+from tensorstate.fileio import _BLOCK_CELLS, _csv, _decimal17
 from tensorstate.systems import CoefficientSet, build_system
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
@@ -268,14 +268,6 @@ class TestParse:
         assert str(err.value) == f"{path}{message}"
 
 
-def per_sample_table(samples, input_shape, where):
-    """The (when, tensor) pairs the per-sample path reads from `samples`."""
-    return [
-        (_number(when, at), _parse_tensor(value, at, input_shape, "input_shape"))
-        for at, when, value in _pairs(samples, f"{where}.samples", "a [when, tensor] pair")
-    ]
-
-
 def table_doc(samples, input_shape):
     doc = minimal_doc()
     doc["input_shape"] = list(input_shape)
@@ -286,18 +278,18 @@ def table_doc(samples, input_shape):
 
 class TestTableInput:
     """A table's samples are read in one pass; a table that fails any check
-    is read sample by sample, which names the first bad field."""
+    is walked sample by sample, which names the first bad field."""
 
-    def assert_matches_per_sample(self, path):
+    def assert_reads_the_table(self, path):
+        """The signal's keys and values have the bits of np.array(<doc data>,
+        dtype=float), each value read-only and a row of one block."""
         doc = json.loads(path.read_text(encoding="utf-8"))
         signal = parse_system_file(path).input_signal
-        expected = per_sample_table(
-            doc["input"]["samples"], tuple(doc["input_shape"]), f"{path}.input"
-        )
-        assert signal.keys == tuple(when for when, _ in expected)
-        for value, (_, reference) in zip(signal.values, expected):
-            assert value.shape == reference.shape
-            assert value.array.tobytes() == reference.array.tobytes()
+        samples, shape = doc["input"]["samples"], tuple(doc["input_shape"])
+        assert np.array(signal.keys).tobytes() == np.array([when for when, _ in samples], dtype=float).tobytes()
+        for value, (_, field) in zip(signal.values, samples, strict=True):
+            assert value.shape == shape == tuple(field["shape"])
+            assert value.array.tobytes() == np.array(field["data"], dtype=float).tobytes()
             assert not value.array.flags.writeable
             with pytest.raises(ValueError):
                 value.array[...] = 0.0
@@ -308,13 +300,13 @@ class TestTableInput:
         return signal
 
     def test_sample_system(self):
-        self.assert_matches_per_sample(SAMPLES / "discrete_pair.json")
+        self.assert_reads_the_table(SAMPLES / "discrete_pair.json")
 
     def test_zoh_case_table(self, tmp_path):
         system, x0, signal, (_, _, _, breaks, inputs) = zoh_case("table")
         path = tmp_path / "s.json"
         write_system_file(SystemFile(system, Tensor.from_array(x0), signal), path)
-        parsed = self.assert_matches_per_sample(path)
+        parsed = self.assert_reads_the_table(path)
         assert parsed.keys == tuple(breaks)
         assert np.array_equal([value.array for value in parsed.values], inputs)
 
@@ -328,7 +320,7 @@ class TestTableInput:
             samples.append([j if j % 3 else j + 0.5, tensor_doc([2, 3], data)])
         samples[0][0] = 0
         path = write_doc(tmp_path / "s.json", table_doc(samples, [2, 3]))
-        self.assert_matches_per_sample(path)
+        self.assert_reads_the_table(path)
 
     def test_first_of_two_faults_is_named(self, tmp_path):
         samples = [[j, tensor_doc([2], [j, 1])] for j in range(4)]
@@ -356,51 +348,40 @@ class TestTableInput:
         assert str(err.value) == f"{path}.input.samples[1]{message}"
 
 
-def read_both(path):
-    """Parse `path` with the block read of a schedule and with the
-    per-segment read alone: each outcome a SystemFile or a ParseError's text."""
-    outcomes = []
-    for per_segment in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if per_segment:
-                patch.setattr(fileio, "_schedule_blocks", lambda raw_schedule: None)
-            try:
-                outcomes.append(parse_system_file(path))
-            except ParseError as exc:
-                outcomes.append(str(exc))
-    return outcomes
-
-
-def same_array(a, b):
-    return (a is None) == (b is None) and (a is None or a.shape == b.shape and a.tobytes() == b.tobytes())
-
-
-def assert_same_schedule(got, want):
-    """Equal starts, and the same bits of every coefficient and unfolded matrix."""
-    assert np.array(got.schedule.keys).tobytes() == np.array(want.schedule.keys).tobytes()
-    for (_, g), (_, w) in zip(got.schedule, want.schedule, strict=True):
-        for name in "ABCD":
-            a, b = getattr(g, name), getattr(w, name)
-            assert same_array(None if a is None else a.array, None if b is None else b.array)
-    for g, w in zip(got.unfolded, want.unfolded, strict=True):
-        assert all(same_array(a, b) for a, b in zip(g, w))
-
-
-def assert_rows_of_blocks(system):
-    """Each coefficient kind of `system` is one read-only array of K rows,
-    and segment k's tensor is a view of row k."""
+def assert_reads_the_document(system, doc):
+    """The starts and every coefficient of `system` have the bits of
+    np.array(<doc data>, dtype=float), in the document's shapes and
+    segments, as do the unfolded matrices; every tensor is read-only, and
+    each kind's tensors are views of one array, in segment order: rows of
+    one (K, N) block where the shapes agree."""
+    schedule = doc["schedule"]
+    starts = np.array([seg["start"] for seg in schedule], dtype=float)
+    assert np.array(system.schedule.keys).tobytes() == starts.tobytes()
     sets = system.schedule.values
     for name in "ABCD":
         tensors = [getattr(c, name) for c in sets]
-        if tensors[0] is None:
+        held = [k for k, seg in enumerate(schedule) if name in seg]
+        assert [k for k, t in enumerate(tensors) if t is not None] == held
+        if not held:
             continue
-        owner = tensors[0].array.base
-        assert owner.size == len(sets) * tensors[0].size and not owner.flags.writeable
-        rows = owner.reshape(len(sets), -1)
-        for k, t in enumerate(tensors):
-            assert t.array.base is owner and t.array.ctypes.data == rows[k].ctypes.data
-    for m, c in zip(system.unfolded, sets):
-        assert np.shares_memory(m.a, c.A.array)
+        owner = tensors[held[0]].array.base
+        sizes = [tensors[k].size for k in held]
+        assert owner.shape == (sum(sizes),) and not owner.flags.writeable
+        for k, offset in zip(held, np.cumsum([0, *sizes[:-1]])):
+            tensor, field = tensors[k].array, schedule[k][name]
+            assert tensor.base is owner and not tensor.flags.writeable
+            assert tensor.ctypes.data == owner.ctypes.data + 8 * int(offset)
+            assert tensor.shape == tuple(field["shape"])
+            assert tensor.tobytes() == np.array(field["data"], dtype=float).tobytes()
+        if len(set(sizes)) == 1:  # rows of the (K, N) block, when its shapes agree
+            rows = owner.reshape(len(held), -1)
+            assert all(tensors[k].array.ctypes.data == row.ctypes.data for k, row in zip(held, rows))
+    for m, c, seg in zip(system.unfolded, sets, schedule, strict=True):
+        for name, matrix in zip("ABCD", m):
+            if matrix is not None:
+                reference = np.array(seg[name]["data"], dtype=float).reshape(matrix.shape)
+                assert matrix.tobytes() == reference.tobytes()
+                assert np.shares_memory(matrix, getattr(c, name).array)
 
 
 def schedule_doc(segments=3):
@@ -430,6 +411,13 @@ def many_modes_doc(modes):
     doc["state_shape"] = [1] * 32
     doc["schedule"] = [{"start": k, "A": tensor_doc([1] * modes, [0.5])} for k in range(3)]
     doc["x0"] = tensor_doc([1] * 32, [1])
+    return doc
+
+
+def some_d(doc):
+    """D, of shape output + input, in segments 0 and 2 of a schedule_doc."""
+    for k in (0, 2):
+        doc["schedule"][k]["D"] = tensor_doc([2, 2], [0.5, -1, 2 + k, 0.25])
     return doc
 
 
@@ -501,33 +489,92 @@ MUTATIONS = {
     "missing start everywhere": _each(["start"]),
     "64 modes": lambda doc: many_modes_doc(64),
     "65 modes": lambda doc: many_modes_doc(65),
+    # segments that differ in fields or in a kind's shape, and files with two faults
+    "D in some segments": lambda doc: some_d(doc),
+    "D in some segments, one bad": lambda doc: _set([2, "D", "data", 1], True)(some_d(doc)),
+    "D in some segments, other D shape": lambda doc: _set([2, "D", "shape"], [4])(some_d(doc)),
+    "C in some segments, one without data": lambda doc: _set([2, "C", "data"])(_set([1, "C"])(doc)),
+    "other shape, then a bad entry": lambda doc: _set([2, "A", "data", 0], "x")(MUTATIONS["other shape"](doc)),
+    "two faults, in two segments": lambda doc: _set([2, "A", "data", 3], True)(MUTATIONS["data length"](doc)),
+    "two faults, in one segment": lambda doc: _set([1, "C", "data", 0], None)(MUTATIONS["string"](doc)),
 }
-VALID = {"none", "64 modes"}
+# the refusal of each MUTATIONS case that is not valid: its exact text after the file's path
+REFUSALS = {
+    "bool": ".schedule[1].A.data: expected a number, got True",
+    "string": ".schedule[1].A.data: expected a number, got '1'",
+    "null": ".schedule[1].A.data: expected a number, got None",
+    "nested list": ".schedule[1].A.data: expected a number, got [1.0]",
+    "1e400": ".schedule[1].A.data: number out of the finite double range",
+    "huge int": ".schedule[1].B.data: number out of the finite double range",
+    "data length": ".schedule[1].C: data length 3 does not match shape [2, 1, 2] (expected 4)",
+    "data not a list": ".schedule[1].C.data: expected a list of numbers",
+    "bool mode": ".schedule[1].A.shape: size of mode 0 must be an integer, got True",
+    "float mode": ".schedule[1].A.shape: size of mode 0 must be an integer, got 1.0",
+    "zero mode": ".schedule[1].B.shape: size of mode 0 must be >= 1, got 0",
+    "empty shape": ".schedule[1].A.shape: expected a non-empty list of mode sizes",
+    "shape not a list": ".schedule[1].A.shape: expected a non-empty list of mode sizes",
+    "other shape":
+        ".schedule: segment 1: coefficient A has shape [2, 1, 2, 1], expected [1, 2, 1, 2] (state_shape + state_shape)",
+    "other B shape":
+        ".schedule: segment 1: coefficient B has shape [2, 1, 2], expected [1, 2, 2] (state_shape + input_shape)",
+    "tensor not an object": ".schedule[1].B: expected an object, got list",
+    "tensor field": ".schedule[1].B: unknown field(s) ['size']",
+    "missing data": ".schedule[1].A: missing field 'data'",
+    "missing A": ".schedule[1]: missing field 'A'",
+    "missing C":
+        ".schedule: segment 1: coefficient C absent, so the output is the state, but output_shape [2] differs from state_shape [1, 2]",
+    "missing start": ".schedule[1]: missing field 'start'",
+    "unknown field": ".schedule[1]: unknown field(s) ['E']",
+    "bool start": ".schedule[1].start: expected a number, got True",
+    "string start": ".schedule[1].start: expected a number, got '4'",
+    "1e400 start": ".schedule[1].start: number out of the finite double range",
+    "start not increasing": ".schedule: schedule keys must be strictly increasing (0.0 then 0.0)",
+    "non-object segment": ".schedule[1]: expected an object, got list",
+    "bool mode everywhere": ".schedule[0].A.shape: size of mode 0 must be an integer, got True",
+    "negative modes everywhere": ".schedule[0].A.shape: size of mode 0 must be >= 1, got -1",
+    "zero mode and no data everywhere": ".schedule[0].A.shape: size of mode 0 must be >= 1, got 0",
+    "shape not a list everywhere": ".schedule[0].A.shape: expected a non-empty list of mode sizes",
+    "unknown field everywhere": ".schedule[0]: unknown field(s) ['E']",
+    "missing start everywhere": ".schedule[0]: missing field 'start'",
+    "65 modes": ".schedule[0].A: maximum supported dimension for an ndarray is currently 64, found 65",
+    "D in some segments, one bad": ".schedule[2].D.data: expected a number, got True",
+    "D in some segments, other D shape":
+        ".schedule: segment 2: coefficient D has shape [4], expected [2, 2] (output_shape + input_shape)",
+    "C in some segments, one without data": ".schedule[2].C: missing field 'data'",
+    "other shape, then a bad entry": ".schedule[2].A.data: expected a number, got 'x'",
+    "two faults, in two segments": ".schedule[1].C: data length 3 does not match shape [2, 1, 2] (expected 4)",
+    "two faults, in one segment": ".schedule[1].A.data: expected a number, got '1'",
+}
+VALID = set(MUTATIONS) - set(REFUSALS)
 # fields the block read takes, which the system's own checks then refuse
-BLOCK_READ_TAKES = {"start not increasing"}
+BLOCK_READ_TAKES = {
+    "start not increasing", "other shape", "other B shape", "missing C", "D in some segments, other D shape"
+}
 
 
 class TestScheduleBlocks:
-    """A schedule whose segments share their fields and each kind's shape is
-    read as one block per kind; any other goes segment by segment, which
-    names the first bad field. Both reads give the same system or error."""
+    """The block read takes every schedule whose fields pass their checks,
+    whatever kinds its segments hold and whatever their shapes; the walk
+    over the fields of any other file names its first bad field."""
 
     @pytest.mark.parametrize("mutation", list(MUTATIONS))
     def test_both_reads_agree(self, tmp_path, mutation):
-        """A valid file takes the block read and gives the per-segment
-        system; one bad field raises the per-segment read's error."""
+        """The block read and the walk agree: a valid file takes the block
+        read and gives the document's numbers; a file the block read
+        refuses raises the walk's error, and
+        a file it takes whose shapes or starts do not fit the system raises
+        the system's. Each error is its exact text."""
         doc = MUTATIONS[mutation](schedule_doc())
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
-        got, want = read_both(path)
+        raw = json.loads(path.read_text(encoding="utf-8"))["schedule"]
         if mutation in VALID:
-            assert_same_schedule(got.system, want.system)
-            assert_rows_of_blocks(got.system)
-        else:
-            assert isinstance(want, str) and want.startswith(f"{path}.schedule")
-            assert got == want
-            raw = json.loads(path.read_text(encoding="utf-8"))["schedule"]
-            assert (fileio._schedule_blocks(raw) is None) == (mutation not in BLOCK_READ_TAKES)
+            assert_reads_the_document(parse_system_file(path).system, doc)
+            return
+        with pytest.raises(ParseError) as err:
+            parse_system_file(path)
+        assert str(err.value) == f"{path}{REFUSALS[mutation]}"
+        assert (fileio._schedule_blocks(raw) is None) == (mutation not in BLOCK_READ_TAKES)
 
     def test_a_named_error(self, tmp_path):
         path = write_doc(tmp_path / "s.json", MUTATIONS["bool mode"](schedule_doc()))
@@ -535,11 +582,33 @@ class TestScheduleBlocks:
             parse_system_file(path)
         assert str(err.value) == f"{path}.schedule[1].A.shape: size of mode 0 must be an integer, got True"
 
-    def test_valid_schedules_read_as_per_segment(self):
-        """1-70 segments of state order 1-3, B, C and D in every segment or
-        in some, int and float starts: the same starts and coefficient bits
-        by both reads, and the block read is taken when every segment has
-        the same fields."""
+    @pytest.mark.parametrize("segments, samples", [(4, 6), (4, 150), (64, 6), (64, 150)])
+    def test_one_bulk_read_per_list(self, tmp_path, monkeypatch, segments, samples):
+        """A schedule with C in every other segment and a table of input
+        samples take one _finite_block call per list of numbers read: the
+        starts, A, B, C, x0, the table's keys and its values. The count does
+        not grow with the segments or the samples."""
+        doc = schedule_doc(segments)
+        del doc["output_shape"]
+        for k, seg in enumerate(doc["schedule"]):
+            if k % 2:
+                del seg["C"]
+            else:
+                seg["C"] = tensor_doc([1, 2, 1, 2], [1, 0, 0, 1])
+        doc["input"] = {"kind": "table", "samples": [[k, tensor_doc([2], [k, -k])] for k in range(samples)]}
+        calls = []
+        finite_block = fileio._finite_block
+        monkeypatch.setattr(fileio, "_finite_block", lambda rows: calls.append(len(rows)) or finite_block(rows))
+        bundle = parse_system_file(write_doc(tmp_path / "s.json", doc))
+        assert [m.c is not None for m in bundle.system.unfolded] == [k % 2 == 0 for k in range(segments)]
+        assert len(bundle.input_signal.keys) == samples
+        assert len(calls) == 7
+
+    def test_valid_schedules_read_as_the_document(self):
+        """1-70 segments of state order 1-3, B, C and D in every segment, in
+        some or in none, int and float starts: the document's starts and
+        coefficient bits, each kind one read-only array, and the table's
+        keys and values those of the document too."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -548,22 +617,79 @@ class TestScheduleBlocks:
         def check(data):
             doc = data.draw(valid_schedule_doc(st))
             with tempfile.TemporaryDirectory() as tmp:
-                path = write_doc(Path(tmp) / "s.json", doc)
-                got, want = read_both(path)
-            assert_same_schedule(got.system, want.system)
-            if len({frozenset(seg) for seg in doc["schedule"]}) == 1:
-                assert_rows_of_blocks(got.system)
-            else:
-                assert fileio._schedule_blocks(doc["schedule"]) is None
+                parsed = parse_system_file(write_doc(Path(tmp) / "s.json", doc))
+            assert_reads_the_document(parsed.system, doc)
+            if "input" in doc:
+                samples = doc["input"]["samples"]
+                keys = np.array([when for when, _ in samples], dtype=float)
+                values = np.array([value["data"] for _, value in samples], dtype=float)
+                assert np.array(parsed.input_signal.keys).tobytes() == keys.tobytes()
+                assert parsed.input_signal._rows.tobytes() == values.tobytes()
 
         check()
+
+    def test_walk_names_every_refusal(self):
+        """One field of a drawn valid schedule or input table set to another
+        JSON value, or deleted: where the block read refuses the schedule or
+        the table, parsing raises a ParseError naming a field of it, never
+        another error."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        others = st.sampled_from([True, None, "1", 0, -1, 1.5, 10**400, -(10**400), [], [1.0], {}, DROP])
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            doc = data.draw(valid_schedule_doc(st))
+            table = "input" in doc and data.draw(st.booleans())
+            target = doc["input"]["samples"] if table else doc["schedule"]
+            *parents, last = data.draw(field_path(st, target))
+            for key in parents:
+                target = target[key]
+            value = data.draw(others)
+            if value is DROP:
+                del target[last]
+            else:
+                target[last] = value
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_doc(Path(tmp) / "s.json", doc)
+                try:
+                    parse_system_file(path)
+                except ParseError as exc:
+                    message = str(exc)
+                else:
+                    message = None
+            if table:
+                if fileio._table_entries(doc["input"]["samples"], tuple(doc["input_shape"])) is None:
+                    assert message.startswith(f"{path}.input.samples")
+            elif doc["schedule"] and fileio._schedule_blocks(doc["schedule"]) is None:
+                assert message.startswith(f"{path}.schedule[")
+
+        check()
+
+
+def field_path(st, value):
+    """A strategy for the keys leading from `value`, a JSON list or object,
+    to one of the fields or entries nested in it."""
+    @st.composite
+    def draw_path(draw):
+        keys, target = [], value
+        while True:
+            key = draw(st.sampled_from(list(range(len(target)) if isinstance(target, list) else target)))
+            keys.append(key)
+            target = target[key]
+            if not isinstance(target, (list, dict)) or not target or draw(st.booleans()):
+                return keys
+
+    return draw_path()
 
 
 def valid_schedule_doc(st):
     """A strategy for a valid file whose schedule has 1-70 segments, state
     order 1-3, and B, C and D each in every segment, in some or in none, as
     the system allows; starts are ints or floats (integral when discrete),
-    and cells are drawn from ints, floats, -0.0, subnormals and ±1e308."""
+    and cells are drawn from ints, floats, -0.0, subnormals and ±1e308. A
+    file with an input holds a table of 1-21 samples."""
 
     @st.composite
     def draw_doc(draw):
@@ -602,6 +728,8 @@ def valid_schedule_doc(st):
                "x0": tensor(state)}
         if inputs:
             doc["input_shape"] = inputs
+            keys = [0, *np.cumsum(rng.integers(1, 9, draw(st.integers(0, 20))) * scale).tolist()]
+            doc["input"] = {"kind": "table", "samples": [[key, tensor(inputs)] for key in keys]}
         return doc
 
     return draw_doc()
@@ -998,8 +1126,8 @@ GOLDEN = [
     # x'' = -x: RK4 steps of 0.1 keep the marginal modes ±i, h·|λ| far below 2√2
     (DATA / "oscillator.json", ["simulate", "--t-end", "3", "--h", "0.1", "--method", "rk4"],
      "oscillator_rk4.csv"),
-    # 6 segments with A, B and C each, read as one block per kind, and its twin with D in
-    # segments 1 and 4, read segment by segment; state (2, 3), input (2,), output (2,)
+    # 6 segments with A, B and C each, and its twin with D in segments 1 and 4;
+    # state (2, 3), input (2,), output (2,)
     (DATA / "discrete_schedule.json", ["simulate", "--steps", "40", "--emit-output"],
      "discrete_schedule_steps40_output.csv"),
     (DATA / "discrete_schedule_some_d.json", ["simulate", "--steps", "40", "--emit-output"],
@@ -1034,19 +1162,31 @@ def test_cut_golden_has_its_edges():
     assert bundle.system.schedule.keys == (0.0, 0.5, 0.8)
 
 
-def test_schedule_goldens_take_both_reads():
-    """discrete_schedule.json takes the block read and its twin, with D in
-    two of six segments, the per-segment read; both give the per-segment
-    system, and differ only in D."""
-    for name, d_in in (("discrete_schedule.json", []), ("discrete_schedule_some_d.json", [1, 4])):
-        path = DATA / name
-        got, want = read_both(path)
-        assert_same_schedule(got.system, want.system)
-        schedule = json.loads(path.read_text(encoding="utf-8"))["schedule"]
-        assert len(schedule) == 6 and (fileio._schedule_blocks(schedule) is None) == bool(d_in)
-        assert [k for k, m in enumerate(got.system.unfolded) if m.d is not None] == d_in
-        if not d_in:
-            assert_rows_of_blocks(got.system)
+def tensor_files():
+    """Every tensor-system file under sample_systems/ and tests/data/."""
+    paths = sorted(SAMPLES.glob("*.json")) + sorted(DATA.glob("*.json"))
+    return [p for p in paths if "schedule" in json.loads(p.read_text(encoding="utf-8"))]
+
+
+def test_tensor_files_read_as_the_document():
+    """Every tensor file, discrete_schedule_some_d.json with D in two of six
+    segments among them, reads as its document: the bits of each start,
+    coefficient, x0 and table entry, each kind one read-only array."""
+    paths = tensor_files()
+    assert {DATA / "discrete_schedule.json", DATA / "discrete_schedule_some_d.json"} <= set(paths)
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        bundle = parse_system_file(path)
+        assert_reads_the_document(bundle.system, doc)
+        assert bundle.x0.array.tobytes() == np.array(doc["x0"]["data"], dtype=float).tobytes()
+        if doc.get("input", {}).get("kind") == "table":
+            samples = doc["input"]["samples"]
+            keys = np.array([when for when, _ in samples], dtype=float)
+            values = np.array([value["data"] for _, value in samples], dtype=float)
+            assert np.array(bundle.input_signal.keys).tobytes() == keys.tobytes()
+            assert bundle.input_signal._rows.tobytes() == values.tobytes()
+    twin = parse_system_file(DATA / "discrete_schedule_some_d.json").system
+    assert [k for k, m in enumerate(twin.unfolded) if m.d is not None] == [1, 4]
     one, twin = (json.loads((DATA / name).read_text(encoding="utf-8"))
                  for name in ("discrete_schedule.json", "discrete_schedule_some_d.json"))
     for seg in twin["schedule"]:

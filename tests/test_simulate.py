@@ -336,6 +336,24 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError, match="whens must increase"):
             Trajectory([0.0, 0.0], states, [[1.0], [2.0]], (2, 2), (1,))
 
+    def test_trajectory_indices(self):
+        """A trajectory reads integers and slices by the rules of a range of
+        its samples: a bool or any other value is a TypeError quoting it,
+        and an integer past either end an IndexError naming it and the
+        sample count."""
+        traj = Trajectory([0.0, 1.0, 2.0, 3.0], np.arange(8.0).reshape(4, 2), np.arange(4.0)[:, None], (2,), (1,))
+        assert traj[-1].when == traj[3].when == 3.0 and traj[-1].state == traj.final_state
+        assert traj[np.int64(1)].state.tolist() == [2.0, 3.0]
+        assert [s.when for s in traj[1:3]] == [1.0, 2.0] and [s.when for s in traj[::-2]] == [3.0, 1.0]
+        assert traj[5:] == () and [s.when for s in traj] == [0.0, 1.0, 2.0, 3.0]
+        for index, text in [(True, "True"), (np.False_, "np.False_"), (2.0, "2.0"), ("1", "'1'"), (None, "None"),
+                            ([1], r"\[1\]")]:
+            with pytest.raises(TypeError, match=rf"^trajectory index must be an integer or a slice, got {text}$"):
+                traj[index]
+        for index in (7, 4, -5, np.int64(9)):
+            with pytest.raises(IndexError, match=rf"^trajectory index {int(index)} is out of range for 4 samples$"):
+                traj[index]
+
     def test_trajectory_without_samples(self):
         with pytest.raises(ValueError, match=r"^trajectory needs at least one sample$"):
             Trajectory([], np.empty((0, 2)), np.empty((0, 2)), (2,), (2,))

@@ -134,6 +134,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="^schedule lookup requires when >= 0, got -inf$"):
             getattr(system, lookup)(-10**400)
 
+    def test_array_lookup_past_the_double_range(self):
+        """In a sequence of times, an integer past the double range lies past
+        every key, as it does alone; its negative is the first bad time, -inf."""
+        late = CoefficientSet(A=Tensor.from_array(2 * np.eye(2)))
+        schedule = CoefficientSchedule([(0, classical_pair()), (3, late)])
+        signal = InputSignal.table([(0, [1.0]), (2, [2.0]), (5, [3.0])])
+        assert schedule.index([0, 10**400]).tolist() == [0, 1]
+        assert signal.index((10**400, 3, 1)).tolist() == [2, 1, 0]
+        with pytest.raises(ValueError, match="^schedule lookup requires when >= 0, got -inf$"):
+            schedule.index([0, -10**400, -1])
+        with pytest.raises(ValueError, match="^input table lookup requires when >= 0, got -inf$"):
+            signal.index((3, -10**400))
+
     def test_entry_that_is_not_a_pair(self):
         with pytest.raises(ValueError, match=r"^schedule entries must be \(key, value\) pairs$"):
             CoefficientSchedule([(0, classical_pair(), 1)])

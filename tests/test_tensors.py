@@ -84,6 +84,17 @@ class TestConstruction:
         assert a != make_tensor([2, 2], [1, 2, 3, 5])
         assert a != make_tensor([4], [1, 2, 3, 4])
 
+    def test_equality_with_a_non_tensor(self):
+        """Tensor.__eq__ leaves a non-tensor to Python, which finds them unequal."""
+        assert Tensor.__eq__(Tensor.from_array([1.0]), 1.0) is NotImplemented
+        assert (Tensor.from_array([1.0]) == 1.0) is False
+
+    def test_ragged_array(self):
+        """A value numpy cannot hold as one object array is refused by the
+        tensor's own rule, not numpy's error."""
+        with pytest.raises(ValueError, match=r"^tensor must be a rectangular array of real numbers, got \[array\("):
+            Tensor.from_array([np.zeros((2, 2)), np.zeros((2, 3))])
+
     def test_arithmetic(self):
         a = make_tensor([2], [1, 2])
         b = make_tensor([2], [3, 4])
