@@ -1,6 +1,19 @@
 """System definition files (JSON), trajectory CSV emission, and the
 plain-text analysis report.
 
+A system file is read as bytes. One of at most _ORJSON_BRACKETS "[" and
+"{" bytes is decoded by orjson and parsed from that value when every field
+passes its check. Any other file (more brackets, bytes orjson refuses, a
+top level that is not an object, a field that fails a check) is decoded
+again by json.loads, over the text open(path, encoding="utf-8") reads, so
+the stdlib decoder names every refusal. orjson gives json's value for
+every number it accepts but an integer outside [-2^63, 2^64), which it
+reads as the double float() gives json's int: the same where a real is
+taken, refused where an integer is. It refuses NaN, Infinity, literals
+past the double range, lone surrogates, bytes that are not UTF-8 and a
+BOM, and a value nested past json's recursion limit fails a check or
+raises RecursionError in one, so each of these ends on the json path.
+
 Tensors on disk are {"shape": [...], "data": [...]} with row-major flat
 data. There is one read of them: an input table's values, and each
 coefficient kind over the segments of a schedule that hold it, are read
@@ -25,6 +38,7 @@ one is in e-notation, and room for the longest '%.17g' text.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -34,6 +48,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .multirate import (MultirateSystem, _multiples, _per_process, _table, constant_function, global_clock,
                         index_function)
@@ -425,23 +440,43 @@ def _parse_multirate(obj, path) -> MultirateFile:
     return MultirateFile(system=system, boundary_spec=boundary_spec, input_spec=input_spec)
 
 
+# orjson recurses on the C stack with no depth limit, so a file of more
+# opening brackets than this goes to the stdlib decoder, whose recursion
+# limit refuses deep nesting (a valid file nests six deep at most)
+_ORJSON_BRACKETS = 4096
+
+
 def parse_system_file(path) -> SystemFile | MultirateFile:
     """Read and validate a system definition; see README for the format.
 
     Raises ParseError naming the bad field; a tensor that disagrees with the
     declared shapes is reported under the file's `schedule` field.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    codes = np.frombuffer(data, np.uint8)
+    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _ORJSON_BRACKETS:
         try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+            return _parse_document(orjson.loads(data), str(path))
+        except (orjson.JSONDecodeError, ParseError, RecursionError):
+            pass  # the stdlib decoder names the refusal
+    return _parse_document(_decode_text(data, path), str(path))
+
+
+def _decode_text(data, path):
+    """The JSON value of the file's bytes `data` by the stdlib decoder, over
+    the text open(path, encoding="utf-8") reads, universal newlines and all;
+    each refusal is a ParseError naming the path."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
 
     def reject(literal):
         raise ParseError(f"{path}: non-finite number literal {literal!r} not allowed")
 
     try:
-        obj = json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject)
     except RecursionError:
         raise ParseError(
             f"{path}: invalid JSON: nested deeper than the decoder's recursion limit"
@@ -456,13 +491,17 @@ def parse_system_file(path) -> SystemFile | MultirateFile:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _parse_document(obj, path) -> SystemFile | MultirateFile:
+    """The system file of the decoded JSON value `obj` of the file at `path`."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a top-level object")
     if obj.get("kind") == "multirate":
-        return _parse_multirate(obj, str(path))
+        return _parse_multirate(obj, path)
     if "kind" in obj:
         raise ParseError(f"{path}.kind: expected 'multirate', got {reprlib.repr(obj['kind'])}")
-    return _parse_tensor_system(obj, str(path))
+    return _parse_tensor_system(obj, path)
 
 
 def _tensor_doc(t: Tensor) -> dict:

@@ -262,16 +262,18 @@ def _advance(p, c, v, out, lo, hi) -> np.ndarray:
     row, for P a discrete step's M_A, an exact pair's Φ or a composed RK4
     map, and c its input term Q·u (None without input). c is added to P·v in
     each row whenever the system has an input, even a zero one, so signed
-    zeros agree on every route. P·v is np.dot into the row, which calls the
-    BLAS matrix-vector product np.matmul calls, and gives its bits, without
-    matmul's per-call ufunc dispatch. `out` must be C-contiguous, and P
-    should be: np.dot copies any other P on every step. v may be a row of
+    zeros agree on every route. A row is two C calls: P.dot into the row,
+    bound once per run, which calls the BLAS matrix-vector product np.matmul
+    calls, and gives its bits, without matmul's per-call ufunc dispatch; and
+    np.add of c with positional arguments. `out` must be C-contiguous, and P
+    should be: P.dot copies any other P on every step. v may be a row of
     `out`, even the row written: numpy buffers it."""
+    dot = p.dot
     for r in range(lo, hi):
         row = out[r]
-        np.dot(p, v, out=row)
+        dot(v, row)
         if c is not None:
-            row += c
+            np.add(row, c, row)
         v = row
     return v
 
@@ -402,7 +404,7 @@ def _sweep(system, signal, v, times, where, method="discrete", h=1.0):
     if signal is not None:
         cs = cs[order.argsort()]
     # an RK4 map's two forms share P; an exact or RK4 P is a block of a larger
-    # array, which np.dot in _advance would copy on every step
+    # array, which P.dot in _advance would copy on every step
     ps = {code: np.ascontiguousarray(pair[0].a) for code, pair in maps.items()}
     states = np.empty((n, system.state_dim))
     states[0] = v

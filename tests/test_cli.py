@@ -708,7 +708,9 @@ class TestParseErrorMessages:
 
 class TestBadFiles:
     """A system file that json.loads, the UTF-8 decoder or the parser refuses, or a path
-    that is no file: exit 1, one stderr line naming the path, no output."""
+    that is no file: exit 1, exactly one stderr line naming the path, no output. The
+    rows from "infinity-literal" on are files orjson and json.loads decode apart, each
+    with the text the stdlib decoder alone gave before orjson read files first."""
 
     CASES = [
         ("nested-brackets", ("[" * 100000 + "]" * 100000).encode(),
@@ -723,9 +725,36 @@ class TestBadFiles:
          ": invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ("nan-literal", json.dumps(identity_doc()).replace('"data": [1, 2]', '"data": [NaN, 2]').encode(),
          ": non-finite number literal 'NaN' not allowed"),
-        ("truncated", json.dumps(identity_doc())[:40].encode(), ": invalid JSON at line 1 column "),
+        ("truncated", json.dumps(identity_doc())[:40].encode(),
+         ": invalid JSON at line 1 column 41: Expecting property name enclosed in double quotes"),
         ("directory", "mkdir", ": Is a directory"),
         ("missing", None, ": No such file or directory"),
+        ("infinity-literal", json.dumps(identity_doc()).replace("[1, 2]", "[1, -Infinity]").encode(),
+         ": non-finite number literal '-Infinity' not allowed"),
+        ("1e400", json.dumps(identity_doc()).replace("[1, 0, 0, 1]", "[1, 0, 0, 1e400]").encode(),
+         ".schedule[0].A.data: number out of the finite double range"),
+        ("400-digit-entry", json.dumps(identity_doc()).replace("[1, 0, 0, 1]", "[1, 0, " + "9" * 400 + ", 1]").encode(),
+         ".schedule[0].A.data: number out of the finite double range"),
+        ("5000-digit-entry", json.dumps(identity_doc()).replace("[1, 0, 0, 1]", "[1, 0, " + "9" * 5000 + ", 1]").encode(),
+         ": invalid JSON at line 1 column 106: integer literal past the double range"),
+        ("2p64-mode", json.dumps({**identity_doc(), "state_shape": [2**64]}).encode(),
+         ".schedule: segment 0: coefficient A has shape [2, 2], expected "
+         "[18446744073709551616, 18446744073709551616] (state_shape + state_shape)"),
+        ("2p64-clock", json.dumps(multirate_doc(clocks=[2**64, 1])).encode(), ".clocks: clock must be >= 2, got 1"),
+        ("lone-surrogate", json.dumps(identity_doc()).replace('"discrete"', '"\\ud800"').encode(),
+         ".time: expected 'discrete' or 'continuous', got '\\ud800'"),
+        ("not-utf8-in-a-string", json.dumps(identity_doc()).replace('"discrete"', '"discr\xffete"').encode("latin-1"),
+         ": invalid UTF-8 at byte 15: invalid start byte"),
+        ("utf8-bom-before-a-valid-file", "\ufeff".encode() + json.dumps(identity_doc(), indent=1).encode(),
+         ": invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("nested-990", json.dumps(identity_doc()).replace("[1, 2]", "[" * 990 + "]" * 990).encode(),
+         ": invalid JSON: nested deeper than the decoder's recursion limit"),
+        ("two-shapes-1500-deep",
+         json.dumps({**identity_doc(), "schedule": [{"start": k, "A": tensor_doc([2, 2], [1, 0, 0, 1])} for k in (0, 1)]})
+         .replace("[2, 2]", "[" * 1500 + "]" * 1500).encode(),
+         ": invalid JSON: nested deeper than the decoder's recursion limit"),
+        ("cr-line-ends", json.dumps(identity_doc(), indent=1).replace("\n", "\r").replace('"x0"', '"x0",').encode(),
+         ": invalid JSON at line 23 column 6: Expecting ':' delimiter"),
     ]
 
     @pytest.mark.parametrize("content, message", [case[1:] for case in CASES],
@@ -738,10 +767,19 @@ class TestBadFiles:
             path.write_bytes(content)
         out = tmp_path / "o.csv"
         assert main(["simulate", "--system", str(path), "--out", str(out), "--steps", "1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-        assert err.startswith(f"error: {path}{message}")
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n")
         assert not out.exists()
+
+    def test_a_million_deep_file_exits_1(self, tmp_path):
+        """A file nested a million deep, past what orjson's C recursion
+        survives, is refused by the stdlib decoder in a fresh interpreter:
+        exit 1 and one line, not a crash by signal."""
+        (tmp_path / "deep.json").write_text("[" * 1000000 + "]" * 1000000, encoding="utf-8")
+        done = TestRunAsModule.run("tensorstate", "simulate", "--system", "deep.json", "--out", "o.csv",
+                                   "--steps", "1", cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: deep.json: invalid JSON: nested deeper than the decoder's recursion limit\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_out_directory_names_the_path_first(self, tmp_path, capsys):
         """An OSError that carries a filename reads `error: <path>: <strerror>`."""

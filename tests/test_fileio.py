@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from test_simulate import zoh_case
 
@@ -1192,6 +1194,141 @@ def test_tensor_files_read_as_the_document():
     for seg in twin["schedule"]:
         seg.pop("D", None)
     assert one == twin
+
+
+def decoded_bits(parsed):
+    """What a parsed file holds, numbers as their bits: each start,
+    coefficient, x0 and input table entry of a tensor file; the matrices,
+    clocks and specs of a multirate file (a float's repr is its bits)."""
+    if isinstance(parsed, MultirateFile):
+        system = parsed.system
+        matrices = [None if m is None else (m.shape, m.tobytes()) for m in (system.A, system.B)]
+        return [*matrices, system.clocks, repr(parsed.boundary_spec), repr(parsed.input_spec)]
+    bits = [np.array(parsed.system.schedule.keys).tobytes(), parsed.x0.shape, parsed.x0.array.tobytes()]
+    for coeffs in parsed.system.schedule.values:
+        bits += [None if t is None else (t.shape, t.array.tobytes()) for t in (coeffs.A, coeffs.B, coeffs.C, coeffs.D)]
+    signal = parsed.input_signal
+    if signal is not None:
+        bits += [signal.kind, np.array(signal.keys).tobytes(), None if signal._rows is None else signal._rows.tobytes()]
+    return bits
+
+
+def generated_cases(tmp_path):
+    """The first generated case of each benchmark workload, seed 5."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", SAMPLES.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [Path(gen.generate(workload, 5, tmp_path / workload)[0]["path"]) for workload in gen.WORKLOADS]
+
+
+class TestDecoders:
+    """orjson decodes a file of at most _ORJSON_BRACKETS brackets; json.loads
+    decodes any other, and names every refusal. Both give the same bits."""
+
+    def test_numbers_decode_as_json_does(self):
+        """Wherever orjson decodes a number literal it gives json.loads'
+        value bit for bit, but for an integer outside [-2^63, 2^64), which
+        it gives as the double float() gives json's int. A literal orjson
+        refuses goes to json.loads."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        doubles = st.floats(allow_nan=False, allow_infinity=False)
+        edges = ["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.4703282292062327e-324",
+                 "2.4703282292062328e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+                 "1e-400", "-1e-400", "1.7976931348623157e308", "1.7976931348623158e308",
+                 "9007199254740993", "9007199254740993.0", "0." + "1" * 400, "1" * 300 + ".5",
+                 str(2**64 - 1), str(2**64), str(-(2**63)), str(-(2**63) - 1),
+                 str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(2**1100)]
+        literals = st.one_of(
+            doubles.map(repr), doubles.map("%.17g".__mod__), doubles.map("%.20e".__mod__),
+            st.sampled_from(edges),
+            st.integers(0, 1100).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)).map(str),
+        )
+
+        @hypothesis.settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(literals)
+        def check(literal):
+            try:
+                fast = orjson.loads(literal)
+            except orjson.JSONDecodeError:
+                return
+            slow = json.loads(literal)
+            if isinstance(slow, int) and not -(2**63) <= slow < 2**64:
+                slow = float(slow)
+            assert type(fast) is type(slow)
+            assert fast == slow
+            if isinstance(slow, float):
+                assert np.float64(fast).tobytes() == np.float64(slow).tobytes()
+
+        check()
+
+    def test_sample_and_data_files_decode_alike(self):
+        """Every sample and test-data file, tensor or multirate, holds the
+        same bits when parsed from orjson's value as from json.loads'."""
+        paths = sorted(SAMPLES.glob("*.json")) + sorted(DATA.glob("*.json"))
+        assert {SAMPLES / "multirate_clocks.json", DATA / "discrete_schedule_some_d.json"} <= set(paths)
+        for path in paths:
+            data = path.read_bytes()
+            fast = fileio._parse_document(orjson.loads(data), str(path))
+            slow = fileio._parse_document(fileio._decode_text(data, path), str(path))
+            assert decoded_bits(fast) == decoded_bits(slow), path
+
+    def test_accepted_files_never_reach_json(self, tmp_path, monkeypatch):
+        """With json.loads raising, every sample and test-data file and the
+        first generated case of each benchmark workload still parse."""
+        paths = sorted(SAMPLES.glob("*.json")) + sorted(DATA.glob("*.json")) + generated_cases(tmp_path)
+        expected = [decoded_bits(parse_system_file(path)) for path in paths]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert [decoded_bits(parse_system_file(path)) for path in paths] == expected
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(minimal_doc()).replace("[1, 2]", "[NaN, 2]"),
+        json.dumps(minimal_doc()).replace('"discrete"', '"hybrid"'),
+        json.dumps(minimal_doc()).replace('"state_shape": [2]', f'"state_shape": [{2**64}]'),
+        "[1, 2]",
+        "{",
+    ], ids=["nan", "bad-field", "2p64-mode", "top-level-list", "truncated"])
+    def test_a_refused_file_calls_json_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs))
+        with pytest.raises(ParseError):
+            parse_system_file(path)
+        assert calls == [1]
+
+    def test_an_integer_orjson_reads_as_a_double_is_read_again(self, tmp_path):
+        """orjson reads a clock of 2^64 as a double, which the clock check
+        refuses, so json.loads reads the file again and its int is taken."""
+        doc = {"kind": "multirate", "A": [[0.5, 0], [0, 0.5]], "clocks": [2, 2**64], "boundary": {"kind": "index"}}
+        path = write_doc(tmp_path / "s.json", doc)
+        assert orjson.loads(path.read_bytes())["clocks"][1] == 2.0**64
+        clocks = parse_system_file(path).system.clocks
+        assert clocks == (2, 2**64) and type(clocks[1]) is int
+
+    def test_a_file_past_the_bracket_bound_takes_json(self, tmp_path, monkeypatch):
+        """A valid file of more than _ORJSON_BRACKETS opening brackets, here
+        an input table of 1500 samples, is decoded by json.loads alone, and
+        holds the bits orjson's value gives."""
+        doc = minimal_doc()
+        doc["input_shape"] = [2]
+        doc["schedule"][0]["B"] = tensor_doc([2, 2], [1, 0, 0, 1])
+        doc["input"] = {"kind": "table", "samples": [[k, tensor_doc([2], [k / 7, -k * 1e-300])] for k in range(1500)]}
+        path = write_doc(tmp_path / "s.json", doc)
+        data = path.read_bytes()
+        assert data.count(b"[") + data.count(b"{") > fileio._ORJSON_BRACKETS
+        expected = decoded_bits(fileio._parse_document(orjson.loads(data), str(path)))
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs))
+        monkeypatch.setattr(orjson, "loads", None)
+        assert decoded_bits(parse_system_file(path)) == expected
+        assert calls == [1]
 
 
 def scipy_zoh_states(doc, times):
