@@ -13,8 +13,5 @@ from . import analysis, fileio, multirate, simulate, systems, tensors
 
 __version__ = "0.1.0"
 
-# analysis re-exports systems.UnfoldedSystem; dict.fromkeys lists it once
-__all__ = [
-    *dict.fromkeys(n for m in (tensors, systems, simulate, analysis, multirate, fileio) for n in m.__all__),
-    "__version__",
-]
+__all__ = [*tensors.__all__, *systems.__all__, *simulate.__all__, *analysis.__all__, *multirate.__all__,
+           *fileio.__all__, "__version__"]

@@ -16,7 +16,6 @@ from .systems import CoefficientSet, TensorStateSystem, UnfoldedSystem
 from .tensors import _as_matrix, _as_real
 
 __all__ = [
-    "UnfoldedSystem",
     "unfold_system",
     "vector_twin",
     "spectral_radius",

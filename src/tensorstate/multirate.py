@@ -100,42 +100,31 @@ class MultirateSystem:
 
 
 def _lookup(func, process, index, what):
+    """func's value for process at index, read by tensors._as_real: a
+    ValueError names the process and index of a value that is not a finite
+    real, and BoundaryDataError one that is None or raises LookupError."""
     try:
         value = func(process, index)
     except LookupError:
         raise BoundaryDataError(process, index, what) from None
     if value is None:
         raise BoundaryDataError(process, index, what)
-    return float(value)
-
-
-def _eval(system, i, n, cache):
-    key = (i, n)
-    if key in cache:
-        return cache[key]
-    d = system.clock.d
-    if n > 0 and n % d == 0:
-        total = 0.0
-        for j in range(1, system.process_count + 1):
-            sub = n // system.clocks[j - 1]
-            total += system.A[i - 1, j - 1] * _eval(system, j, sub, cache)
-        if system.B is not None:
-            for j in range(1, system.process_count + 1):
-                sub = n // system.clocks[j - 1]
-                total += system.B[i - 1, j - 1] * _lookup(system.input, j, sub, "input")
-        value = float(total)
-    else:
-        value = _lookup(system.boundary, i, n, "boundary")
-    cache[key] = value
-    return value
+    return _as_real(value, f"{what} value for process {process} at index {index}")
 
 
 def eval_state(system, i, n, cache=None) -> float:
-    """x_i(n) by demand-driven memoized recursion.
+    """x_i(n) by demand-driven memoized evaluation.
 
     The recurrence applies exactly when n > 0 and d | n; every other index,
     including n = 0, is boundary data. Pass the same dict as `cache` across
-    calls to share the memo.
+    calls to share the memo. The nodes are evaluated from an explicit stack,
+    in the order a depth-first recursion meets them, so no index is too deep:
+    a node's operands not yet in the memo are pushed in reverse order, and
+    the node is computed once they are all there, in Python floats: the
+    same IEEE products and sums as numpy's, with no overflow warning. Each
+    node's value enters the memo when it is computed, and the first that is
+    not finite raises trajectory_on_grid's NumericOverflowError, naming its
+    process and tick.
     """
     i = _as_axis(i, "process")
     n = _as_axis(n, "index", least=0)
@@ -143,7 +132,35 @@ def eval_state(system, i, n, cache=None) -> float:
         raise ValueError(f"process must be in 1..{system.process_count}, got {i}")
     if cache is None:
         cache = {}
-    return _eval(system, i, n, cache)
+    d = system.clock.d
+    stack = [(i, n)]
+    while stack:
+        p, k = key = stack[-1]
+        if key in cache:
+            stack.pop()
+        elif not (k > 0 and k % d == 0):
+            cache[stack.pop()] = _lookup(system.boundary, p, k, "boundary")
+        else:
+            operands = [(j, k // c) for j, c in enumerate(system.clocks, 1)]
+            missing = [o for o in operands if o not in cache]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            total = 0.0
+            for o, a in zip(operands, system.A[p - 1].tolist()):
+                total += a * cache[o]
+            if system.B is not None:
+                for (j, sub), b in zip(operands, system.B[p - 1].tolist()):
+                    total += b * _lookup(system.input, j, sub, "input")
+            if not math.isfinite(total):
+                raise simulate.NumericOverflowError(_non_finite(p, k // d, d))
+            cache[stack.pop()] = total
+    return cache[i, n]
+
+
+def _non_finite(process, tick, d) -> str:
+    """The one text of a multirate state that left the finite range."""
+    return f"state of process {process} became non-finite at tick {tick} (index {tick * d})"
 
 
 def _column(func, process, indices, what):
@@ -245,9 +262,7 @@ def trajectory_on_grid(system, horizon) -> np.ndarray:
             for j in range(m):
                 total += held[lo:hi, j, None] * system.B[:, j]
         rows[lo:hi] = total
-    simulate._require_finite(
-        rows, lambda k, j: f"state of process {j + 1} became non-finite at tick {k} (index {k * system.clock.d})"
-    )
+    simulate._require_finite(rows, lambda k, j: _non_finite(j + 1, k, d))
     return rows
 
 

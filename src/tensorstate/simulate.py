@@ -307,10 +307,10 @@ def _runs(at, seg, times, method, h):
     their inputs), when an exact step is cut by keys strictly inside (one run
     per piece in force over it, each writing that row in turn), or when it
     is the grid's last interval and not within 4 ulps (of its end) of h.
-    Returns per run lo, hi, its pieces (a row, or three for RK4), dt,
-    whether it is an RK4 step on three inputs, and the key of its map:
-    segment·2 + (dt is not h), or a negative key of its own for a map read
-    from two segments or for a cut piece's map, which is not kept."""
+    Returns per run lo, hi, its pieces (a row, or three for RK4), dt, and
+    its group: its map's key·2, + 1 for an RK4 step on three inputs. A map's
+    key is segment·2 + (dt is not h), or a negative key of its own for a map
+    read from two segments or for a cut piece's map, which is not kept."""
     n = times.size
     right = at.searchsorted(times, "right") - 1  # per sample, the piece in force
     cross = right[1:] != right[:-1]  # per interval (a, b]: a key lies in it
@@ -352,8 +352,7 @@ def _runs(at, seg, times, method, h):
         dt = np.where(own, r - p, dt)
     key = seg[pieces[0]] * 2 + (dt != h)
     key[own] = -1 - own.nonzero()[0]
-    split = cross[first] if method == "rk4" else np.zeros(first.size, bool)
-    return lo, hi, pieces, dt, split, key
+    return lo, hi, pieces, dt, key * 2 + (cross[first] if method == "rk4" else 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are raised after the loop
@@ -361,18 +360,17 @@ def _sweep(system, signal, v, times, where, method="discrete", h=1.0):
     """Sample state and output at each of the sorted array `times` (h the
     grid step, 1 for "discrete"), by a plan of the whole run (_timeline,
     _runs) and one loop over its runs, each stepped by _advance. Each
-    distinct map is built once: the segment's M_A and M_B for "discrete",
-    _zoh_pair(m, dt) for "exact", _rk4_map for "rk4" (its held map, or its
-    split map on the three inputs of a step into the next piece). The input
-    terms c = Q·u of the runs that share P and Q are one stacked matmul. The
-    outputs are the states unless a sampled piece has C or D·u, else _output
-    writes them one segment's block of rows at a time. A non-finite state,
-    else output, raises NumericOverflowError naming its time formatted by
-    `where`."""
+    distinct map is built once, into one table of (P, Q, Q3), Q3 the Q of an
+    RK4 step on three inputs: (M_A, M_B, M_B) for "discrete", (Φ, Γ, Γ) for
+    "exact", _rk4_map for "rk4", with P in C order, which _advance needs so
+    as not to copy it on every step. The input terms c = Q·u of a group's
+    runs are one stacked matmul. The outputs are the states unless a sampled
+    piece has C or D·u, else _output writes them one segment's block of rows
+    at a time. A non-finite state, else output, raises NumericOverflowError
+    naming its time formatted by `where`."""
     n, unfolded = times.size, system.unfolded
     at, seg, inp = _timeline(system, signal, None if method == "discrete" else times)
-    lo, hi, pieces, dt, split, key = _runs(at, seg, times, method, h)
-    group = key * 2 + split  # runs that share P and Q
+    lo, hi, pieces, dt, group = _runs(at, seg, times, method, h)
     order = group.argsort(kind="stable")
     ranked = group[order]
     change = np.empty(order.size, bool)
@@ -389,27 +387,24 @@ def _sweep(system, signal, v, times, where, method="discrete", h=1.0):
     for g, segs, step, a, b in zip(
         ranked[heads[:-1]].tolist(), seg[pieces[:, first]].T.tolist(), dt[first].tolist(), heads, heads[1:]
     ):
-        code, three = divmod(g, 2)
-        if code not in maps:
+        key, three = divmod(g, 2)
+        if key not in maps:
             m = [unfolded[s] for s in segs]
-            if method == "discrete":
-                maps[code] = (m[0],) * 2
-            elif method == "exact":
-                maps[code] = (_zoh_pair(m[0], step),) * 2
-            else:
-                maps[code] = _rk4_map(*m, step)
-        q = maps[code][three].b
+            if method == "rk4":
+                p, q, q3 = _rk4_map(*m, step)
+            else:  # one input, held over the step
+                p, q = _zoh_pair(m[0], step) if method == "exact" else (m[0].a, m[0].b)
+                q3 = q
+            maps[key] = (np.ascontiguousarray(p), q, q3)
+        q = maps[key][1 + three]
         if signal is not None:
             np.matmul(q, us[a:b, : q.shape[1], None], out=cs[a:b, :, None])
     if signal is not None:
         cs = cs[order.argsort()]
-    # an RK4 map's two forms share P; an exact or RK4 P is a block of a larger
-    # array, which P.dot in _advance would copy on every step
-    ps = {code: np.ascontiguousarray(pair[0].a) for code, pair in maps.items()}
     states = np.empty((n, system.state_dim))
     states[0] = v
-    for code, c, a, b in zip(key.tolist(), cs, lo.tolist(), hi.tolist()):
-        v = _advance(ps[code], c, v, states, a, b)
+    for key, c, a, b in zip((group >> 1).tolist(), cs, lo.tolist(), hi.tolist()):
+        v = _advance(maps[key][0], c, v, states, a, b)
     outputs = states  # unless a sampled piece has C or D·u
     writes = {s for s, m in enumerate(unfolded) if m.c is not None or m.d is not None and signal is not None}
     if writes:
@@ -594,8 +589,8 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
 
 
 def _zoh_pair(m, dt):
-    """m discretized over a step dt: m with a = Φ = exp(M_A·dt) and
-    b = Γ = ∫_0^dt exp(M_A·s) ds·M_B, the P and Q that _advance steps, both
+    """(Φ, Γ): m discretized over a step dt, Φ = exp(M_A·dt) and
+    Γ = ∫_0^dt exp(M_A·s) ds·M_B, the P and Q that _advance steps, both
     blocks of the exponential of [[M_A, M_B], [0, 0]]·dt (Van Loan 1978), in
     which M_B has no columns without input; Γ is then None."""
     q = m.a.shape[0]
@@ -604,15 +599,15 @@ def _zoh_pair(m, dt):
     aug[:q, :q] = m.a
     aug[:q, q:] = m.b if p else 0
     big = matrix_exponential(aug, dt)
-    return m._replace(a=big[:q, :q], b=big[:q, q:] if p else None)
+    return big[:q, :q], big[:q, q:] if p else None
 
 
 def _rk4_map(m_a, m_mid, m_b, dt):
-    """Classical RK4 over dt, with the field M_A·v + M_B·u read from m_a, m_mid
-    and m_b at the step's start, midpoint and end, run on the columns of
-    [v; u_a; u_mid; u_b] and returned as two maps (a = P, b = Q) that _advance
-    steps: Q = Q_a + Q_mid + Q_b for one input held over the step, and
-    Q = [Q_a Q_mid Q_b] for [u_a; u_mid; u_b]; without input Q is None in both."""
+    """(P, Q, Q3): classical RK4 over dt, with the field M_A·v + M_B·u read
+    from m_a, m_mid and m_b at the step's start, midpoint and end, run on the
+    columns of [v; u_a; u_mid; u_b], as the P and Q that _advance steps:
+    Q = Q_a + Q_mid + Q_b for one input held over the step, and
+    Q3 = [Q_a Q_mid Q_b] for [u_a; u_mid; u_b]; without input both are None."""
     q = m_a.a.shape[0]
     p = 0 if m_a.b is None else m_a.b.shape[1]
     eye = np.eye(q, q + 3 * p)
@@ -630,7 +625,7 @@ def _rk4_map(m_a, m_mid, m_b, dt):
     step = eye + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     split = step[:, q:] if p else None
     held = None if split is None else split.reshape(q, 3, p).sum(axis=1)
-    return m_a._replace(a=step[:, :q], b=held), m_a._replace(a=step[:, :q], b=split)
+    return step[:, :q], held, split
 
 
 def _rk4_gain(z):

@@ -1,3 +1,5 @@
+import math
+import reprlib
 import tracemalloc
 import warnings
 
@@ -196,6 +198,68 @@ class TestEvalState:
         eval_state(system, 1, 36, cache=cache)
         assert (1, 18) in cache
         assert cache[(1, 18)] == 10.0
+
+    @pytest.mark.parametrize("power, value", [(900, 1.0), (5000, 1.0), (5001, -1.0)])
+    def test_deep_index(self, power, value):
+        """x(2^k) = -x(2^(k-1)) reaches the boundary after k levels, far
+        past Python's recursion limit: the nodes live on an explicit stack."""
+        system = MultirateSystem([[-1.0]], [2], constant_function(1.0))
+        cache = {}
+        assert eval_state(system, 1, 2**power, cache) == value
+        assert len(cache) == power + 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_recursion_meets_the_same_nodes(self, seed):
+        """Against a plain recursion with the same memo: the same value
+        bits, the same sequence of boundary and input calls, and the same
+        memo, keys in insertion order; a missing value raises at the same
+        call and leaves the same memo behind."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        clocks = rng.integers(2, 7, m).tolist()
+        a = rng.uniform(-1.5, 1.5, (m, m))
+        b = rng.uniform(-1.0, 1.0, (m, m)) if seed % 2 else None
+        gap = 0 if seed % 4 < 2 else 23  # every 23rd index of process 1 is missing
+
+        def values(tag, calls):
+            def lookup(i, n):
+                calls.append((tag, i, n))
+                if gap and i == 1 and n % gap == 5:
+                    raise KeyError(n)
+                return math.sin(7.0 * i + 0.37 * n + (tag == "input"))
+            return lookup
+
+        def recursion(i, n, memo, calls):
+            if (i, n) not in memo:
+                if n > 0 and n % d == 0:
+                    subs = [n // c for c in clocks]
+                    total = 0.0
+                    for j, sub in enumerate(subs, 1):
+                        total += a[i - 1, j - 1] * recursion(j, sub, memo, calls)
+                    for j, sub in enumerate(subs, 1) if b is not None else ():
+                        total += b[i - 1, j - 1] * values("input", calls)(j, sub)
+                    memo[i, n] = float(total)
+                else:
+                    memo[i, n] = values("boundary", calls)(i, n)
+            return memo[i, n]
+
+        got_calls, want_calls = [], []
+        system = MultirateSystem(a, clocks, values("boundary", got_calls), B=b,
+                                 input=None if b is None else values("input", got_calls))
+        d = system.clock.d
+        got, want = {}, {}
+        for i, n in zip(rng.integers(1, m + 1, 6).tolist(), (d**3, 5 * d, 7 * d * d, 3, 0, 2 * d**4)):
+            try:
+                value = eval_state(system, i, n, got).hex()
+            except BoundaryDataError as exc:
+                value = str(exc)
+            try:
+                expected = recursion(i, n, want, want_calls).hex()
+            except KeyError:
+                expected = "missing {} value for process {} at index {}".format(*want_calls[-1])
+            assert value == expected
+            assert got_calls == want_calls
+            assert list(got.items()) == list(want.items())
 
 
 class TestConstruction:
@@ -518,6 +582,27 @@ class TestMultirateChecks:
         with pytest.raises(TypeError, match=r"^input must be callable \(process, index\) -> real$"):
             MultirateSystem(A=np.eye(2), B=np.eye(2), clocks=(2, 3), boundary=index_function(), input=1.0)
 
+    @pytest.mark.parametrize("what", ["boundary", "input"])
+    @pytest.mark.parametrize("value", [True, np.True_, "1.5", "x", math.nan, math.inf, 10**400],
+                             ids=["True", "np.True_", "'1.5'", "'x'", "nan", "inf", "10**400"])
+    @pytest.mark.parametrize("run", ["trajectory_on_grid", "eval_state"])
+    def test_value_read_as_a_real(self, run, value, what):
+        """A boundary or input value is read by the one real-number rule, and
+        one that is not a finite real is refused naming its process and
+        index: the sweep meets boundary index 0 or input index 1 first, and
+        x(2) reads index 1 of each."""
+        funcs = {"boundary": constant_function(1.0), "input": constant_function(1.0)}
+        funcs[what] = lambda i, n: value
+        system = MultirateSystem([[0.5]], [2], funcs["boundary"], B=[[1.0]], input=funcs["input"])
+        index = 0 if run == "trajectory_on_grid" and what == "boundary" else 1
+        reason = (f"expected a number, got {reprlib.repr(value)}" if isinstance(value, (bool, np.bool_, str))
+                  else "number out of the finite double range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                trajectory_on_grid(system, 2) if run == "trajectory_on_grid" else eval_state(system, 1, 2)
+        assert str(err.value) == f"{what} value for process 1 at index {index}: {reason}"
+
     def test_boundary_returning_none(self):
         system = MultirateSystem(A=np.eye(2), clocks=(2, 3), boundary=lambda i, n: None if i == 2 else 1.0)
         with pytest.raises(BoundaryDataError, match=r"^missing boundary value for process 2 at index 2$") as err:
@@ -602,6 +687,21 @@ class TestOverflow:
         with pytest.raises(NumericOverflowError,
                            match=r"^state of process 2 became non-finite at tick 1 \(index 6\)$"):
             trajectory_on_grid(system, 4)
+
+    def test_eval_state_refuses_as_the_sweep_does(self):
+        """x1(12) = 1e300·x1(6) + 1e300·x2(4) overflows where x1(6) = 2e300
+        does not: eval_state raises the sweep's text for that first
+        non-finite node, with no numpy warning, and keeps no value for it."""
+        system = MultirateSystem([[1e300, 1e300], [1.0, 1.0]], [2, 3], constant_function(1.0))
+        text = r"^state of process 1 became non-finite at tick 2 \(index 12\)$"
+        cache = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match=text):
+                eval_state(system, 1, 12, cache)
+            with pytest.raises(NumericOverflowError, match=text):
+                trajectory_on_grid(system, 2)
+        assert cache[1, 6] == 2e300 and (1, 12) not in cache
 
     def test_finite_grid_is_unchanged(self):
         system = MultirateSystem(A=np.full((2, 2), 1e150), clocks=(2, 3),

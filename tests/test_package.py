@@ -24,6 +24,17 @@ def test_package_all_is_the_union_once():
     assert set(names) == {name for module in MODULES for name in module.__all__} | {"__version__"}
 
 
+def test_each_name_declared_once():
+    """No name is in two modules' __all__: each is made public beside its
+    definition, and the package's __all__ is the lists in module order."""
+    owners = {}
+    for module in MODULES:
+        for name in module.__all__:
+            assert name not in owners, f"{name} is in {owners[name]}.__all__ and {module.__name__}.__all__"
+            owners[name] = module.__name__
+    assert tensorstate.__all__ == [*owners, "__version__"]
+
+
 @pytest.mark.parametrize("module, name", [(systems, "Piecewise"), (simulate, "MAX_GRID_CELLS")])
 def test_module_level_names(module, name):
     assert hasattr(module, name)

@@ -625,7 +625,7 @@ def test_rk4_refuses_exactly_the_steps_that_grow_a_decaying_mode(case):
     decaying = lam.real < 0
     hypothesis.assume(np.all(abs(gain[decaying] - 1) > 1e-6))  # off the boundary, where rounding decides
     system = build_system("continuous", (len(lam),), CoefficientSet(A=Tensor.from_array(a)))
-    p = _rk4_map(*[system.unfolded[0]] * 3, h)[0].a
+    p = _rk4_map(*[system.unfolded[0]] * 3, h)[0]
     got, want = np.linalg.eigvals(p), _rk4_r(h * lam)
     scale = 1e-10 * gain.max()
     assert all(abs(got - w).min() <= scale for w in want)

@@ -601,8 +601,8 @@ def test_advance_gives_the_bits_of_matmul(q):
     itself, as the runs of an exact step cut by keys write it."""
     rng = np.random.default_rng(q)
     m = UnfoldedSystem(rng.normal(size=(q, q)) / math.sqrt(q), rng.normal(size=(q, 2)), None, None)
-    exact = simulate._zoh_pair(m, 0.1).a
-    rk4 = simulate._rk4_map(m, m, m, 0.1)[0].a
+    exact = simulate._zoh_pair(m, 0.1)[0]
+    rk4 = simulate._rk4_map(m, m, m, 0.1)[0]
     assert m.a.flags.c_contiguous and (q == 1 or not (exact.flags.c_contiguous or rk4.flags.c_contiguous))
 
     def bits(advance, p, c, v0):
@@ -834,7 +834,7 @@ class TestMatrixExponential:
     def test_zoh_input_block_keeps_its_digits(self):
         """Over dt = 1e-20 the input block Γ is dt·M_B to the last bits."""
         m = UnfoldedSystem(np.array([[-1.0, 2.0], [0.5, -3.0]]), np.array([[1.5], [-0.25]]), None, None)
-        gamma = simulate._zoh_pair(m, 1e-20).b
+        gamma = simulate._zoh_pair(m, 1e-20)[1]
         assert np.abs(gamma - 1e-20 * m.b).max() <= 1e-15 * 1e-20 * np.abs(m.b).max()
 
     def test_empty_matrix(self):
@@ -1377,14 +1377,14 @@ class TestRk4Memo:
         for a, b in zip(traj.times, traj.times[1:]):
             ends = (a, a + (b - a) / 2, b)
             mats = [system.unfolded[last_at_or_before(starts, t)] for t in ends]
-            held, split = simulate._rk4_map(*mats, nominal(a, b, h))
+            p, held, split = simulate._rk4_map(*mats, nominal(a, b, h))
             us = [inputs[last_at_or_before(breaks, t)] for t in ends]
             if signal is None:
-                v = held.a @ v
+                v = p @ v
             elif not any(a < k <= b for k in keys):
-                v = held.a @ v + held.b @ us[0]
+                v = p @ v + held @ us[0]
             else:
-                v = split.a @ v + split.b @ np.concatenate(us)
+                v = p @ v + split @ np.concatenate(us)
             states.append(v)
         assert np.array_equal(traj.state_matrix(), states)
 
@@ -1505,8 +1505,8 @@ def per_interval_reference(system, x0, times, h, signal, method):
             kept[key] = make(*args)
         return kept[key]
 
-    def advance(m, u, v):
-        return m.a @ v if u is None else m.a @ v + m.b @ u
+    def advance(p, q, u, v):
+        return p @ v if u is None else p @ v + q @ u
 
     v, states = x0, [x0]
     for i, (a, b) in enumerate(zip(times, times[1:])):
@@ -1514,18 +1514,18 @@ def per_interval_reference(system, x0, times, h, signal, method):
         dt = h if abs(b - a - h) <= 4 * math.ulp(b) else b - a
         if method == "rk4":
             (m_mid, u_mid), (m_b, u_b) = pieces[bisect.bisect_right(keys, a + (b - a) / 2) - 1], pieces[k]
-            held, split = build((id(m), id(m_mid), id(m_b), dt), simulate._rk4_map, m, m_mid, m_b, dt)
+            p, held, split = build((id(m), id(m_mid), id(m_b), dt), simulate._rk4_map, m, m_mid, m_b, dt)
             if j != k and u is not None:
-                v = advance(split, np.concatenate((u, u_mid, u_b)), v)
+                v = advance(p, split, np.concatenate((u, u_mid, u_b)), v)
             else:
-                v = advance(held, u, v)
+                v = advance(p, held, u, v)
         else:
             inside = [key for key in keys if a < key < b]
             if not inside:
-                v = advance(build((id(m), dt), simulate._zoh_pair, m, dt), u, v)
+                v = advance(*build((id(m), dt), simulate._zoh_pair, m, dt), u, v)
             for p, r in zip([a, *inside], [*inside, b]) if inside else ():
                 m_p, u_p = pieces[bisect.bisect_right(keys, p) - 1]
-                v = advance(simulate._zoh_pair(m_p, r - p), u_p, v)
+                v = advance(*simulate._zoh_pair(m_p, r - p), u_p, v)
                 unkept += 1
         states.append(v)
     outputs = []
