@@ -17,11 +17,14 @@ raises RecursionError in one, so each of these ends on the json path.
 Tensors on disk are {"shape": [...], "data": [...]} with row-major flat
 data. There is one read of them: an input table's values, and each
 coefficient kind over the segments of a schedule that hold it, are read
-in one numpy call after a few checks over whole lists (_tensor_block),
-into one read-only array whose views are the tensors: rows of one (K, N)
-block where the shapes agree. A file that fails a check is walked field
-by field in file order only to raise the error that names the first bad
-field; the walk builds nothing.
+after a few checks over whole lists (_tensor_block) into one read-only
+array whose views are the tensors: rows of one (K, N) block where the
+shapes agree. The entries are read in C, one pass per number, by
+array("d").fromlist (_finite_block); their types are read as well only
+in a short block and in one that holds an exact 0 or 1, where a JSON
+true or false could hide. A file that fails a check is walked
+field by field in file order only to raise the error that names the
+first bad field; the walk builds nothing.
 
 Numbers in CSV output carry 17 significant digits so parsing them back
 reproduces the exact doubles. They are the bytes Python's '%.17g'
@@ -45,6 +48,7 @@ import math
 import re
 import reprlib
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,22 +125,37 @@ def _number(value, where) -> float:
         raise ParseError(str(exc)) from None
 
 
+# a block this short has its types read: over fewer entries the type pass
+# costs less than the numpy calls that look for a 0 or a 1
+_SHORT_BLOCK = 100
+
+
 def _finite_block(rows) -> np.ndarray | None:
     """Lists of plain ints and floats (bool excluded) as one flat float64
     array of their entries in order, or None when an entry is of another
-    type, past the double range or not finite. The entries are read where
-    they are, through an iterator over the lists, by one type pass and one
-    np.fromiter: no number is copied into a joined list. The array is
-    read-only, since the tensors and tables built on it are views."""
-    if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
-        try:
-            values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=sum(map(len, rows)))
-        except OverflowError:
+    type, past the double range or not finite. Each list is read in C by
+    array("d").fromlist, one pass per number, which refuses every other
+    JSON value (str, None, list, dict) with TypeError and an int past the
+    double range with OverflowError, and reads a float or an int to the
+    bits float() gives. A bool is the one value it takes that the format
+    refuses, and it reads as exactly 0.0 or 1.0, so the entries' types are
+    read only in a block that holds a 0 or a 1, or is shorter than
+    _SHORT_BLOCK. The array is read-only, since the tensors and tables
+    built on it are views."""
+    block = array("d")
+    try:
+        for row in rows:
+            block.fromlist(row)
+    except (TypeError, OverflowError):
+        return None
+    values = np.frombuffer(block)
+    if not np.isfinite(values).all():
+        return None
+    if len(block) < _SHORT_BLOCK or ((values == 0) | (values == 1)).any():
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
             return None
-        if np.isfinite(values).all():
-            values.flags.writeable = False
-            return values
-    return None
+    values.flags.writeable = False
+    return values
 
 
 def _numbers(data, where) -> np.ndarray:
@@ -277,7 +296,7 @@ def _table_entries(samples, input_shape):
     if set(map(type, samples)) != {list} or set(map(len, samples)) != {2}:
         return None
     whens, tensors = zip(*samples)
-    keys, values = _finite_block([whens]), _tensor_block(tensors, input_shape)
+    keys, values = _finite_block([list(whens)]), _tensor_block(tensors, input_shape)
     if keys is None or values is None:
         return None
     # B holds state + input modes, so input_shape has at most 63 and the

@@ -10,6 +10,7 @@ the caller. Process indices are 1-based throughout.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -48,12 +49,15 @@ def global_clock(clocks) -> GlobalClock:
 
 
 class BoundaryDataError(LookupError):
-    """A boundary (or input) value needed by the recurrence is missing."""
+    """A boundary (or input) value needed by the recurrence is missing.
+
+    `index` is the full int; the message cuts a long one by reprlib.repr,
+    as the file parser quotes values."""
 
     def __init__(self, process, index, what="boundary"):
         self.process = process
         self.index = index
-        super().__init__(f"missing {what} value for process {process} at index {index}")
+        super().__init__(f"missing {what} value for process {process} at index {reprlib.repr(index)}")
 
 
 class MultirateSystem:
@@ -101,15 +105,16 @@ class MultirateSystem:
 
 def _lookup(func, process, index, what):
     """func's value for process at index, read by tensors._as_real: a
-    ValueError names the process and index of a value that is not a finite
-    real, and BoundaryDataError one that is None or raises LookupError."""
+    ValueError names the process and index (cut by reprlib.repr) of a value
+    that is not a finite real, and BoundaryDataError one that is None or
+    raises LookupError."""
     try:
         value = func(process, index)
     except LookupError:
         raise BoundaryDataError(process, index, what) from None
     if value is None:
         raise BoundaryDataError(process, index, what)
-    return _as_real(value, f"{what} value for process {process} at index {index}")
+    return _as_real(value, f"{what} value for process {process} at index {reprlib.repr(index)}")
 
 
 def eval_state(system, i, n, cache=None) -> float:
@@ -302,7 +307,7 @@ def constant_function(values):
 
 def index_function():
     """(process, index) -> index, the x_i(n) = n boundary of the worked example."""
-    return _columns(lambda i, n: float(n), lambda i, indices: indices.astype(float))
+    return _columns(lambda i, n: n, lambda i, indices: indices.astype(float))
 
 
 def table_function(entries):

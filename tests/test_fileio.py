@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import tempfile
@@ -416,6 +417,21 @@ def many_modes_doc(modes):
     return doc
 
 
+def dense_doc(doc):
+    """schedule_doc's segments over state (4, 4): every entry of A (256 per
+    segment), B, C and x0 a float in (-0.1, 0.1), so no block holds a 0 or
+    a 1."""
+    rng = np.random.default_rng(16)
+
+    def coupling(shape):
+        return tensor_doc(shape, rng.uniform(-0.1, 0.1, math.prod(shape)).tolist())
+
+    doc.update(state_shape=[4, 4], x0=coupling([4, 4]))
+    for seg in doc["schedule"]:
+        seg.update(A=coupling([4, 4, 4, 4]), B=coupling([4, 4, 2]), C=coupling([2, 4, 4]))
+    return doc
+
+
 def some_d(doc):
     """D, of shape output + input, in segments 0 and 2 of a schedule_doc."""
     for k in (0, 2):
@@ -489,6 +505,10 @@ MUTATIONS = {
     "shape not a list everywhere": _each(["A", "shape"], 4),
     "unknown field everywhere": _each(["E"], 1),
     "missing start everywhere": _each(["start"]),
+    "dense": dense_doc,
+    "true in a dense A": lambda doc: _set([1, "A", "data", 100], True)(dense_doc(doc)),
+    "false in a dense A": lambda doc: _set([1, "A", "data", 100], False)(dense_doc(doc)),
+    "numeric string in a dense A": lambda doc: _set([1, "A", "data", 100], "0.05")(dense_doc(doc)),
     "64 modes": lambda doc: many_modes_doc(64),
     "65 modes": lambda doc: many_modes_doc(65),
     # segments that differ in fields or in a kind's shape, and files with two faults
@@ -538,6 +558,9 @@ REFUSALS = {
     "shape not a list everywhere": ".schedule[0].A.shape: expected a non-empty list of mode sizes",
     "unknown field everywhere": ".schedule[0]: unknown field(s) ['E']",
     "missing start everywhere": ".schedule[0]: missing field 'start'",
+    "true in a dense A": ".schedule[1].A.data: expected a number, got True",
+    "false in a dense A": ".schedule[1].A.data: expected a number, got False",
+    "numeric string in a dense A": ".schedule[1].A.data: expected a number, got '0.05'",
     "65 modes": ".schedule[0].A: maximum supported dimension for an ndarray is currently 64, found 65",
     "D in some segments, one bad": ".schedule[2].D.data: expected a number, got True",
     "D in some segments, other D shape":
@@ -666,6 +689,51 @@ class TestScheduleBlocks:
                     assert message.startswith(f"{path}.input.samples")
             elif doc["schedule"] and fileio._schedule_blocks(doc["schedule"]) is None:
                 assert message.startswith(f"{path}.schedule[")
+
+        check()
+
+
+def type_pass_block(rows):
+    """The rule _finite_block keeps, read the slow way: a type pass over
+    every entry, then np.fromiter over all of them."""
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        try:
+            values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=sum(map(len, rows)))
+        except OverflowError:
+            return None
+        if np.isfinite(values).all():
+            values.flags.writeable = False
+            return values
+    return None
+
+
+class TestFiniteBlock:
+    def test_reads_as_a_type_pass_does(self):
+        """Short and long blocks of floats, ints (0, 1, 2^53+1, 2^64, 10^400
+        among them), bools, -0.0, non-finite floats, numeric and other
+        strings, None, nested lists and dicts: _finite_block gives None where
+        a type pass and np.fromiter do, else the same bits, read-only."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.one_of(
+            st.floats(), st.integers(-(2**70), 2**70),
+            st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, 2**53 + 1, 2**64, 10**400, -(10**400), True, False,
+                             math.inf, math.nan, "1.5", "1", "0", "x", "", None, [], [1.0], {}, {"a": 1}]),
+        )
+        short = st.lists(st.lists(entries, max_size=8), min_size=1, max_size=3)
+        # a row of filler lifts a block past the short ones, whose types are always read
+        long = st.tuples(short, st.integers(0, 3)).map(
+            lambda drawn: drawn[0][:drawn[1]] + [[0.25] * fileio._SHORT_BLOCK] + drawn[0][drawn[1]:])
+
+        @hypothesis.settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.one_of(short, long))
+        def check(rows):
+            got, want = fileio._finite_block(rows), type_pass_block(rows)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
         check()
 

@@ -603,6 +603,43 @@ class TestMultirateChecks:
                 trajectory_on_grid(system, 2) if run == "trajectory_on_grid" else eval_state(system, 1, 2)
         assert str(err.value) == f"{what} value for process 1 at index {index}: {reason}"
 
+    def test_index_boundary_past_double_range(self):
+        """index_function answers a lookup with the index itself, so the value
+        rule refuses an index past the double range in its own words, not
+        with a bare OverflowError; the values it reads are the floats of the
+        indices, as before."""
+        system = MultirateSystem([[1.0]], [2], index_function())
+        n = 2**5000 + 1
+        with pytest.raises(ValueError) as err:
+            eval_state(system, 1, n)
+        assert str(err.value) == (
+            f"boundary value for process 1 at index {reprlib.repr(n)}: number out of the finite double range"
+        )
+        value = eval_state(system, 1, 2**53 + 1)
+        assert type(value) is float and value == float(2**53 + 1)
+
+    @pytest.mark.parametrize("what", ["boundary", "input"])
+    def test_long_index_cut_in_texts(self, what):
+        """x(10^400) on clock 2 reads boundary index 5^400, 280 digits, and
+        the nodes above it read input index 5^400 first: a missing value and
+        a refused one name it cut by reprlib.repr, as the file parser quotes
+        values, and BoundaryDataError.index keeps the whole int."""
+        index = 5**400
+        cut = reprlib.repr(index)
+        assert len(cut) < 50
+        funcs = {"boundary": constant_function(1.0), "input": constant_function(1.0)}
+        funcs[what] = table_function({})
+        system = MultirateSystem([[1.0]], [2], funcs["boundary"], B=[[1.0]], input=funcs["input"])
+        with pytest.raises(BoundaryDataError) as err:
+            eval_state(system, 1, 10**400)
+        assert str(err.value) == f"missing {what} value for process 1 at index {cut}"
+        assert (err.value.process, err.value.index) == (1, index)
+        funcs[what] = lambda i, n: "x"
+        system = MultirateSystem([[1.0]], [2], funcs["boundary"], B=[[1.0]], input=funcs["input"])
+        with pytest.raises(ValueError) as err:
+            eval_state(system, 1, 10**400)
+        assert str(err.value) == f"{what} value for process 1 at index {cut}: expected a number, got 'x'"
+
     def test_boundary_returning_none(self):
         system = MultirateSystem(A=np.eye(2), clocks=(2, 3), boundary=lambda i, n: None if i == 2 else 1.0)
         with pytest.raises(BoundaryDataError, match=r"^missing boundary value for process 2 at index 2$") as err:
